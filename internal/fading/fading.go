@@ -359,13 +359,59 @@ func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.So
 
 // CountSuccesses draws one Rayleigh realization and counts the active links
 // whose realized SINR reaches β. It is the allocation-free counting kernel of
-// the Monte-Carlo experiments: out and idx follow the SampleSINRsInto scratch
-// convention, and the RNG stream consumed is identical to SampleSuccesses.
+// the Monte-Carlo experiments. out and idx have the SampleSINRsInto shapes,
+// but out is pure scratch: it does not hold SINRs, and its contents on return
+// are unspecified. The count and the RNG stream consumed are identical to
+// SampleSuccesses.
+//
+// Only a yes/no per link is needed, so the logarithms are taken lazily. For
+// each active receiver the kernel first draws every uniform rng.Exp would
+// draw, in the same order, so the stream ends where SampleSINRsInto leaves
+// it. It then adds interference terms one at a time and stops as soon as the
+// partial sum already rules out success, skipping the remaining logarithms.
 func CountSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int) int {
-	vals := SampleSINRsInto(m, active, src, out, idx)
+	checkScratch(m.N, out, idx)
+	idx = activeIndices(active, idx)
+	u := out[:len(idx)]
 	count := 0
-	for i, a := range active {
-		if a && vals[i] >= beta {
+receivers:
+	for k, i := range idx {
+		row := m.Incoming(i)
+		for kj, j := range idx {
+			if g := row[j]; g != 0 {
+				if g < 0 {
+					panic(fmt.Sprintf("fading: negative mean gain %g from sender %d at receiver %d", g, j, i))
+				}
+				u[kj] = src.Float64Open()
+			}
+		}
+		var own float64
+		if g := row[i]; g != 0 {
+			own = -g * math.Log(u[k])
+		}
+		interf := m.Noise
+		for kj, j := range idx {
+			// Exact early rejection. Every term is non-negative, and IEEE
+			// round-to-nearest addition is monotone, so no later partial sum
+			// is smaller than this one; own/x rounds monotonically too and
+			// does not grow with x > 0. A partial sum that already fails the
+			// test therefore fails it after the remaining terms are added.
+			if interf > 0 && own/interf < beta {
+				continue receivers
+			}
+			g := row[j]
+			if j == i || g == 0 {
+				continue
+			}
+			interf += -g * math.Log(u[kj])
+		}
+		var v float64
+		if interf != 0 {
+			v = own / interf
+		} else if own > 0 {
+			v = math.Inf(1)
+		}
+		if v >= beta {
 			count++
 		}
 	}

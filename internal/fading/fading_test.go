@@ -1,6 +1,7 @@
 package fading
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -553,6 +554,25 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SampleSINRs(m, active, src)
+	}
+}
+
+// BenchmarkCountSuccesses100 times the Figure-1 counting kernel at β = 2.5 on
+// a paper-settings network, for a sparse and a fully active transmitter set.
+func BenchmarkCountSuccesses100(b *testing.B) {
+	m := randomMatrix(b, 1, 100)
+	vals := make([]float64, 100)
+	idx := make([]int, 0, 100)
+	for _, density := range []float64{0.3, 1.0} {
+		b.Run(fmt.Sprintf("density=%.1f", density), func(b *testing.B) {
+			active := randomActive(rng.New(3), 100, density)
+			src := rng.New(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				CountSuccesses(m, active, 2.5, src, vals, idx)
+			}
+		})
 	}
 }
 

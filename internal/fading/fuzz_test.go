@@ -54,6 +54,36 @@ func FuzzExactSuccessInvariants(f *testing.F) {
 	})
 }
 
+// FuzzCountSuccessesMatchesReference checks the lazy counting kernel against
+// the kept full-draw reference for arbitrary seeds, thresholds, transmitter
+// densities and noise levels, on the generated network and on a copy with
+// zero-gain entries: the count and the final stream position must agree
+// exactly. The noise is set on the matrix directly, so negative, infinite
+// and NaN levels are exercised too.
+func FuzzCountSuccessesMatchesReference(f *testing.F) {
+	f.Add(uint64(1), 2.5, 0.5, 4e-7)
+	f.Add(uint64(2), 0.5, 1.0, 0.0) // no noise: a lone transmitter reaches +Inf
+	f.Add(uint64(3), 50.0, 0.1, 1.0)
+	f.Add(uint64(4), 2.5, 0.0, 4e-7) // nobody transmits
+	f.Add(uint64(5), 0.0, 1.0, 0.0)  // β = 0: SINR 0 succeeds
+	f.Add(uint64(6), math.Inf(1), 1.0, 1e-9)
+	f.Add(uint64(7), 2.5, 1.0, -1e-3) // partial sums start negative
+	f.Add(uint64(8), math.NaN(), 0.7, math.Inf(1))
+	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise float64) {
+		cfg := network.Figure1Config()
+		cfg.N = 1 + int(seed%24)
+		net, err := network.Random(cfg, rng.New(seed))
+		if err != nil {
+			t.Skip()
+		}
+		active := randomActive(rng.New(^seed), cfg.N, density)
+		for _, m := range []*network.Matrix{net.Gains(), zeroSomeGains(net.Gains(), int(seed%3))} {
+			m.Noise = noise
+			checkCountSuccesses(t, m, active, beta, seed)
+		}
+	})
+}
+
 // FuzzObservation1 stresses the two analytic inequalities behind Lemma 1
 // over their full domains.
 func FuzzObservation1(f *testing.F) {

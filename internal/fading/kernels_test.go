@@ -107,6 +107,133 @@ func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 	}
 }
 
+// zeroSomeGains sets every third entry of m to zero gain, diagonal entries
+// included, selecting the entries by phase ∈ {0, 1, 2}.
+func zeroSomeGains(m *network.Matrix, phase int) *network.Matrix {
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
+			if (i*m.N+j)%3 == phase {
+				m.SetGain(j, i, 0)
+			}
+		}
+	}
+	return m
+}
+
+// checkCountSuccesses asserts that CountSuccesses, starting from a stream
+// seeded with seed, returns the success count of referenceSampleSINRs and
+// leaves the stream at the same position. The kernel's scratch starts out
+// NaN-filled, so a read of a slot it did not write shows up as a mismatch.
+func checkCountSuccesses(t testing.TB, m *network.Matrix, active []bool, beta float64, seed uint64) {
+	t.Helper()
+	ref, ker := rng.New(seed), rng.New(seed)
+	want := 0
+	for i, v := range referenceSampleSINRs(m, active, ref) {
+		if active[i] && v >= beta {
+			want++
+		}
+	}
+	scratch := make([]float64, m.N)
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
+	got := CountSuccesses(m, active, beta, ker, scratch, make([]int, 0, m.N))
+	if got != want {
+		t.Fatalf("n=%d β=%g ν=%g seed=%d: CountSuccesses %d, reference %d", m.N, beta, m.Noise, seed, got, want)
+	}
+	if ref.Uint64() != ker.Uint64() {
+		t.Fatalf("n=%d β=%g ν=%g seed=%d: kernel consumed a different number of draws", m.N, beta, m.Noise, seed)
+	}
+}
+
+func TestCountSuccessesMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 7, 40, 100} {
+		setup := rng.New(uint64(200 + n))
+		for _, zeroed := range []bool{false, true} {
+			m := randomMatrix(t, uint64(n), n)
+			if zeroed {
+				zeroSomeGains(m, n%3)
+			}
+			for _, noise := range []float64{m.Noise, 0} {
+				m.Noise = noise
+				for _, density := range []float64{0, 0.1, 0.5, 1} {
+					active := randomActive(setup, n, density)
+					for _, beta := range []float64{0.5, 2.5, 50} {
+						checkCountSuccesses(t, m, active, beta, uint64(31*n)+setup.Uint64()%1000)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountSuccessesNoiselessEdges pins the interf == 0 branch: with no noise,
+// a lone transmitter reaches SINR +Inf, and one whose own gain is zero too
+// has SINR 0, which reaches only a threshold of at most 0.
+func TestCountSuccessesNoiselessEdges(t *testing.T) {
+	m := mat(t, [][]float64{
+		{1, 0, 0.5},
+		{0, 0, 0},
+		{0.5, 0, 1},
+	}, 0)
+	for _, tc := range []struct {
+		active []bool
+		beta   float64
+		want   int
+	}{
+		{[]bool{true, false, false}, 1e300, 1},
+		{[]bool{true, true, false}, 50, 1},
+		{[]bool{false, true, false}, 2.5, 0},
+		{[]bool{false, true, false}, 0, 1},
+		{[]bool{true, true, true}, 1e300, 0},
+	} {
+		got := CountSuccesses(m, tc.active, tc.beta, rng.New(1), make([]float64, 3), make([]int, 0, 3))
+		if got != tc.want {
+			t.Errorf("active=%v β=%g: %d successes, want %d", tc.active, tc.beta, got, tc.want)
+		}
+		checkCountSuccesses(t, m, tc.active, tc.beta, 1)
+	}
+}
+
+// TestCountSuccessesExactTies sets β to a realized SINR ratio computed from
+// the same draws, so own/interf == β holds exactly: once for the full sum
+// (the link succeeds), once for the noise alone and once for a partial sum
+// (the stop test must not fire on equality; the link then fails on the
+// remaining terms).
+func TestCountSuccessesExactTies(t *testing.T) {
+	m := mat(t, [][]float64{
+		{1, 0.02, 0.03},
+		{0.2, 1, 0.01},
+		{0.1, 0.05, 1},
+	}, 0.05)
+	active := []bool{true, true, true}
+	const seed = 9
+	// Receiver 0 draws first, senders in index order.
+	draw := rng.New(seed)
+	own := draw.Exp(m.At(0, 0))
+	s1 := draw.Exp(m.At(1, 0))
+	s2 := draw.Exp(m.At(2, 0))
+	full := own / (m.Noise + s1 + s2)
+	if got := referenceSampleSINRs(m, active, rng.New(seed))[0]; got != full {
+		t.Fatalf("hand-computed SINR %g, reference %g", full, got)
+	}
+	for _, tc := range []struct {
+		name   string
+		beta   float64
+		reach0 bool
+	}{
+		{"full sum", full, true},
+		{"noise only", own / m.Noise, false},
+		{"partial sum", own / (m.Noise + s1), false},
+	} {
+		vals := referenceSampleSINRs(m, active, rng.New(seed))
+		if reached := vals[0] >= tc.beta; reached != tc.reach0 {
+			t.Fatalf("%s: link 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reached, tc.reach0)
+		}
+		checkCountSuccesses(t, m, active, tc.beta, seed)
+	}
+}
+
 func TestSampleSINRsWithIntoMatchesAllocatingForm(t *testing.T) {
 	m := randomMatrix(t, 8, 60)
 	active := randomActive(rng.New(9), 60, 0.5)

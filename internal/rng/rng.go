@@ -27,8 +27,13 @@ import (
 //
 // A Source is not safe for concurrent use. Split off one child per goroutine
 // instead of sharing; splitting is cheap and the children are independent.
+//
+// The padding fills the struct to one 64-byte cache line. Sources handed to
+// parallel workers are allocated back to back (SplitN); unpadded, two would
+// share a line and every draw on one core would invalidate the other's.
 type Source struct {
 	s0, s1, s2, s3 uint64
+	_              [32]byte
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -403,6 +404,23 @@ func TestSplitNDistinct(t *testing.T) {
 	}
 	if len(firsts) != 8 {
 		t.Fatalf("SplitN children overlapped: %d distinct first outputs of 8", len(firsts))
+	}
+}
+
+// TestSplitNChildrenOwnCacheLines pins the padding of Source: the children
+// SplitN hands to parallel workers must never share a 64-byte cache line.
+func TestSplitNChildrenOwnCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Source{}); size != 64 {
+		t.Fatalf("Source is %d bytes, want one 64-byte cache line", size)
+	}
+	children := New(44).SplitN(16)
+	lines := map[uintptr]int{}
+	for k, c := range children {
+		line := uintptr(unsafe.Pointer(c)) / 64
+		if prev, ok := lines[line]; ok {
+			t.Fatalf("children %d and %d share cache line %#x", prev, k, line*64)
+		}
+		lines[line] = k
 	}
 }
 
