@@ -115,10 +115,12 @@ results: figures
 serve: build
 	$(GO) run ./cmd/rayschedd -addr :8080
 
-# Fuzz the topology reader (the daemon's hostile-input surface) and the
-# lazy Rayleigh counting kernel against its full-draw reference.
+# Fuzz the topology reader and the shared compute-request decode (the
+# daemon's hostile-input surface) and the lazy Rayleigh counting kernel
+# against its full-draw reference.
 fuzz:
 	$(GO) test ./internal/netio/ -fuzz FuzzReadNetwork -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeComputeRequest -fuzztime 30s
 	$(GO) test ./internal/fading/ -run '^$$' -fuzz FuzzCountSuccessesMatchesReference -fuzztime 30s
 
 clean:

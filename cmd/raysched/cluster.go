@@ -45,7 +45,7 @@ func cmdCluster(ctx context.Context, args []string) error {
 	out := fs.String("out", "", "write CSV output atomically to this file instead of stdout (implies -format csv)")
 	mergedCk := fs.String("merged-checkpoint", "", "keep the merged checkpoint at this path (default: a temp file, removed afterwards)")
 	prog := fs.Bool("progress", false, "report cluster-wide progress to stderr")
-	status := fs.Bool("status", false, "print a one-shot aggregated telemetry snapshot of every worker (/healthz + /metrics) and exit")
+	status := fs.Bool("status", false, "print a one-shot aggregated telemetry snapshot of every worker (/healthz) and exit")
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -219,7 +219,7 @@ func runCluster(ctx context.Context, of *obsFlags, p clusterParams) error {
 	return renderFigure1(res, p.format, p.out)
 }
 
-// runClusterStatus is `raysched cluster -status`: one scrape sweep over the
+// runClusterStatus is `raysched cluster -status`: one /healthz sweep over the
 // configured workers, rendered as an aggregated RED-style report on stdout.
 // Unreachable workers are reported, not fatal — a status check of a
 // degraded cluster must still answer; the command fails only when no worker

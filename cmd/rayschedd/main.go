@@ -55,8 +55,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		faultSpec   = fs.String("faults", "", `inject deterministic faults, e.g. "seed=1,server.handler=error:0.1,pool.job=panic:0.01"`)
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
-	// -drain predates -drain-timeout; both names set the same window.
-	fs.DurationVar(drain, "drain", *drain, "alias for -drain-timeout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

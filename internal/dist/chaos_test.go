@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -115,6 +116,52 @@ func TestClusterQuarantineReadmissionUnderBlackhole(t *testing.T) {
 	}
 	if want := singleNodeCSV(t, w); !bytes.Equal(got, want) {
 		t.Fatal("cluster CSV after quarantine cycling differs from single-node run")
+	}
+}
+
+// TestClusterRunEndDuringQuarantineIsNotDeath: a worker still quarantined
+// when the run ends was never judged dead. The only worker fails its
+// dispatch, enters quarantine, and the run is cancelled from its second
+// failed health probe: the stats must show the quarantine, no dead worker,
+// and the run must report the cancellation, not worker failure.
+func TestClusterRunEndDuringQuarantineIsNotDeath(t *testing.T) {
+	clk := newFakeClock()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var probes atomic.Int64
+	sick := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" && probes.Add(1) == 2 {
+			cancel()
+		}
+		rw.Header().Set("Retry-After", "1")
+		http.Error(rw, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(sick.Close)
+
+	cc := fastClient()
+	cc.MaxAttempts = 1
+	cc.Sleep = clk.Sleep
+	co, err := New(Config{
+		Workers:       []string{sick.URL},
+		ShardSize:     1,
+		MaxAttempts:   100,
+		DeadAfter:     1,
+		ProbeInterval: 10 * time.Millisecond,
+		MaxProbes:     50,
+		HedgeAfter:    -1,
+		Client:        cc,
+		Now:           clk.Now,
+		Sleep:         clk.Sleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := co.Run(ctx, testJob(t, testFigure1()))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error %v, want context.Canceled", err)
+	}
+	if stats.Quarantined != 1 || stats.DeadWorkers != 0 {
+		t.Fatalf("stats %+v: want one quarantine and no dead worker", stats)
 	}
 }
 

@@ -58,6 +58,7 @@ import (
 	"rayfade/internal/obs"
 	"rayfade/internal/progress"
 	"rayfade/internal/rng"
+	"rayfade/internal/server"
 	"rayfade/internal/sim"
 	"rayfade/internal/version"
 )
@@ -203,16 +204,6 @@ type Stats struct {
 	DeadWorkers int
 }
 
-// workerHealth mirrors the rayschedd /healthz body.
-type workerHealth struct {
-	Status          string `json:"status"`
-	Version         string `json:"version"`
-	Instance        string `json:"instance"`
-	GoMaxProcs      int    `json:"gomaxprocs"`
-	ShardsInflight  int64  `json:"shards_inflight"`
-	ShardsCompleted int64  `json:"shards_completed"`
-}
-
 // Coordinator drives distributed runs against a fixed worker set.
 type Coordinator struct {
 	cfg Config
@@ -265,24 +256,25 @@ func (c *Coordinator) Discover(ctx context.Context) ([]WorkerInfo, error) {
 	return live, nil
 }
 
-func fetchHealth(ctx context.Context, httpClient *http.Client, baseURL string) (workerHealth, error) {
+// fetchHealth GETs and decodes one worker's /healthz.
+func fetchHealth(ctx context.Context, httpClient *http.Client, baseURL string) (server.Health, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return workerHealth{}, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return server.Health{}, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var h workerHealth
+	var h server.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	return h, nil
 }
@@ -452,7 +444,8 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (map[int]json.RawMessage
 				r.stats.DeadWorkers++
 			}
 			r.alive--
-			lastWorker := r.alive == 0 && r.remaining > 0
+			// A run that was cancelled reports its cause, not worker failure.
+			lastWorker := r.alive == 0 && r.remaining > 0 && ctx.Err() == nil
 			outstanding := r.remaining
 			r.mu.Unlock()
 			if lastWorker {
@@ -742,11 +735,8 @@ func (w *workerLoop) run(ctx context.Context, r *run) {
 				"worker", w.url, "lo", task.lo, "hi", task.hi,
 				"attempt", attemptN, "err", err.Error())
 			r.requeue(task, err)
-			if w.fails >= w.coord.cfg.DeadAfter {
-				if !w.quarantine(ctx, r) {
-					w.dead = true
-					return
-				}
+			if w.fails >= w.coord.cfg.DeadAfter && !w.quarantine(ctx, r) {
+				return
 			}
 		case outcomeCancelled:
 			if ctx.Err() != nil {
@@ -773,9 +763,11 @@ func (w *workerLoop) run(ctx context.Context, r *run) {
 // quarantine is the circuit breaker's open state: probe the worker's
 // /healthz on a jittered doubling backoff until it answers healthy (true —
 // re-admitted, failure count reset) or the probe budget is spent or its
-// identity fails re-validation (false — permanently dead). Probes use a
-// plain HTTP client, not the retrying one, so armed client-level chaos
-// (blackhole/latency) shapes dispatches without starving the probes.
+// identity fails re-validation (false, with w.dead set). The run ending
+// mid-quarantine also returns false but is no verdict on the worker, so
+// w.dead stays unset. Probes use a plain HTTP client, not the retrying one,
+// so armed client-level chaos (blackhole/latency) shapes dispatches without
+// starving the probes.
 func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 	r.mu.Lock()
 	r.stats.Quarantined++
@@ -800,6 +792,9 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 			return false
 		}
 		h, err := fetchHealth(ctx, httpClient, w.url)
+		if ctx.Err() != nil {
+			return false
+		}
 		if err != nil || h.Status != "ok" {
 			status := "unreachable"
 			if err == nil {
@@ -818,6 +813,7 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 		if h.Version != version.Version {
 			w.coord.log.Error("dist: re-admission refused: version skew",
 				"worker", w.url, "worker_version", h.Version, "coordinator_version", version.Version)
+			w.dead = true
 			return false
 		}
 		if w.instance != "" && h.Instance != w.instance {
@@ -834,6 +830,7 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 	}
 	w.coord.log.Warn("dist: worker declared dead",
 		"worker", w.url, "probes", cfg.MaxProbes)
+	w.dead = true
 	return false
 }
 

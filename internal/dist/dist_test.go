@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,6 +59,21 @@ func startWorkers(t *testing.T, n int) []string {
 		urls[i] = ts.URL
 	}
 	return urls
+}
+
+// logWatch is a coordinator log sink that closes hit the first time a
+// record containing substr is written.
+type logWatch struct {
+	substr string
+	hit    chan struct{}
+	once   sync.Once
+}
+
+func (l *logWatch) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(l.substr)) {
+		l.once.Do(func() { close(l.hit) })
+	}
+	return len(p), nil
 }
 
 // fastClient is a retry config that keeps tests snappy.
@@ -132,11 +149,29 @@ func TestClusterByteIdentical(t *testing.T) {
 // byte-identical.
 func TestClusterSurvivesDeadWorker(t *testing.T) {
 	w := testFigure1()
-	urls := startWorkers(t, 2)
 	// A worker that accepts nothing: closed before the run begins.
 	deadTS := httptest.NewServer(http.NotFoundHandler())
 	deadURL := deadTS.URL
 	deadTS.Close()
+	// The live workers hold their shards until the coordinator has declared
+	// the dead one dead: a worker still in quarantine when the run ends is
+	// not counted dead, so the run must outlast the probe budget.
+	declared := &logWatch{substr: "worker declared dead", hit: make(chan struct{})}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		backend := server.New(server.Config{Workers: 2, QueueSize: 16})
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				select {
+				case <-declared.hit:
+				case <-time.After(10 * time.Second): // fail the assertion, not the suite
+				}
+			}
+			backend.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(func() { ts.Close(); backend.Close() })
+		urls = append(urls, ts.URL)
+	}
 	// DeadAfter 1 makes quarantine entry deterministic: with 2 the run can
 	// drain the queue before the dead worker pulls a second task, leaving it
 	// merely suspect when the run completes. A tight probe budget turns the
@@ -150,6 +185,7 @@ func TestClusterSurvivesDeadWorker(t *testing.T) {
 		ProbeInterval: time.Millisecond,
 		MaxProbes:     2,
 		Client:        fastClient(),
+		Log:           slog.New(slog.NewTextHandler(declared, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 package dist
 
-// Cluster telemetry aggregation: Snapshot scrapes every configured worker's
-// /healthz and /metrics into one ClusterSnapshot — the RED-style view
-// (per-endpoint rate, errors, duration quantiles; shard throughput; cache /
-// singleflight / session hit rates) behind `raysched cluster -status`. The
-// Prometheus text parser handles exactly the exposition subset rayschedd
-// renders (`name value` and `name{k="v",...} value` lines, '#' comments);
-// it is not a general scraper.
+// Cluster telemetry aggregation: Snapshot reads every configured worker's
+// /healthz — identity, shard load and the JSON stats object (per-endpoint
+// requests, errors and latency quantiles; cache / singleflight / session
+// hit rates) — into one ClusterSnapshot, the RED-style view behind
+// `raysched cluster -status`. One GET per worker, decoded into the same
+// server.Health type the worker marshals.
 //
 // FetchTrace is the companion trace return channel: it retrieves one
 // worker's span collection for a trace ID (GET /v1/trace/{id}) for
@@ -20,58 +19,21 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"rayfade/internal/obs"
+	"rayfade/internal/server"
 )
 
-// EndpointSummary is the RED view of one endpoint on one worker.
-type EndpointSummary struct {
-	Endpoint string
-	// Requests counts completed requests across all status codes; Errors
-	// counts the subset with status >= 400.
-	Requests uint64
-	Errors   uint64
-	// P50/P95/P99 are the worker-exported latency quantiles in seconds
-	// (rayschedd_request_duration_quantile); 0 when the worker has no
-	// latency observations for the endpoint.
-	P50, P95, P99 float64
-}
-
-// WorkerSnapshot is one worker's scraped state. Err is non-nil when the
-// worker could not be scraped; the other fields are then zero.
+// WorkerSnapshot is one worker's /healthz. Err is non-nil when the worker
+// could not be read; the Health fields are then zero.
 type WorkerSnapshot struct {
 	URL string
 	Err error
-
-	// Identity and lifecycle state, from /healthz (identity cross-checked
-	// against rayschedd_build_info). Status is "ok" or "draining".
-	Status     string
-	Instance   string
-	Version    string
-	GoMaxProcs int
-
-	// Shard load, from /healthz.
-	ShardsInflight  int64
-	ShardsCompleted int64
-
-	// Endpoints, sorted by name.
-	Endpoints []EndpointSummary
-
-	// Hit-rate tallies, from /metrics.
-	CacheHits          uint64
-	CacheMisses        uint64
-	SingleflightShared uint64
-	SessionHits        uint64
-	SessionMisses      uint64
-	BatchLines         uint64
-	TracesRetained     uint64
+	server.Health
 }
 
-// ClusterSnapshot aggregates one scrape sweep across the worker set.
+// ClusterSnapshot aggregates one sweep across the worker set.
 type ClusterSnapshot struct {
 	Workers []WorkerSnapshot
 
@@ -90,7 +52,7 @@ type ClusterSnapshot struct {
 	BatchLines         uint64
 }
 
-// Snapshot scrapes every configured worker (reachable or not — unreachable
+// Snapshot reads every configured worker (reachable or not — unreachable
 // ones appear with Err set) and aggregates the totals. It never fails as a
 // whole; the caller decides whether a partially-unreachable cluster is an
 // error.
@@ -101,229 +63,27 @@ func (c *Coordinator) Snapshot(ctx context.Context) *ClusterSnapshot {
 	}
 	snap := &ClusterSnapshot{}
 	for _, workerURL := range c.cfg.Workers {
-		ws := scrapeWorker(ctx, httpClient, workerURL)
-		snap.Workers = append(snap.Workers, ws)
-		if ws.Err != nil {
+		h, err := fetchHealth(ctx, httpClient, workerURL)
+		snap.Workers = append(snap.Workers, WorkerSnapshot{URL: workerURL, Err: err, Health: h})
+		if err != nil {
 			snap.Unreachable++
 			continue
 		}
 		snap.Live++
-		snap.ShardsInflight += ws.ShardsInflight
-		snap.ShardsCompleted += ws.ShardsCompleted
-		snap.CacheHits += ws.CacheHits
-		snap.CacheMisses += ws.CacheMisses
-		snap.SingleflightShared += ws.SingleflightShared
-		snap.SessionHits += ws.SessionHits
-		snap.SessionMisses += ws.SessionMisses
-		snap.BatchLines += ws.BatchLines
-		for _, ep := range ws.Endpoints {
+		snap.ShardsInflight += h.ShardsInflight
+		snap.ShardsCompleted += h.ShardsCompleted
+		snap.CacheHits += h.Stats.CacheHits
+		snap.CacheMisses += h.Stats.CacheMisses
+		snap.SingleflightShared += h.Stats.SingleflightShared
+		snap.SessionHits += h.Stats.SessionHits
+		snap.SessionMisses += h.Stats.SessionMisses
+		snap.BatchLines += h.Stats.BatchLines
+		for _, ep := range h.Stats.Endpoints {
 			snap.Requests += ep.Requests
 			snap.Errors += ep.Errors
 		}
 	}
 	return snap
-}
-
-// scrapeWorker reads one worker's /healthz and /metrics.
-func scrapeWorker(ctx context.Context, httpClient *http.Client, baseURL string) WorkerSnapshot {
-	ws := WorkerSnapshot{URL: baseURL}
-	h, err := fetchHealth(ctx, httpClient, baseURL)
-	if err != nil {
-		ws.Err = err
-		return ws
-	}
-	ws.Status = h.Status
-	ws.Instance = h.Instance
-	ws.Version = h.Version
-	ws.GoMaxProcs = h.GoMaxProcs
-	ws.ShardsInflight = h.ShardsInflight
-	ws.ShardsCompleted = h.ShardsCompleted
-
-	samples, err := fetchMetrics(ctx, httpClient, baseURL)
-	if err != nil {
-		ws.Err = err
-		return ws
-	}
-	eps := map[string]*EndpointSummary{}
-	endpoint := func(name string) *EndpointSummary {
-		es, ok := eps[name]
-		if !ok {
-			es = &EndpointSummary{Endpoint: name}
-			eps[name] = es
-		}
-		return es
-	}
-	for _, s := range samples {
-		switch s.name {
-		case "rayschedd_requests_total":
-			es := endpoint(s.labels["endpoint"])
-			n := uint64(s.value)
-			es.Requests += n
-			if code, err := strconv.Atoi(s.labels["code"]); err == nil && code >= 400 {
-				es.Errors += n
-			}
-		case "rayschedd_request_duration_quantile":
-			es := endpoint(s.labels["endpoint"])
-			switch s.labels["quantile"] {
-			case "0.5":
-				es.P50 = s.value
-			case "0.95":
-				es.P95 = s.value
-			case "0.99":
-				es.P99 = s.value
-			}
-		case "rayschedd_cache_hits_total":
-			ws.CacheHits = uint64(s.value)
-		case "rayschedd_cache_misses_total":
-			ws.CacheMisses = uint64(s.value)
-		case "rayschedd_singleflight_shared_total":
-			ws.SingleflightShared = uint64(s.value)
-		case "rayschedd_session_hits_total":
-			ws.SessionHits = uint64(s.value)
-		case "rayschedd_session_misses_total":
-			ws.SessionMisses = uint64(s.value)
-		case "rayschedd_batch_lines_total":
-			ws.BatchLines = uint64(s.value)
-		case "rayschedd_traces_retained":
-			ws.TracesRetained = uint64(s.value)
-		case "rayschedd_build_info":
-			// Identity cross-check: /metrics and /healthz must agree on who
-			// this worker is, or the scrape is incoherent (e.g. a proxy mixed
-			// two backends between our two GETs).
-			if inst := s.labels["instance"]; inst != "" && inst != ws.Instance {
-				ws.Err = fmt.Errorf("dist: worker %s: /metrics build_info instance %q != /healthz instance %q",
-					baseURL, inst, ws.Instance)
-				return ws
-			}
-		}
-	}
-	for _, es := range eps {
-		ws.Endpoints = append(ws.Endpoints, *es)
-	}
-	sort.Slice(ws.Endpoints, func(a, b int) bool { return ws.Endpoints[a].Endpoint < ws.Endpoints[b].Endpoint })
-	return ws
-}
-
-// fetchMetrics GETs and parses one worker's /metrics page.
-func fetchMetrics(ctx context.Context, httpClient *http.Client, baseURL string) ([]promSample, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
-	}
-	return parsePromText(data)
-}
-
-// promSample is one parsed Prometheus text-exposition sample.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-// parsePromText parses the exposition subset rayschedd emits. Unparsable
-// lines are an error — the page is machine-generated, so leniency would
-// only hide bugs.
-func parsePromText(data []byte) ([]promSample, error) {
-	var out []promSample
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, err := parsePromLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("dist: metrics line %d: %w", ln+1, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func parsePromLine(line string) (promSample, error) {
-	s := promSample{labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		s.name = rest[:i]
-		end := strings.LastIndexByte(rest, '}')
-		if end < i {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		if err := parsePromLabels(rest[i+1:end], s.labels); err != nil {
-			return s, fmt.Errorf("%w in %q", err, line)
-		}
-		rest = strings.TrimSpace(rest[end+1:])
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) != 2 {
-			return s, fmt.Errorf("want 'name value', got %q", line)
-		}
-		s.name = fields[0]
-		rest = fields[1]
-	}
-	if s.name == "" {
-		return s, fmt.Errorf("empty metric name in %q", line)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, fmt.Errorf("bad value in %q: %v", line, err)
-	}
-	s.value = v
-	return s, nil
-}
-
-// parsePromLabels parses `k="v",k2="v2"` with backslash escapes inside the
-// quoted values (rayschedd renders labels with %q, so \" and \\ occur).
-func parsePromLabels(s string, into map[string]string) error {
-	i := 0
-	for i < len(s) {
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			return fmt.Errorf("label without '='")
-		}
-		key := strings.TrimSpace(s[i : i+eq])
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			return fmt.Errorf("label %q value is not quoted", key)
-		}
-		i++
-		var b strings.Builder
-		for {
-			if i >= len(s) {
-				return fmt.Errorf("label %q value is unterminated", key)
-			}
-			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				b.WriteByte(s[i+1])
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		into[key] = b.String()
-		if i < len(s) && s[i] == ',' {
-			i++
-		}
-	}
-	return nil
 }
 
 // ErrTraceNotFound reports that a worker holds no span collection for the
@@ -381,13 +141,14 @@ func (s *ClusterSnapshot) WriteText(w io.Writer) {
 			fmt.Fprintf(w, " status=%s", ws.Status)
 		}
 		fmt.Fprintln(w)
+		st := ws.Stats
 		fmt.Fprintf(w, "  shards: %d completed, %d in flight   cache: %s   singleflight: %d shared   sessions: %s   batch lines: %d   traces held: %d\n",
 			ws.ShardsCompleted, ws.ShardsInflight,
-			hitRate(ws.CacheHits, ws.CacheMisses),
-			ws.SingleflightShared,
-			hitRate(ws.SessionHits, ws.SessionMisses),
-			ws.BatchLines, ws.TracesRetained)
-		for _, ep := range ws.Endpoints {
+			hitRate(st.CacheHits, st.CacheMisses),
+			st.SingleflightShared,
+			hitRate(st.SessionHits, st.SessionMisses),
+			st.BatchLines, st.TracesRetained)
+		for _, ep := range st.Endpoints {
 			fmt.Fprintf(w, "  %-22s %7d reqs %5d errs   p50 %s  p95 %s  p99 %s\n",
 				ep.Endpoint, ep.Requests, ep.Errors,
 				fmtSeconds(ep.P50), fmtSeconds(ep.P95), fmtSeconds(ep.P99))

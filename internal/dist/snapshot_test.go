@@ -14,8 +14,8 @@ import (
 	"rayfade/internal/server"
 )
 
-// TestSnapshotAggregates: a scrape sweep over live workers folds their
-// /healthz identity and /metrics series into per-worker and cluster totals.
+// TestSnapshotAggregates: a sweep over live workers folds their /healthz
+// identity and stats into per-worker and cluster totals.
 func TestSnapshotAggregates(t *testing.T) {
 	urls := startWorkers(t, 2)
 	// Drive one counted request through each worker so the scrape has
@@ -44,19 +44,19 @@ func TestSnapshotAggregates(t *testing.T) {
 		if ws.Instance == "" || ws.Version == "" || ws.GoMaxProcs == 0 {
 			t.Fatalf("worker identity incomplete: %+v", ws)
 		}
-		var meta *EndpointSummary
-		for i := range ws.Endpoints {
-			if ws.Endpoints[i].Endpoint == "meta" {
-				meta = &ws.Endpoints[i]
+		var meta *server.EndpointSummary
+		for i, ep := range ws.Stats.Endpoints {
+			if ep.Endpoint == "meta" {
+				meta = &ws.Stats.Endpoints[i]
 			}
 		}
 		if meta == nil || meta.Requests == 0 {
-			t.Fatalf("worker %s has no meta endpoint stats: %+v", ws.URL, ws.Endpoints)
+			t.Fatalf("worker %s has no meta endpoint stats: %+v", ws.URL, ws.Stats.Endpoints)
 		}
 		if meta.P50 == 0 || meta.P50 > meta.P99 {
 			t.Fatalf("worker %s quantiles implausible: %+v", ws.URL, meta)
 		}
-		for _, ep := range ws.Endpoints {
+		for _, ep := range ws.Stats.Endpoints {
 			total += ep.Requests
 		}
 	}
@@ -143,45 +143,5 @@ func TestFetchTrace(t *testing.T) {
 
 	if _, err := co.FetchTrace(context.Background(), urls[0], "feedbeef"); !errors.Is(err, ErrTraceNotFound) {
 		t.Fatalf("unknown trace: %v, want ErrTraceNotFound", err)
-	}
-}
-
-// TestParsePromText: the exposition subset rayschedd renders, including
-// escaped quotes and backslashes inside label values.
-func TestParsePromText(t *testing.T) {
-	samples, err := parsePromText([]byte(`
-# HELP rayschedd_requests_total total
-# TYPE rayschedd_requests_total counter
-rayschedd_requests_total{endpoint="/v1/shard",code="200"} 12
-rayschedd_queue_depth 3
-weird{label="a\"b\\c"} 1.5
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 3 {
-		t.Fatalf("parsed %d samples: %+v", len(samples), samples)
-	}
-	if samples[0].name != "rayschedd_requests_total" || samples[0].value != 12 ||
-		samples[0].labels["endpoint"] != "/v1/shard" || samples[0].labels["code"] != "200" {
-		t.Fatalf("sample 0 = %+v", samples[0])
-	}
-	if samples[1].name != "rayschedd_queue_depth" || samples[1].value != 3 || len(samples[1].labels) != 0 {
-		t.Fatalf("sample 1 = %+v", samples[1])
-	}
-	if samples[2].labels["label"] != `a"b\c` {
-		t.Fatalf("escaped label = %q", samples[2].labels["label"])
-	}
-
-	for name, doc := range map[string]string{
-		"no value":     "rayschedd_queue_depth",
-		"bad value":    "rayschedd_queue_depth x",
-		"unterminated": `m{label="v} 1`,
-		"open braces":  `m{label="v" 1`,
-		"empty name":   `{label="v"} 1`,
-	} {
-		if _, err := parsePromText([]byte(doc)); err == nil {
-			t.Errorf("%s: accepted %q", name, doc)
-		}
 	}
 }

@@ -5,11 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"rayfade/internal/faults"
 )
@@ -52,7 +49,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		timeoutMS = ms
 	}
-	ctx, cancel := s.deadline(r, timeoutMS)
+	ctx, cancel := s.deadline(r.Context(), timeoutMS)
 	defer cancel()
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -109,10 +106,8 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := sc.Err(); err != nil {
 		if !wrote {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, &httpError{status: http.StatusRequestEntityTooLarge,
-					msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			if tooLarge := bodyTooLarge(err); tooLarge != nil {
+				writeError(w, tooLarge)
 				return
 			}
 			writeError(w, badRequest("read batch: %v", err))
@@ -131,10 +126,10 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchLine serves one NDJSON line: decode, resolve the topology (inline or
-// session ref), apply the estimate defaults, and resolve the canonical key
-// through the shared cache/singleflight/pool pipeline. The returned bytes
-// are exactly what /v1/estimate would have answered.
+// batchLine serves one NDJSON line through the /v1/estimate row of the
+// endpoint table: decode, resolve (topology, defaults, validation), then the
+// shared cache/singleflight/pool pipeline on the /v1/estimate key. The
+// returned bytes are exactly what /v1/estimate would have answered.
 func (s *Server) batchLine(ctx context.Context, line []byte) ([]byte, error) {
 	// Per-line chaos hook: armed server.handler faults hit individual
 	// estimates, not just whole batches, so the fault surface per unit of
@@ -142,37 +137,20 @@ func (s *Server) batchLine(ctx context.Context, line []byte) ([]byte, error) {
 	if err := faults.Inject(faults.SiteHandler); err != nil {
 		return nil, err
 	}
-	var req estimateRequest
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("decode line: %v", err)
+	req := estimateEndpoint.newReq()
+	if err := decodeStrict(bytes.NewReader(line), req, "line"); err != nil {
+		return nil, err
 	}
-	if dec.More() {
-		return nil, badRequest("trailing data after JSON document")
-	}
-	net, canon, err := s.resolveTopology(req.Network, req.TopologyRef)
+	c, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.estimateParamsFrom(&req)
-	if err != nil {
-		return nil, err
-	}
-	lctx := ctx
-	if req.TimeoutMS > 0 {
-		d := time.Duration(req.TimeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+	if c.timeoutMS > 0 {
 		var cancel context.CancelFunc
-		lctx, cancel = context.WithTimeout(ctx, d)
+		ctx, cancel = s.deadline(ctx, c.timeoutMS)
 		defer cancel()
 	}
-	key := requestKey("/v1/estimate", p, canon)
-	out, err := s.respond(lctx, key, func(ctx context.Context) (any, error) {
-		return computeEstimate(ctx, p, net)
-	})
+	out, err := s.respond(ctx, requestKey(estimateEndpoint.path, c.params, c.canon), c.compute)
 	if out.pooled && out.source == sourceMiss {
 		s.metrics.ObserveQueueWait("/v1/estimate/batch", out.wait.Seconds())
 	}

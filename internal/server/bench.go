@@ -39,9 +39,9 @@ func BenchTopology(links int, seed uint64) ([]byte, error) {
 // /v1/estimate request body with the given Monte-Carlo settings.
 func BenchEstimateRequest(topology []byte, samples int, seed uint64) ([]byte, error) {
 	body, err := json.Marshal(estimateRequest{
-		Network: json.RawMessage(topology),
-		Samples: samples,
-		Seed:    seed,
+		computeRequest: computeRequest{Network: json.RawMessage(topology)},
+		Samples:        samples,
+		Seed:           seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: bench estimate request: %w", err)
@@ -53,9 +53,9 @@ func BenchEstimateRequest(topology []byte, samples int, seed uint64) ([]byte, er
 // a session topology by ref instead of inlining it.
 func BenchEstimateRefRequest(ref string, samples int, seed uint64) ([]byte, error) {
 	body, err := json.Marshal(estimateRequest{
-		TopologyRef: ref,
-		Samples:     samples,
-		Seed:        seed,
+		computeRequest: computeRequest{TopologyRef: ref},
+		Samples:        samples,
+		Seed:           seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: bench estimate ref request: %w", err)
@@ -107,8 +107,8 @@ func BenchShardRequest(seed uint64) ([]byte, error) {
 // /v1/schedule request body for the given algorithm ("" selects greedy).
 func BenchScheduleRequest(topology []byte, algorithm string) ([]byte, error) {
 	body, err := json.Marshal(scheduleRequest{
-		Network:   json.RawMessage(topology),
-		Algorithm: algorithm,
+		computeRequest: computeRequest{Network: json.RawMessage(topology)},
+		Algorithm:      algorithm,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: bench schedule request: %w", err)

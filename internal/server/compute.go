@@ -116,7 +116,7 @@ func computeLatency(ctx context.Context, p latencyParams, net *network.Network) 
 	return resp, nil
 }
 
-func computeReduce(ctx context.Context, p reduceParams, net *network.Network) (*reduceResponse, error) {
+func computeReduce(ctx context.Context, p mcParams, net *network.Network) (*reduceResponse, error) {
 	m := net.Gains()
 	q := fading.UniformProbs(m.N, p.Prob)
 	steps := transform.Schedule(q, transform.ScheduleRepeats)
@@ -153,7 +153,7 @@ func computeReduce(ctx context.Context, p reduceParams, net *network.Network) (*
 // polls in computeEstimate.
 const estimateCtxStride = 64
 
-func computeEstimate(ctx context.Context, p estimateParams, net *network.Network) (*estimateResponse, error) {
+func computeEstimate(ctx context.Context, p mcParams, net *network.Network) (*estimateResponse, error) {
 	m := net.Gains()
 	q := fading.UniformProbs(m.N, p.Prob)
 	src := rng.New(p.Seed)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,25 +37,40 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// decodeJSON reads and decodes the request body into dst, rejecting unknown
-// fields (the same typo protection netio applies to topology files) and
-// trailing garbage. Oversized bodies surface as 413 via MaxBytesReader.
+// decodeJSON decodes the request body into dst through decodeStrict, with
+// oversized bodies surfacing as 413 via MaxBytesReader.
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeStrict(r.Body, dst, "request")
+}
+
+// decodeStrict decodes exactly one JSON document from rd into dst, rejecting
+// unknown fields (the same typo protection netio applies to topology files)
+// and trailing garbage. what names the document in error messages.
+func decodeStrict(rd io.Reader, dst any, what string) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		if tooLarge := bodyTooLarge(err); tooLarge != nil {
+			return tooLarge
 		}
-		return badRequest("decode request: %v", err)
+		return badRequest("decode %s: %v", what, err)
 	}
 	if dec.More() {
 		return badRequest("trailing data after JSON document")
 	}
 	return nil
+}
+
+// bodyTooLarge maps a MaxBytesReader overflow to 413, and anything else to
+// nil.
+func bodyTooLarge(err error) error {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return nil
+	}
+	return &httpError{status: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
 }
 
 // parseTopology decodes a netio-format topology embedded in a request and
@@ -121,6 +137,93 @@ func requestKey(endpoint string, params any, topology []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// ---- the compute-endpoint table --------------------------------------------
+
+// computeEndpoints is the endpoint table: one row per compute route, each
+// naming its request type. The request type is the rest of the descriptor —
+// its bind method applies the route's defaults and validation and selects
+// the computation — and handleCompute runs every row through the same
+// decode → resolve → bind → serve pipeline.
+var computeEndpoints = []endpoint{
+	{"/v1/schedule", func() computeReq { return new(scheduleRequest) }},
+	{"/v1/latency", func() computeReq { return new(latencyRequest) }},
+	{"/v1/reduce", func() computeReq { return new(reduceRequest) }},
+	estimateEndpoint,
+}
+
+// estimateEndpoint is also the row every /v1/estimate/batch line runs.
+var estimateEndpoint = endpoint{"/v1/estimate", func() computeReq { return new(estimateRequest) }}
+
+// endpoint is one row of computeEndpoints.
+type endpoint struct {
+	path   string
+	newReq func() computeReq
+}
+
+// computeReq is a decoded compute request. bind applies the endpoint's
+// defaults and validation, returning the defaults-applied params (the
+// cache-key payload) and the computation they select on net.
+type computeReq interface {
+	shared() *computeRequest
+	bind(net *network.Network, maxSamples int) (params any, compute func(context.Context) (any, error), err error)
+}
+
+// computeRequest is the part every compute request shares: where the
+// topology comes from (an inline netio document or a session ref) and the
+// per-request deadline. Each request type embeds it.
+type computeRequest struct {
+	Network     json.RawMessage `json:"network,omitempty"`
+	TopologyRef string          `json:"topology_ref,omitempty"`
+	TimeoutMS   int64           `json:"timeout_ms,omitempty"`
+}
+
+func (r *computeRequest) shared() *computeRequest { return r }
+
+// call is a compute request resolved and ready to serve: the params and
+// canonical topology that key the cache, the request's deadline knob, and
+// the bound computation.
+type call struct {
+	params    any
+	canon     []byte
+	timeoutMS int64
+	compute   func(ctx context.Context) (any, error)
+}
+
+// resolve turns a decoded compute request into a call: the topology (inline
+// or session ref) first, then the endpoint's defaults and validation. The
+// single-request handler and the batch loop both go through it, so a batch
+// line and a lone request with the same fields always produce the same
+// cache key and response bytes.
+func (s *Server) resolve(req computeReq) (call, error) {
+	sh := req.shared()
+	net, canon, err := s.resolveTopology(sh.Network, sh.TopologyRef)
+	if err != nil {
+		return call{}, err
+	}
+	params, compute, err := req.bind(net, s.cfg.MaxSamples)
+	if err != nil {
+		return call{}, err
+	}
+	return call{params: params, canon: canon, timeoutMS: sh.TimeoutMS, compute: compute}, nil
+}
+
+// handleCompute is the one handler behind every row of computeEndpoints.
+func (s *Server) handleCompute(ep endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := ep.newReq()
+		if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, req); err != nil {
+			writeError(w, err)
+			return
+		}
+		c, err := s.resolve(req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		s.serve(w, r, ep.path, c)
+	}
+}
+
 // ---- request / response schemas -----------------------------------------
 
 // scheduleParams are the defaults-applied knobs of /v1/schedule (also the
@@ -131,11 +234,28 @@ type scheduleParams struct {
 }
 
 type scheduleRequest struct {
-	Network     json.RawMessage `json:"network,omitempty"`
-	TopologyRef string          `json:"topology_ref,omitempty"`
-	Algorithm   string          `json:"algorithm,omitempty"`
-	Beta        float64         `json:"beta,omitempty"`
-	TimeoutMS   int64           `json:"timeout_ms,omitempty"`
+	computeRequest
+	Algorithm string  `json:"algorithm,omitempty"`
+	Beta      float64 `json:"beta,omitempty"`
+}
+
+func (r *scheduleRequest) bind(net *network.Network, _ int) (any, func(context.Context) (any, error), error) {
+	p := scheduleParams{Algorithm: r.Algorithm, Beta: r.Beta}
+	if p.Algorithm == "" {
+		p.Algorithm = "greedy"
+	}
+	if p.Beta == 0 {
+		p.Beta = 2.5
+	}
+	if err := validateBeta(p.Beta); err != nil {
+		return nil, nil, err
+	}
+	switch p.Algorithm {
+	case "greedy", "weighted", "powercontrol":
+	default:
+		return nil, nil, badRequest("unknown algorithm %q (want greedy, weighted, or powercontrol)", p.Algorithm)
+	}
+	return p, func(ctx context.Context) (any, error) { return computeSchedule(ctx, p, net) }, nil
 }
 
 // scheduleResponse reports a single-slot capacity solution and its fading
@@ -169,15 +289,55 @@ type latencyParams struct {
 }
 
 type latencyRequest struct {
-	Network     json.RawMessage `json:"network,omitempty"`
-	TopologyRef string          `json:"topology_ref,omitempty"`
-	Scheduler   string          `json:"scheduler,omitempty"`
-	Model       string          `json:"model,omitempty"`
-	Beta        float64         `json:"beta,omitempty"`
-	Prob        float64         `json:"prob,omitempty"`
-	MaxSlots    int             `json:"max_slots,omitempty"`
-	Seed        uint64          `json:"seed,omitempty"`
-	TimeoutMS   int64           `json:"timeout_ms,omitempty"`
+	computeRequest
+	Scheduler string  `json:"scheduler,omitempty"`
+	Model     string  `json:"model,omitempty"`
+	Beta      float64 `json:"beta,omitempty"`
+	Prob      float64 `json:"prob,omitempty"`
+	MaxSlots  int     `json:"max_slots,omitempty"`
+	Seed      uint64  `json:"seed,omitempty"`
+}
+
+func (r *latencyRequest) bind(net *network.Network, _ int) (any, func(context.Context) (any, error), error) {
+	p := latencyParams{
+		Scheduler: r.Scheduler, Model: r.Model, Beta: r.Beta,
+		Prob: r.Prob, MaxSlots: r.MaxSlots, Seed: r.Seed,
+	}
+	if p.Scheduler == "" {
+		p.Scheduler = "repeated"
+	}
+	if p.Model == "" {
+		p.Model = "nonfading"
+	}
+	if p.Beta == 0 {
+		p.Beta = 2.5
+	}
+	if p.Prob == 0 {
+		p.Prob = 0.1
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if err := validateBeta(p.Beta); err != nil {
+		return nil, nil, err
+	}
+	switch p.Scheduler {
+	case "repeated", "aloha":
+	default:
+		return nil, nil, badRequest("unknown scheduler %q (want repeated or aloha)", p.Scheduler)
+	}
+	switch p.Model {
+	case "nonfading", "rayleigh":
+	default:
+		return nil, nil, badRequest("unknown model %q (want nonfading or rayleigh)", p.Model)
+	}
+	if err := validateProb(p.Prob); err != nil {
+		return nil, nil, err
+	}
+	if p.MaxSlots < 0 {
+		return nil, nil, badRequest("max_slots must be non-negative")
+	}
+	return p, func(ctx context.Context) (any, error) { return computeLatency(ctx, p, net) }, nil
 }
 
 // latencyResponse reports a full-coverage schedule (every link served).
@@ -199,21 +359,58 @@ type latencyResponse struct {
 	Repeats int `json:"repeats"`
 }
 
-type reduceParams struct {
+// mcParams are the defaults-applied knobs of the two Monte-Carlo endpoints,
+// /v1/reduce and /v1/estimate (also their cache-key payload; the endpoint
+// name in the key keeps the two apart).
+type mcParams struct {
 	Beta    float64 `json:"beta"`
 	Prob    float64 `json:"prob"`
 	Samples int     `json:"samples"`
 	Seed    uint64  `json:"seed"`
 }
 
-type reduceRequest struct {
-	Network     json.RawMessage `json:"network,omitempty"`
-	TopologyRef string          `json:"topology_ref,omitempty"`
-	Beta        float64         `json:"beta,omitempty"`
-	Prob        float64         `json:"prob,omitempty"`
-	Samples     int             `json:"samples,omitempty"`
-	Seed        uint64          `json:"seed,omitempty"`
-	TimeoutMS   int64           `json:"timeout_ms,omitempty"`
+// mcRequest is the request document of both Monte-Carlo endpoints.
+type mcRequest struct {
+	computeRequest
+	Beta    float64 `json:"beta,omitempty"`
+	Prob    float64 `json:"prob,omitempty"`
+	Samples int     `json:"samples,omitempty"`
+	Seed    uint64  `json:"seed,omitempty"`
+}
+
+// params applies the Monte-Carlo defaults (samples defaults per endpoint)
+// and validation.
+func (r *mcRequest) params(samples, maxSamples int) (mcParams, error) {
+	p := mcParams{Beta: 2.5, Prob: 0.5, Samples: samples, Seed: 1}
+	if r.Beta != 0 {
+		p.Beta = r.Beta
+	}
+	if r.Prob != 0 {
+		p.Prob = r.Prob
+	}
+	if r.Samples != 0 {
+		p.Samples = r.Samples
+	}
+	if r.Seed != 0 {
+		p.Seed = r.Seed
+	}
+	if err := validateBeta(p.Beta); err != nil {
+		return p, err
+	}
+	if err := validateProb(p.Prob); err != nil {
+		return p, err
+	}
+	return p, validateSamples(p.Samples, maxSamples)
+}
+
+type reduceRequest mcRequest
+
+func (r *reduceRequest) bind(net *network.Network, maxSamples int) (any, func(context.Context) (any, error), error) {
+	p, err := (*mcRequest)(r).params(200, maxSamples)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, func(ctx context.Context) (any, error) { return computeReduce(ctx, p, net) }, nil
 }
 
 // reduceStep is one level of the Algorithm-1 simulation with its estimated
@@ -248,21 +445,14 @@ type reduceResponse struct {
 	Ratio float64 `json:"ratio"`
 }
 
-type estimateParams struct {
-	Beta    float64 `json:"beta"`
-	Prob    float64 `json:"prob"`
-	Samples int     `json:"samples"`
-	Seed    uint64  `json:"seed"`
-}
+type estimateRequest mcRequest
 
-type estimateRequest struct {
-	Network     json.RawMessage `json:"network,omitempty"`
-	TopologyRef string          `json:"topology_ref,omitempty"`
-	Beta        float64         `json:"beta,omitempty"`
-	Prob        float64         `json:"prob,omitempty"`
-	Samples     int             `json:"samples,omitempty"`
-	Seed        uint64          `json:"seed,omitempty"`
-	TimeoutMS   int64           `json:"timeout_ms,omitempty"`
+func (r *estimateRequest) bind(net *network.Network, maxSamples int) (any, func(context.Context) (any, error), error) {
+	p, err := (*mcRequest)(r).params(1000, maxSamples)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, func(ctx context.Context) (any, error) { return computeEstimate(ctx, p, net) }, nil
 }
 
 // estimateResponse reports a Monte-Carlo estimate of the expected Rayleigh
@@ -290,14 +480,44 @@ type topologyResponse struct {
 	Created bool `json:"created"`
 }
 
-// healthResponse is the /healthz body: liveness plus the worker identity a
-// cluster coordinator needs — which process it is talking to, how wide it is,
-// and how much shard work it is carrying.
-type healthResponse struct {
+// Health is the /healthz body: liveness, the worker identity a cluster
+// coordinator needs — which process it is talking to, how wide it is, and
+// how much shard work it is carrying — and the request tallies behind
+// `raysched cluster -status`. internal/dist decodes this same type.
+type Health struct {
 	Status          string `json:"status"`
 	Version         string `json:"version"`
 	Instance        string `json:"instance"`
 	GoMaxProcs      int    `json:"gomaxprocs"`
 	ShardsInflight  int64  `json:"shards_inflight"`
 	ShardsCompleted int64  `json:"shards_completed"`
+	Stats           Stats  `json:"stats"`
+}
+
+// Stats are the tallies /metrics also renders, as JSON: per-endpoint
+// request counts and latency quantiles, and the cache, singleflight,
+// session, batch and trace counters.
+type Stats struct {
+	Endpoints          []EndpointSummary `json:"endpoints"`
+	CacheHits          uint64            `json:"cache_hits"`
+	CacheMisses        uint64            `json:"cache_misses"`
+	SingleflightShared uint64            `json:"singleflight_shared"`
+	SessionHits        uint64            `json:"session_hits"`
+	SessionMisses      uint64            `json:"session_misses"`
+	BatchLines         uint64            `json:"batch_lines"`
+	TracesRetained     uint64            `json:"traces_retained"`
+}
+
+// EndpointSummary is the RED view of one endpoint label.
+type EndpointSummary struct {
+	Endpoint string `json:"endpoint"`
+	// Requests counts completed requests across all status codes; Errors
+	// counts the subset with status >= 400.
+	Requests uint64 `json:"requests"`
+	Errors   uint64 `json:"errors"`
+	// P50/P95/P99 are the latency quantiles in seconds, the values of the
+	// rayschedd_request_duration_quantile gauges; 0 without observations.
+	P50 float64 `json:"p50_s"`
+	P95 float64 `json:"p95_s"`
+	P99 float64 `json:"p99_s"`
 }

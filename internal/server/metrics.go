@@ -246,6 +246,33 @@ func (m *Metrics) ObserveQueueWait(endpoint string, seconds float64) {
 	}
 }
 
+// summaries returns the RED view of every endpoint that has completed a
+// request, sorted by endpoint: the same counts and quantiles WriteTo renders
+// as rayschedd_requests_total and rayschedd_request_duration_quantile.
+func (m *Metrics) summaries() []EndpointSummary {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := []EndpointSummary{}
+	for ep, es := range m.endpoints {
+		sum := EndpointSummary{Endpoint: ep,
+			P50: histQuantile(es.latency, 0.5),
+			P95: histQuantile(es.latency, 0.95),
+			P99: histQuantile(es.latency, 0.99),
+		}
+		for code, c := range es.byCode {
+			sum.Requests += uint64(c.Load())
+			if code >= 400 {
+				sum.Errors += uint64(c.Load())
+			}
+		}
+		if sum.Requests > 0 {
+			out = append(out, sum)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Endpoint < out[b].Endpoint })
+	return out
+}
+
 // WriteTo renders the registry in the Prometheus text format. Output order
 // is deterministic (endpoints, codes, and gauges sorted) so scrapes and
 // golden tests are stable.

@@ -10,7 +10,7 @@
 //	POST /v1/estimate/batch  NDJSON stream of estimate requests, one response line each
 //	POST /v1/topology        register a topology session; returns its sha256 topology_ref
 //	POST /v1/shard           distributed Monte-Carlo: replications [lo,hi) as a shard document
-//	GET  /healthz            liveness + version + worker identity (instance, GOMAXPROCS, shard load)
+//	GET  /healthz            liveness + version + worker identity (instance, GOMAXPROCS, shard load) + JSON stats
 //	GET  /metrics            Prometheus text: requests, latency, queue wait, cache, sessions, queue
 //	GET  /debug/obs          (Config.Debug) counter snapshot + recent request spans
 //	GET  /debug/pprof/       (Config.Debug) net/http/pprof
@@ -24,9 +24,15 @@
 //     tightened per-request via timeout_ms) that is threaded into the
 //     capacity/latency/transform scheduler loops, so abandoned work stops
 //     consuming workers. Expiry maps to 504.
+//   - One pipeline. The four compute endpoints are rows of one endpoint
+//     table (computeEndpoints): each row's request type supplies defaults,
+//     validation and the compute call, and one handler runs decode →
+//     resolve → bind → serve for all of them and for batch lines.
 //   - Caching. Responses are cached in an LRU keyed by a canonical hash of
 //     (endpoint, defaults-applied params, canonical topology); repeated
-//     identical queries replay byte-identical bodies from memory.
+//     identical queries replay byte-identical bodies from memory. The cache,
+//     the topology sessions and the per-trace collectors share one generic
+//     LRU (lru.go).
 //   - Topology sessions. POST /v1/topology pays the topology parse,
 //     validation, and canonicalization once; compute requests then send
 //     topology_ref instead of the full document. Refs are content hashes,
@@ -40,9 +46,10 @@
 //     histograms (reusing stats.Histogram), cache hit/miss, queue depth and
 //     in-flight gauges, rendered at /metrics; a request ID per response
 //     (X-Request-ID) threaded through ctx, one structured access-log record
-//     per request, and an optional detached span per request. /healthz and
-//     /metrics record under the shared "meta" label so probe traffic cannot
-//     skew the compute histograms.
+//     per request, and an optional detached span per request. /healthz
+//     carries the same tallies as a JSON stats object, which is what cluster
+//     coordinators read. /healthz and /metrics record under the shared
+//     "meta" label so probe traffic cannot skew the compute histograms.
 //
 // Graceful shutdown is the caller's two-phase affair: http.Server.Shutdown
 // stops intake and drains in-flight HTTP, then Server.Close drains the pool.
@@ -155,14 +162,16 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	pool     *Pool
-	cache    *Cache
+	cache    *lru[string, []byte] // response bodies by requestKey
 	sessions *SessionStore
 	flights  *flightGroup
 	metrics  *Metrics
 	mux      *http.ServeMux
 	log      *slog.Logger
 	tracer   *obs.Tracer
-	traces   *traceStore
+	// traces holds the per-trace span collectors (newTraceTracer) by trace
+	// ID; nil when Config.MaxTraces < 0 disables collection.
+	traces *lru[string, *obs.Tracer]
 
 	// sfShared tallies singleflight followers: responses delivered from a
 	// computation another request led. batchLines / batchLineErrors tally
@@ -203,44 +212,45 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers, cfg.QueueSize),
-		cache:    NewCache(cfg.CacheSize),
+		cache:    newLRU[string, []byte](cfg.CacheSize),
 		sessions: NewSessionStore(cfg.MaxSessions),
 		flights:  newFlightGroup(),
 		metrics:  NewMetrics(),
 		mux:      http.NewServeMux(),
 		log:      log,
 		tracer:   tracer,
-		traces:   newTraceStore(cfg.MaxTraces),
 		instance: obs.NewRunID(),
+	}
+	if cfg.MaxTraces > 0 {
+		s.traces = newLRU[string, *obs.Tracer](cfg.MaxTraces)
 	}
 	s.metrics.SetBuildInfo(version.Version, s.instance, runtime.GOMAXPROCS(0))
 	s.shardsCompleted = s.metrics.Counter("rayschedd_shards_completed_total")
 	s.sfShared = s.metrics.Counter("rayschedd_singleflight_shared_total")
 	s.batchLines = s.metrics.Counter("rayschedd_batch_lines_total")
 	s.batchLineErrors = s.metrics.Counter("rayschedd_batch_line_errors_total")
-	s.metrics.Gauge("rayschedd_sessions_entries", func() float64 { return float64(s.sessions.Len()) })
-	s.metrics.Gauge("rayschedd_session_hits_total", func() float64 { h, _, _ := s.sessions.Stats(); return float64(h) })
-	s.metrics.Gauge("rayschedd_session_misses_total", func() float64 { _, m, _ := s.sessions.Stats(); return float64(m) })
-	s.metrics.Gauge("rayschedd_session_evictions_total", func() float64 { _, _, e := s.sessions.Stats(); return float64(e) })
+	s.metrics.Gauge("rayschedd_sessions_entries", func() float64 { return float64(s.sessions.len()) })
+	s.metrics.Gauge("rayschedd_session_hits_total", func() float64 { h, _, _ := s.sessions.stats(); return float64(h) })
+	s.metrics.Gauge("rayschedd_session_misses_total", func() float64 { _, m, _ := s.sessions.stats(); return float64(m) })
+	s.metrics.Gauge("rayschedd_session_evictions_total", func() float64 { _, _, e := s.sessions.stats(); return float64(e) })
 	s.metrics.Gauge("rayschedd_shards_inflight", func() float64 { return float64(s.shardsInflight.Load()) })
-	s.metrics.Gauge("rayschedd_traces_retained", func() float64 { return float64(s.traces.len()) })
+	s.metrics.Gauge("rayschedd_traces_retained", func() float64 { return float64(s.tracesRetained()) })
 	s.metrics.Gauge("rayschedd_queue_depth", func() float64 { return float64(s.pool.QueueDepth()) })
 	s.metrics.Gauge("rayschedd_in_flight", func() float64 { return float64(s.pool.InFlight()) })
-	s.metrics.Gauge("rayschedd_cache_entries", func() float64 { return float64(s.cache.Len()) })
-	s.metrics.Gauge("rayschedd_cache_hits_total", func() float64 { h, _ := s.cache.Stats(); return float64(h) })
-	s.metrics.Gauge("rayschedd_cache_misses_total", func() float64 { _, m := s.cache.Stats(); return float64(m) })
+	s.metrics.Gauge("rayschedd_cache_entries", func() float64 { return float64(s.cache.len()) })
+	s.metrics.Gauge("rayschedd_cache_hits_total", func() float64 { h, _, _ := s.cache.stats(); return float64(h) })
+	s.metrics.Gauge("rayschedd_cache_misses_total", func() float64 { _, m, _ := s.cache.stats(); return float64(m) })
 	s.metrics.Gauge("rayschedd_cache_hit_ratio", func() float64 {
-		h, m := s.cache.Stats()
+		h, m, _ := s.cache.stats()
 		if h+m == 0 {
 			return 0
 		}
 		return float64(h) / float64(h+m)
 	})
 
-	s.mux.HandleFunc("POST /v1/schedule", s.instrumented("/v1/schedule", s.handleSchedule))
-	s.mux.HandleFunc("POST /v1/latency", s.instrumented("/v1/latency", s.handleLatency))
-	s.mux.HandleFunc("POST /v1/reduce", s.instrumented("/v1/reduce", s.handleReduce))
-	s.mux.HandleFunc("POST /v1/estimate", s.instrumented("/v1/estimate", s.handleEstimate))
+	for _, ep := range computeEndpoints {
+		s.mux.HandleFunc("POST "+ep.path, s.instrumented(ep.path, s.handleCompute(ep)))
+	}
 	s.mux.HandleFunc("POST /v1/estimate/batch", s.instrumented("/v1/estimate/batch", s.handleEstimateBatch))
 	s.mux.HandleFunc("POST /v1/topology", s.instrumented("/v1/topology", s.handleTopology))
 	s.mux.HandleFunc("POST /v1/shard", s.instrumented("/v1/shard", s.handleShard))
@@ -331,11 +341,9 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 		var remoteParent uint64
 		if hv := r.Header.Get(obs.HeaderTraceContext); hv != "" && s.traces != nil {
 			if tc, err := obs.ParseTraceContext(hv); err == nil {
-				if per := s.traces.tracer(tc.TraceID); per != nil {
-					tracer = per
-					traceID = tc.TraceID
-					remoteParent = tc.ParentID
-				}
+				tracer, _ = s.traces.add(tc.TraceID, newTraceTracer)
+				traceID = tc.TraceID
+				remoteParent = tc.ParentID
 			}
 		}
 		var sp *obs.Span
@@ -467,9 +475,9 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// deadline derives the request's compute context: the server default
-// timeout, tightened (never widened beyond MaxTimeout) by timeout_ms.
-func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+// deadline derives a compute context from ctx: the server default timeout,
+// replaced (never widened beyond MaxTimeout) by timeout_ms.
+func (s *Server) deadline(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -477,7 +485,7 @@ func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, co
 			d = s.cfg.MaxTimeout
 		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(ctx, d)
 }
 
 // Response sources: how respond produced a body. Hits replay the LRU,
@@ -510,7 +518,7 @@ type computeOutcome struct {
 // result if the leader's client disconnects, and the bytes land in the
 // cache either way.
 func (s *Server) respond(ctx context.Context, key string, compute func(ctx context.Context) (any, error)) (computeOutcome, error) {
-	if body, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.get(key); ok {
 		return computeOutcome{body: body, source: sourceHit}, nil
 	}
 	fl, leader := s.flights.join(key)
@@ -563,7 +571,7 @@ func (s *Server) respond(ctx context.Context, key string, compute func(ctx conte
 	}
 	// Fill the cache before releasing the flight so a request landing in
 	// between finds the bytes in the LRU instead of recomputing.
-	s.cache.Put(key, body)
+	s.cache.add(key, func() []byte { return body })
 	s.flights.finish(key, fl, body, nil)
 	out.body = body
 	return out, nil
@@ -572,9 +580,8 @@ func (s *Server) respond(ctx context.Context, key string, compute func(ctx conte
 // serve is the shared request pipeline behind the compute endpoints:
 // cache lookup on the canonical key, singleflight join, pool admission
 // (429 on overflow), deadline-bounded compute, response marshaling, cache
-// fill. compute runs on a pool worker.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, params any,
-	topology []byte, timeoutMS int64, compute func(ctx context.Context) (any, error)) {
+// fill. c.compute runs on a pool worker.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, c call) {
 	// Chaos hook: a transient error here answers 503 + Retry-After (the
 	// retryable-outage contract); an injected panic is recovered by the
 	// instrumented wrapper into a JSON 500. Free when no injector is set.
@@ -582,10 +589,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 		writeError(w, err)
 		return
 	}
-	key := requestKey(endpoint, params, topology)
-	ctx, cancel := s.deadline(r, timeoutMS)
+	key := requestKey(endpoint, c.params, c.canon)
+	ctx, cancel := s.deadline(r.Context(), c.timeoutMS)
 	defer cancel()
-	out, err := s.respond(ctx, key, compute)
+	out, err := s.respond(ctx, key, c.compute)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.queueWait = out.wait
 		sw.pooled = out.pooled
@@ -611,191 +618,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 
 // ---- endpoint handlers ----------------------------------------------------
 
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req scheduleRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	net, canon, err := s.resolveTopology(req.Network, req.TopologyRef)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	p := scheduleParams{Algorithm: req.Algorithm, Beta: req.Beta}
-	if p.Algorithm == "" {
-		p.Algorithm = "greedy"
-	}
-	if p.Beta == 0 {
-		p.Beta = 2.5
-	}
-	if err := validateBeta(p.Beta); err != nil {
-		writeError(w, err)
-		return
-	}
-	switch p.Algorithm {
-	case "greedy", "weighted", "powercontrol":
-	default:
-		writeError(w, badRequest("unknown algorithm %q (want greedy, weighted, or powercontrol)", p.Algorithm))
-		return
-	}
-	s.serve(w, r, "/v1/schedule", p, canon, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		return computeSchedule(ctx, p, net)
-	})
-}
-
-func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	var req latencyRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	net, canon, err := s.resolveTopology(req.Network, req.TopologyRef)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	p := latencyParams{
-		Scheduler: req.Scheduler, Model: req.Model, Beta: req.Beta,
-		Prob: req.Prob, MaxSlots: req.MaxSlots, Seed: req.Seed,
-	}
-	if p.Scheduler == "" {
-		p.Scheduler = "repeated"
-	}
-	if p.Model == "" {
-		p.Model = "nonfading"
-	}
-	if p.Beta == 0 {
-		p.Beta = 2.5
-	}
-	if p.Prob == 0 {
-		p.Prob = 0.1
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if err := validateBeta(p.Beta); err != nil {
-		writeError(w, err)
-		return
-	}
-	switch p.Scheduler {
-	case "repeated", "aloha":
-	default:
-		writeError(w, badRequest("unknown scheduler %q (want repeated or aloha)", p.Scheduler))
-		return
-	}
-	switch p.Model {
-	case "nonfading", "rayleigh":
-	default:
-		writeError(w, badRequest("unknown model %q (want nonfading or rayleigh)", p.Model))
-		return
-	}
-	if p.Prob < 0 || p.Prob > 1 {
-		writeError(w, badRequest("prob %g outside (0,1]", p.Prob))
-		return
-	}
-	if p.MaxSlots < 0 {
-		writeError(w, badRequest("max_slots must be non-negative"))
-		return
-	}
-	s.serve(w, r, "/v1/latency", p, canon, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		return computeLatency(ctx, p, net)
-	})
-}
-
-func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	var req reduceRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	net, canon, err := s.resolveTopology(req.Network, req.TopologyRef)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	p := reduceParams{Beta: req.Beta, Prob: req.Prob, Samples: req.Samples, Seed: req.Seed}
-	if p.Beta == 0 {
-		p.Beta = 2.5
-	}
-	if p.Prob == 0 {
-		p.Prob = 0.5
-	}
-	if p.Samples == 0 {
-		p.Samples = 200
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if err := validateBeta(p.Beta); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := validateProb(p.Prob); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := validateSamples(p.Samples, s.cfg.MaxSamples); err != nil {
-		writeError(w, err)
-		return
-	}
-	s.serve(w, r, "/v1/reduce", p, canon, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		return computeReduce(ctx, p, net)
-	})
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req estimateRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	net, canon, err := s.resolveTopology(req.Network, req.TopologyRef)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	p, err := s.estimateParamsFrom(&req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.serve(w, r, "/v1/estimate", p, canon, req.TimeoutMS, func(ctx context.Context) (any, error) {
-		return computeEstimate(ctx, p, net)
-	})
-}
-
-// estimateParamsFrom applies the /v1/estimate defaults and validation to one
-// decoded request. It is shared by the single-request handler and the NDJSON
-// batch loop so a batch line and a lone request with the same fields always
-// produce the same defaults-applied params — and therefore the same cache
-// key and response bytes.
-func (s *Server) estimateParamsFrom(req *estimateRequest) (estimateParams, error) {
-	p := estimateParams{Beta: req.Beta, Prob: req.Prob, Samples: req.Samples, Seed: req.Seed}
-	if p.Beta == 0 {
-		p.Beta = 2.5
-	}
-	if p.Prob == 0 {
-		p.Prob = 0.5
-	}
-	if p.Samples == 0 {
-		p.Samples = 1000
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if err := validateBeta(p.Beta); err != nil {
-		return p, err
-	}
-	if err := validateProb(p.Prob); err != nil {
-		return p, err
-	}
-	if err := validateSamples(p.Samples, s.cfg.MaxSamples); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
 // handleTopology registers a topology session: the request body is a netio
 // topology document (the same JSON that goes in a compute request's
 // "network" field), and the response carries its content-derived session
@@ -806,13 +628,12 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-			return
+		if tooLarge := bodyTooLarge(err); tooLarge != nil {
+			err = tooLarge
+		} else {
+			err = badRequest("read body: %v", err)
 		}
-		writeError(w, badRequest("read body: %v", err))
+		writeError(w, err)
 		return
 	}
 	net, canon, err := parseTopology(raw, s.cfg.MaxLinks)
@@ -842,15 +663,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	body, _ := json.Marshal(healthResponse{
+	ch, cm, _ := s.cache.stats()
+	sh, sm, _ := s.sessions.stats()
+	body, _ := json.Marshal(Health{
 		Status:          status,
 		Version:         version.Version,
 		Instance:        s.instance,
 		GoMaxProcs:      runtime.GOMAXPROCS(0),
 		ShardsInflight:  s.shardsInflight.Load(),
 		ShardsCompleted: s.shardsCompleted.Load(),
+		Stats: Stats{
+			Endpoints:          s.metrics.summaries(),
+			CacheHits:          ch,
+			CacheMisses:        cm,
+			SingleflightShared: uint64(s.sfShared.Load()),
+			SessionHits:        sh,
+			SessionMisses:      sm,
+			BatchLines:         uint64(s.batchLines.Load()),
+			TracesRetained:     uint64(s.tracesRetained()),
+		},
 	})
 	writeJSON(w, http.StatusOK, body)
+}
+
+// tracesRetained is the number of trace IDs with a span collection.
+func (s *Server) tracesRetained() int {
+	if s.traces == nil {
+		return 0
+	}
+	return s.traces.len()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -884,7 +725,7 @@ func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 // ---- shared validation -----------------------------------------------------
 
 func validateBeta(beta float64) error {
-	if !(beta > 0) || beta != beta {
+	if !(beta > 0) {
 		return badRequest("beta %g must be positive", beta)
 	}
 	return nil

@@ -334,9 +334,22 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	hb, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var h healthResponse
+	var h Health
 	if err := json.Unmarshal(hb, &h); err != nil || h.Status != "ok" || h.Version == "" {
 		t.Fatalf("healthz: %s", hb)
+	}
+	// The stats object carries the same tallies /metrics renders below.
+	var sched *EndpointSummary
+	for i, ep := range h.Stats.Endpoints {
+		if ep.Endpoint == "/v1/schedule" {
+			sched = &h.Stats.Endpoints[i]
+		}
+	}
+	if sched == nil || sched.Requests != 2 || sched.Errors != 1 || sched.P50 <= 0 || sched.P50 > sched.P99 {
+		t.Fatalf("healthz stats for /v1/schedule: %+v in %s", sched, hb)
+	}
+	if h.Stats.CacheMisses != 1 {
+		t.Fatalf("healthz cache misses %d, want 1: %s", h.Stats.CacheMisses, hb)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")

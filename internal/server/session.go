@@ -1,11 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"sync"
 
 	"rayfade/internal/network"
 )
@@ -32,12 +30,11 @@ func TopologyRef(canonical []byte) string {
 // concurrent request that references it, which is safe because the compute
 // paths only read it (Gains builds a fresh Matrix per call).
 type sessionEntry struct {
-	ref   string
 	net   *network.Network
 	canon []byte
 }
 
-// SessionStore is a bounded LRU of uploaded topologies keyed by their
+// SessionStore is the bounded LRU of uploaded topologies keyed by their
 // content hash (see TopologyRef). It is the daemon's amortization of the
 // per-request topology parse: POST /v1/topology pays the JSON decode,
 // validation, and canonicalization once, and every later request that sends
@@ -48,23 +45,14 @@ type sessionEntry struct {
 // and gets the same handle back), and a bounded entry count — not wall-clock
 // age — is what protects the daemon's memory against ref churn.
 type SessionStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-
-	hits, misses, evictions uint64
+	*lru[string, sessionEntry]
 }
 
-// NewSessionStore returns an LRU holding at most capacity topologies.
+// NewSessionStore returns a store holding at most capacity topologies.
 // capacity <= 0 disables the store: Put fails with ErrSessionsDisabled and
 // every Get misses.
 func NewSessionStore(capacity int) *SessionStore {
-	return &SessionStore{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-	}
+	return &SessionStore{newLRU[string, sessionEntry](capacity)}
 }
 
 // Put registers a topology (its canonical serialization plus the parsed
@@ -72,53 +60,17 @@ func NewSessionStore(capacity int) *SessionStore {
 // a new entry; re-uploading a registered topology just refreshes its
 // recency. The caller must not mutate canon or net afterwards.
 func (s *SessionStore) Put(canon []byte, net *network.Network) (ref string, created bool, err error) {
-	ref = TopologyRef(canon)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.cap <= 0 {
 		return "", false, ErrSessionsDisabled
 	}
-	if el, ok := s.items[ref]; ok {
-		s.order.MoveToFront(el)
-		return ref, false, nil
-	}
-	s.items[ref] = s.order.PushFront(&sessionEntry{ref: ref, net: net, canon: canon})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*sessionEntry).ref)
-		s.evictions++
-	}
-	return ref, true, nil
+	ref = TopologyRef(canon)
+	_, created = s.add(ref, func() sessionEntry { return sessionEntry{net: net, canon: canon} })
+	return ref, created, nil
 }
 
-// Get resolves a ref to its parsed network and canonical bytes, updating
-// recency and the hit/miss counters. ok is false for refs never uploaded,
-// evicted, or when the store is disabled.
+// Get resolves a ref to its parsed network and canonical bytes. ok is false
+// for refs never uploaded, evicted, or when the store is disabled.
 func (s *SessionStore) Get(ref string) (net *network.Network, canon []byte, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, present := s.items[ref]
-	if !present {
-		s.misses++
-		return nil, nil, false
-	}
-	s.hits++
-	s.order.MoveToFront(el)
-	e := el.Value.(*sessionEntry)
-	return e.net, e.canon, true
-}
-
-// Len returns the number of registered topologies.
-func (s *SessionStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
-
-// Stats returns the cumulative hit, miss, and eviction counts.
-func (s *SessionStore) Stats() (hits, misses, evictions uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses, s.evictions
+	e, ok := s.get(ref)
+	return e.net, e.canon, ok
 }

@@ -8,7 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"rayfade/internal/obs"
 )
 
 // uploadTopology posts a topology document and decodes the session handle.
@@ -62,7 +65,7 @@ func TestSessionStoreLRUAndStats(t *testing.T) {
 			t.Fatalf("recent entry %s evicted", ref)
 		}
 	}
-	hits, misses, evictions := store.Stats()
+	hits, misses, evictions := store.stats()
 	if hits != 2 || misses != 1 || evictions != 1 {
 		t.Fatalf("stats hits=%d misses=%d evictions=%d, want 2/1/1", hits, misses, evictions)
 	}
@@ -106,18 +109,45 @@ func TestSessionStoreConcurrent(t *testing.T) {
 				default:
 					store.Get(TopologyRef(canon))
 				}
-				if n := store.Len(); n > capacity {
+				if n := store.len(); n > capacity {
 					panic(fmt.Sprintf("store grew to %d, cap %d", n, capacity))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := store.Len(); n > capacity {
+	if n := store.len(); n > capacity {
 		t.Fatalf("store holds %d entries, cap %d", n, capacity)
 	}
-	if _, _, evictions := store.Stats(); evictions == 0 {
+	if _, _, evictions := store.stats(); evictions == 0 {
 		t.Fatal("no evictions despite churn far beyond capacity")
+	}
+
+	// The trace collectors ride the same LRU: concurrent first requests
+	// under one new trace ID must all record into the one collector add
+	// created, or some of their spans would land in an orphan.
+	traces := newLRU[string, *obs.Tracer](capacity)
+	got := make([]*obs.Tracer, workers)
+	var created atomic.Int32
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tr, isNew := traces.add("4b8bc3c7d5db6fea", newTraceTracer)
+			got[w] = tr
+			if isNew {
+				created.Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("goroutine %d got collector %p, goroutine 0 got %p", w, tr, got[0])
+		}
+	}
+	if n := created.Load(); n != 1 {
+		t.Fatalf("%d goroutines created the collector, want exactly 1", n)
 	}
 }
 

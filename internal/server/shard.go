@@ -121,7 +121,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// before even decoding the document.
 	w.Header().Set("X-Shard-Range", fmt.Sprintf("%d-%d", req.Lo, req.Hi))
 	p := shardParams{Experiment: req.Experiment, ConfigSHA: sha, Lo: req.Lo, Hi: req.Hi}
-	s.serve(w, r, "/v1/shard", p, nil, req.TimeoutMS, func(ctx context.Context) (any, error) {
+	compute := func(ctx context.Context) (any, error) {
 		s.shardsInflight.Add(1)
 		defer s.shardsInflight.Add(-1)
 		sh, err := sim.RunFigure1ShardCtx(ctx, cfg, req.Lo, req.Hi)
@@ -136,5 +136,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		// Already-marshaled JSON: serve's json.Marshal passes it through
 		// verbatim, so the wire bytes are exactly the sealed document.
 		return json.RawMessage(doc), nil
-	})
+	}
+	s.serve(w, r, "/v1/shard", call{params: p, timeoutMS: req.TimeoutMS, compute: compute})
 }

@@ -125,14 +125,14 @@ func TestShardEndpointValidation(t *testing.T) {
 // shards complete.
 func TestHealthzWorkerIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	get := func() healthResponse {
+	get := func() Health {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var h healthResponse
+		var h Health
 		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"container/list"
 	"encoding/json"
 	"net/http"
-	"sync"
 
 	"rayfade/internal/obs"
 )
@@ -15,93 +13,17 @@ import (
 // capping the memory one trace can pin.
 const traceRingSpans = 1 << 14
 
-// traceStore keeps per-trace span collectors for requests that arrived with
-// an X-Trace-Context header: each distinct trace ID gets its own
+// newTraceTracer is the per-trace span collector the server's trace LRU
+// creates on a trace ID's first request. Each distinct trace ID gets its own
 // obs.Tracer (own ring, own epoch), so one cluster run's spans are not
 // interleaved with another's and a fetch serializes exactly the requested
-// trace. The store is a bounded LRU over trace IDs — an abandoned trace
-// (coordinator died before fetching) ages out instead of pinning memory.
+// trace; the LRU bound ages out abandoned traces (coordinator died before
+// fetching) instead of pinning memory.
 //
 // Spans collected here deliberately do not land in the server's main tracer:
 // the request context carries the per-trace tracer instead, so /debug/obs
-// shows locally-traced traffic while cluster traces stay per-run. A nil
-// *traceStore disables collection (requests with trace headers are served
-// normally, nothing is retained).
-type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type traceEntry struct {
-	id     string
-	tracer *obs.Tracer
-}
-
-// newTraceStore returns a store retaining at most capacity traces; a
-// negative capacity disables collection (nil store).
-func newTraceStore(capacity int) *traceStore {
-	if capacity < 0 {
-		return nil
-	}
-	return &traceStore{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-	}
-}
-
-// tracer returns (creating on first use) the collector for trace id,
-// updating recency and evicting the least recently used trace when over
-// capacity. Nil-safe (nil).
-func (s *traceStore) tracer(id string) *obs.Tracer {
-	if s == nil || s.cap == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[id]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*traceEntry).tracer
-	}
-	tr := obs.NewTracer(traceRingSpans)
-	s.items[id] = s.order.PushFront(&traceEntry{id: id, tracer: tr})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*traceEntry).id)
-	}
-	return tr
-}
-
-// bundle snapshots the collector for trace id as a TraceBundle, or reports
-// that the trace is unknown (never seen, or evicted). Nil-safe (not found).
-func (s *traceStore) bundle(id, instance string) (obs.TraceBundle, bool) {
-	if s == nil {
-		return obs.TraceBundle{}, false
-	}
-	s.mu.Lock()
-	el, ok := s.items[id]
-	if ok {
-		s.order.MoveToFront(el)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return obs.TraceBundle{}, false
-	}
-	return el.Value.(*traceEntry).tracer.Bundle(id, instance), true
-}
-
-// len returns the number of retained traces. Nil-safe (0).
-func (s *traceStore) len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
+// shows locally-traced traffic while cluster traces stay per-run.
+func newTraceTracer() *obs.Tracer { return obs.NewTracer(traceRingSpans) }
 
 // handleTraceFetch is GET /v1/trace/{id}: the shard-trace return channel. A
 // coordinator that dispatched work under a trace ID fetches the worker's
@@ -119,13 +41,13 @@ func (s *Server) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("trace id must be 1-64 characters"))
 		return
 	}
-	b, ok := s.traces.bundle(id, s.instance)
+	tr, ok := s.traces.get(id)
 	if !ok {
 		writeError(w, &httpError{status: http.StatusNotFound,
 			msg: "unknown trace id (never collected, or evicted)"})
 		return
 	}
-	body, err := json.Marshal(b)
+	body, err := json.Marshal(tr.Bundle(id, s.instance))
 	if err != nil {
 		writeError(w, err)
 		return
