@@ -121,6 +121,7 @@ serve: build
 fuzz:
 	$(GO) test ./internal/netio/ -fuzz FuzzReadNetwork -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeComputeRequest -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateBatch -fuzztime 30s
 	$(GO) test ./internal/fading/ -run '^$$' -fuzz FuzzCountSuccessesMatchesReference -fuzztime 30s
 
 clean:

@@ -164,8 +164,11 @@ func scenarios() []scenario {
 			}, true)
 		}},
 		scenario{name: "server/estimate-cache-hit", quick: true, setup: func() (func(), func(), error) {
-			// One fixed body: after the first request everything replays
-			// from the LRU — the daemon's best-case request throughput.
+			// One fixed body: after the first request every repeat is
+			// answered from its raw-body alias — hash the body, two LRU
+			// lookups, write the cached bytes — with no decode, topology
+			// parse or re-canonicalization: the daemon's best-case request
+			// throughput.
 			return serverOp(server.Config{}, func(*atomic.Uint64) ([]byte, error) {
 				topo, err := server.BenchTopology(40, 1)
 				if err != nil {
@@ -176,9 +179,11 @@ func scenarios() []scenario {
 		}},
 		scenario{name: "server/session-hit", quick: true, setup: func() (func(), func(), error) {
 			// The same cache-hit steady state as estimate-cache-hit, but the
-			// topology rides as a session ref: the delta between the two
-			// scenarios is the per-request cost of inline parse + re-canonicalize
-			// that POST /v1/topology amortizes away.
+			// topology rides as a session ref. Ref bodies are never aliased
+			// (their status depends on session residency), so every hit
+			// decodes the small body, resolves the session and re-keys;
+			// estimate-cache-hit's alias skips all three, and the gap
+			// between the two is the cost of that canonical path.
 			return sessionServerOp(server.Config{}, func(ref string) ([]byte, error) {
 				return server.BenchEstimateRefRequest(ref, 100, 1)
 			})

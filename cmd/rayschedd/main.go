@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		addr        = fs.String("addr", ":8080", "listen address")
 		workers     = fs.Int("workers", 0, "compute workers (0 = GOMAXPROCS)")
 		queue       = fs.Int("queue", 64, "queued jobs before requests are answered 429")
-		cacheSize   = fs.Int("cache", 256, "response cache entries (0 disables)")
+		cacheSize   = fs.Int("cache", 256, "response cache entries, and as many raw-body aliases (0 disables both)")
 		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request compute deadline")
 		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "cap on request-supplied timeout_ms")
 		maxLinks    = fs.Int("max-links", 5000, "largest accepted topology (links)")

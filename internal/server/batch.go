@@ -127,7 +127,8 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchLine serves one NDJSON line through the /v1/estimate row of the
-// endpoint table: decode, resolve (topology, defaults, validation), then the
+// endpoint table: the alias probe a /v1/estimate body of the same bytes
+// takes, then decode, resolve (topology, defaults, validation) and the
 // shared cache/singleflight/pool pipeline on the /v1/estimate key. The
 // returned bytes are exactly what /v1/estimate would have answered.
 func (s *Server) batchLine(ctx context.Context, line []byte) ([]byte, error) {
@@ -137,11 +138,11 @@ func (s *Server) batchLine(ctx context.Context, line []byte) ([]byte, error) {
 	if err := faults.Inject(faults.SiteHandler); err != nil {
 		return nil, err
 	}
-	req := estimateEndpoint.newReq()
-	if err := decodeStrict(bytes.NewReader(line), req, "line"); err != nil {
-		return nil, err
+	p, body, ok := s.probe(estimateEndpoint.path, line)
+	if ok {
+		return body, nil
 	}
-	c, err := s.resolve(req)
+	c, err := s.decodeCall(estimateEndpoint, line, "line", p)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +151,7 @@ func (s *Server) batchLine(ctx context.Context, line []byte) ([]byte, error) {
 		ctx, cancel = s.deadline(ctx, c.timeoutMS)
 		defer cancel()
 	}
-	out, err := s.respond(ctx, requestKey(estimateEndpoint.path, c.params, c.canon), c.compute)
+	out, err := s.respond(ctx, estimateEndpoint.path, c)
 	if out.pooled && out.source == sourceMiss {
 		s.metrics.ObserveQueueWait("/v1/estimate/batch", out.wait.Seconds())
 	}

@@ -49,6 +49,53 @@ func TestHandlerTransientFaultAnswers503WithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestHandlerFaultAndDrainOnAliasHit: a body answered from its raw-body
+// alias fails under an armed server.handler fault exactly as a canonical
+// cache hit does, and a draining server refuses it like any other POST.
+func TestHandlerFaultAndDrainOnAliasHit(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	topo := testTopology(t, 8, 1)
+	aliased := reqBody(t, topo, map[string]any{"samples": 100})
+	var canonical bytes.Buffer // same estimate, never posted: no alias
+	if err := json.Indent(&canonical, aliased, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := post(t, ts, "/v1/estimate", aliased); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
+	}
+	if s.aliases.len() != 1 {
+		t.Fatalf("%d aliases after warm-up, want 1", s.aliases.len())
+	}
+
+	withFaults(t, "server.handler=error:1")
+	var answers [2][]byte
+	for i, doc := range [][]byte{aliased, canonical.Bytes()} {
+		resp, body := post(t, ts, "/v1/estimate", doc)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("request %d under fault: status %d, Retry-After %q: %s",
+				i, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+		answers[i] = body
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Fatalf("alias hit and canonical hit fail differently:\n%s\nvs\n%s", answers[0], answers[1])
+	}
+	faults.SetDefault(nil)
+
+	s.SetDraining(true)
+	resp, body := post(t, ts, "/v1/estimate", aliased)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
+		!bytes.Contains(body, []byte("draining")) {
+		t.Fatalf("aliased body while draining: status %d, Retry-After %q: %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	s.SetDraining(false)
+	if resp, body := post(t, ts, "/v1/estimate", aliased); resp.StatusCode != http.StatusOK ||
+		resp.Header.Get("X-Cache") != sourceHit {
+		t.Fatalf("after drain: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+}
+
 func TestHandlerPanicFaultAnswers500AndDaemonSurvives(t *testing.T) {
 	withFaults(t, "server.handler=panic:1")
 	_, ts := newTestServer(t, Config{})

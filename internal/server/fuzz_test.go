@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"testing"
 )
 
@@ -67,6 +68,91 @@ func FuzzDecodeComputeRequest(f *testing.F) {
 			}
 			if requestKey(ep.path, c2.params, c2.canon) != requestKey(ep.path, c.params, c.canon) {
 				t.Fatalf("%s: re-encoded request keys differently:\n%s", ep.path, doc)
+			}
+		}
+	})
+}
+
+// FuzzEstimateBatch drives arbitrary bytes through /v1/estimate/batch as an
+// NDJSON body, twice on one server (so repeated inline lines take the alias
+// path the second time), and each of its lines once through /v1/estimate on
+// a second server. Whatever the input:
+//
+//   - nothing panics;
+//   - a batch with no non-empty line answers 400; any other answers 200
+//     with exactly one output line per non-empty input line, up to
+//     MaxBatchLines, plus one error line when it has more;
+//   - every success line is byte-equal to /v1/estimate's answer for the
+//     same line bytes, computed separately.
+//
+// The seed corpus lives in testdata/fuzz/FuzzEstimateBatch; its
+// topology_ref lines name the 3-link topology registered below.
+func FuzzEstimateBatch(f *testing.F) {
+	const maxLines = 8
+	cfg := Config{Workers: 1, MaxLinks: 64, MaxSamples: 200, MaxSessions: 4, MaxBatchLines: maxLines}
+	topo, err := BenchTopology(3, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	batchSrv, singleSrv := New(cfg), New(cfg)
+	f.Cleanup(batchSrv.Close)
+	f.Cleanup(singleSrv.Close)
+	for _, s := range []*Server{batchSrv, singleSrv} {
+		if w := serveDirect(s, "/v1/topology", topo); w.Code != http.StatusOK {
+			f.Fatalf("register topology: status %d: %s", w.Code, w.Body)
+		}
+	}
+	errPrefix := []byte(`{"error":`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lines [][]byte
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				lines = append(lines, line)
+			}
+		}
+		want := len(lines)
+		if want > maxLines {
+			want = maxLines + 1
+		}
+		singles := map[string][]byte{}
+		for pass := 0; pass < 2; pass++ {
+			w := serveDirect(batchSrv, "/v1/estimate/batch", data)
+			if len(lines) == 0 {
+				if w.Code != http.StatusBadRequest {
+					t.Fatalf("empty batch: status %d: %s", w.Code, w.Body)
+				}
+				return
+			}
+			if w.Code != http.StatusOK {
+				t.Fatalf("pass %d: status %d: %s", pass, w.Code, w.Body)
+			}
+			out := bytes.Split(w.Body.Bytes(), []byte{'\n'})
+			if n := len(out) - 1; n != want || len(out[n]) != 0 {
+				t.Fatalf("pass %d: %d output lines for %d input lines, want %d:\n%s", pass, n, len(lines), want, w.Body)
+			}
+			if len(lines) > maxLines && !bytes.HasPrefix(out[maxLines], errPrefix) {
+				t.Fatalf("pass %d: over-limit batch does not end in an error line: %s", pass, out[maxLines])
+			}
+			for i, got := range out[:min(len(lines), maxLines)] {
+				if bytes.HasPrefix(got, errPrefix) {
+					continue
+				}
+				single, ok := singles[string(lines[i])]
+				if !ok {
+					sw := serveDirect(singleSrv, "/v1/estimate", lines[i])
+					switch sw.Code {
+					case http.StatusOK:
+					case http.StatusGatewayTimeout:
+						continue // the line's own timeout_ms fired this time
+					default:
+						t.Fatalf("line %d succeeds in a batch but answers %d alone: %s\n%s", i, sw.Code, sw.Body, lines[i])
+					}
+					single = sw.Body.Bytes()
+					singles[string(lines[i])] = single
+				}
+				if !bytes.Equal(got, single) {
+					t.Fatalf("pass %d line %d differs from /v1/estimate:\n%s\nvs\n%s", pass, i, got, single)
+				}
 			}
 		}
 	})

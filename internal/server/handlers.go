@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 
+	"rayfade/internal/faults"
 	"rayfade/internal/netio"
 	"rayfade/internal/network"
 )
@@ -60,6 +61,19 @@ func decodeStrict(rd io.Reader, dst any, what string) error {
 		return badRequest("trailing data after JSON document")
 	}
 	return nil
+}
+
+// readBody reads the whole request body under maxBytes; an oversized body
+// surfaces as 413.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	if err != nil {
+		if tooLarge := bodyTooLarge(err); tooLarge != nil {
+			return nil, tooLarge
+		}
+		return nil, badRequest("read body: %v", err)
+	}
+	return raw, nil
 }
 
 // bodyTooLarge maps a MaxBytesReader overflow to 413, and anything else to
@@ -137,6 +151,42 @@ func requestKey(endpoint string, params any, topology []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// probe is one raw request body's pass through the alias index.
+type probe struct {
+	// digest is sha256(endpoint ‖ 0 ‖ raw body), the alias index key.
+	digest [sha256.Size]byte
+	// counted reports that the alias hit and the canonical cache was looked
+	// up for its key and missed; that lookup already counted the request's
+	// one cache miss.
+	counted bool
+	// inline is set once the body decodes as an inline-topology request:
+	// respond then aliases digest to the key after a 200. Session refs and
+	// shards are never aliased.
+	inline bool
+}
+
+// probe hashes a raw request body under endpoint and looks it up in the
+// alias index. When the alias names a canonical key whose body is still
+// cached, that body is the response (ok): no decode, topology parse or
+// re-canonicalization runs. Only inline bodies that once answered 200 are
+// aliased (respond records them): such a body's response is a pure function
+// of its bytes, whereas a topology_ref body's status depends on whether its
+// session is still resident.
+func (s *Server) probe(endpoint string, raw []byte) (p probe, body []byte, ok bool) {
+	h := sha256.New()
+	h.Write([]byte(endpoint))
+	h.Write([]byte{0})
+	h.Write(raw)
+	h.Sum(p.digest[:0])
+	key, ok := s.aliases.get(p.digest)
+	if !ok {
+		return p, nil, false
+	}
+	p.counted = true
+	body, ok = s.cache.get(key)
+	return p, body, ok
+}
+
 // ---- the compute-endpoint table --------------------------------------------
 
 // computeEndpoints is the endpoint table: one row per compute route, each
@@ -187,6 +237,9 @@ type call struct {
 	canon     []byte
 	timeoutMS int64
 	compute   func(ctx context.Context) (any, error)
+	// probe is the request body's pass through the alias index (zero for
+	// shards).
+	probe probe
 }
 
 // resolve turns a decoded compute request into a call: the topology (inline
@@ -207,15 +260,45 @@ func (s *Server) resolve(req computeReq) (call, error) {
 	return call{params: params, canon: canon, timeoutMS: sh.TimeoutMS, compute: compute}, nil
 }
 
-// handleCompute is the one handler behind every row of computeEndpoints.
+// decodeCall decodes raw as one ep request (what names it in errors) and
+// resolves it into a call carrying the body's probe p.
+func (s *Server) decodeCall(ep endpoint, raw []byte, what string, p probe) (call, error) {
+	req := ep.newReq()
+	if err := decodeStrict(bytes.NewReader(raw), req, what); err != nil {
+		return call{}, err
+	}
+	c, err := s.resolve(req)
+	if err != nil {
+		return call{}, err
+	}
+	p.inline = req.shared().TopologyRef == ""
+	c.probe = p
+	return c, nil
+}
+
+// handleCompute is the one handler behind every row of computeEndpoints: an
+// alias hit answers from the cache at once, anything else runs decode →
+// resolve → bind → serve.
 func (s *Server) handleCompute(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req := ep.newReq()
-		if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, req); err != nil {
+		raw, err := readBody(w, r, s.cfg.MaxBodyBytes)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		c, err := s.resolve(req)
+		p, body, ok := s.probe(ep.path, raw)
+		if ok {
+			// The chaos hook serve runs, so a hit fails exactly as a
+			// canonical hit would.
+			if err := faults.Inject(faults.SiteHandler); err != nil {
+				writeError(w, err)
+				return
+			}
+			w.Header().Set("X-Cache", sourceHit)
+			writeJSON(w, http.StatusOK, body)
+			return
+		}
+		c, err := s.decodeCall(ep, raw, "request", p)
 		if err != nil {
 			writeError(w, err)
 			return

@@ -7,8 +7,9 @@ import (
 
 // lru is the daemon's one bounded map: a thread-safe least-recently-used
 // store with hit/miss/eviction tallies. It backs the response cache (keyed
-// by the canonical request hash), the topology sessions (keyed by
-// TopologyRef) and the per-trace span collectors (keyed by trace ID).
+// by the canonical request hash), its raw-body aliases (keyed by the raw
+// body's digest), the topology sessions (keyed by TopologyRef) and the
+// per-trace span collectors (keyed by trace ID).
 //
 // A capacity <= 0 stores nothing: get always misses and add hands back a
 // fresh value without keeping it.

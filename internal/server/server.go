@@ -30,9 +30,13 @@
 //     resolve → bind → serve for all of them and for batch lines.
 //   - Caching. Responses are cached in an LRU keyed by a canonical hash of
 //     (endpoint, defaults-applied params, canonical topology); repeated
-//     identical queries replay byte-identical bodies from memory. The cache,
-//     the topology sessions and the per-trace collectors share one generic
-//     LRU (lru.go).
+//     identical queries replay byte-identical bodies from memory. In front
+//     of it, an alias LRU maps a hash of the raw request body to that
+//     canonical key, so a byte-identical repeat of an inline request is
+//     answered before any decode, topology parse or re-canonicalization.
+//     Each request counts exactly one cache hit or miss. The cache, the
+//     aliases, the topology sessions and the per-trace collectors share one
+//     generic LRU (lru.go).
 //   - Topology sessions. POST /v1/topology pays the topology parse,
 //     validation, and canonicalization once; compute requests then send
 //     topology_ref instead of the full document. Refs are content hashes,
@@ -57,10 +61,10 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -82,8 +86,8 @@ type Config struct {
 	// QueueSize bounds jobs waiting for a worker; <= 0 selects 64. A full
 	// queue answers 429.
 	QueueSize int
-	// CacheSize bounds the response LRU (entries); 0 selects 256, negative
-	// disables caching.
+	// CacheSize bounds the response LRU and the raw-body alias LRU in front
+	// of it (entries each); 0 selects 256, negative disables both.
 	CacheSize int
 	// MaxLinks rejects larger topologies with 413; <= 0 selects 5000.
 	MaxLinks int
@@ -162,7 +166,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	pool     *Pool
-	cache    *lru[string, []byte] // response bodies by requestKey
+	cache    *lru[string, []byte]            // response bodies by requestKey
+	aliases  *lru[[sha256.Size]byte, string] // requestKey by inline body digest (see probe)
 	sessions *SessionStore
 	flights  *flightGroup
 	metrics  *Metrics
@@ -213,6 +218,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers, cfg.QueueSize),
 		cache:    newLRU[string, []byte](cfg.CacheSize),
+		aliases:  newLRU[[sha256.Size]byte, string](cfg.CacheSize),
 		sessions: NewSessionStore(cfg.MaxSessions),
 		flights:  newFlightGroup(),
 		metrics:  NewMetrics(),
@@ -506,20 +512,34 @@ type computeOutcome struct {
 	source string
 }
 
-// respond resolves one canonical request key into response bytes: LRU
-// lookup, then singleflight join (followers share the leader's bytes), then
-// a fresh pool-admitted, deadline-bounded compute whose marshaled result
-// fills the cache. It is the shared core of the single-request pipeline
-// (serve) and the NDJSON batch loop, so both paths produce byte-identical
-// bodies for identical keys by construction.
+// respond resolves one call into response bytes under its canonical key
+// (requestKey of endpoint, params and canonical topology): LRU lookup, then
+// singleflight join (followers share the leader's bytes), then a fresh
+// pool-admitted, deadline-bounded compute whose marshaled result fills the
+// cache. It is the shared core of the single-request pipeline (serve) and
+// the NDJSON batch loop, so both paths produce byte-identical bodies for
+// identical keys by construction.
+//
+// A call whose probe already counted the LRU lookup skips it, and an
+// inline call aliases its raw body to the key on success.
 //
 // The leader's computation runs detached from its own request's
 // cancellation (bounded by the same deadline): followers still want the
 // result if the leader's client disconnects, and the bytes land in the
 // cache either way.
-func (s *Server) respond(ctx context.Context, key string, compute func(ctx context.Context) (any, error)) (computeOutcome, error) {
-	if body, ok := s.cache.get(key); ok {
-		return computeOutcome{body: body, source: sourceHit}, nil
+func (s *Server) respond(ctx context.Context, endpoint string, c call) (out computeOutcome, err error) {
+	key := requestKey(endpoint, c.params, c.canon)
+	if c.probe.inline {
+		defer func() {
+			if err == nil {
+				s.aliases.add(c.probe.digest, func() string { return key })
+			}
+		}()
+	}
+	if !c.probe.counted {
+		if body, ok := s.cache.get(key); ok {
+			return computeOutcome{body: body, source: sourceHit}, nil
+		}
 	}
 	fl, leader := s.flights.join(key)
 	if !leader {
@@ -545,7 +565,7 @@ func (s *Server) respond(ctx context.Context, key string, compute func(ctx conte
 		computeErr error
 	)
 	wait, err := s.pool.DoTimed(cctx, func(ctx context.Context) {
-		resp, cerr := compute(ctx)
+		resp, cerr := c.compute(ctx)
 		if cerr != nil {
 			computeErr = cerr
 			return
@@ -557,7 +577,7 @@ func (s *Server) respond(ctx context.Context, key string, compute func(ctx conte
 		}
 		body = b
 	})
-	out := computeOutcome{
+	out = computeOutcome{
 		wait:   wait,
 		source: sourceMiss,
 		pooled: !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrPoolClosed),
@@ -589,10 +609,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 		writeError(w, err)
 		return
 	}
-	key := requestKey(endpoint, c.params, c.canon)
 	ctx, cancel := s.deadline(r.Context(), c.timeoutMS)
 	defer cancel()
-	out, err := s.respond(ctx, key, c.compute)
+	out, err := s.respond(ctx, endpoint, c)
 	if sw, ok := w.(*statusWriter); ok {
 		sw.queueWait = out.wait
 		sw.pooled = out.pooled
@@ -625,14 +644,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 // idempotent ("created": false) — clients recover from evictions by
 // re-posting.
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
+	raw, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		if tooLarge := bodyTooLarge(err); tooLarge != nil {
-			err = tooLarge
-		} else {
-			err = badRequest("read body: %v", err)
-		}
 		writeError(w, err)
 		return
 	}
