@@ -115,14 +115,17 @@ results: figures
 serve: build
 	$(GO) run ./cmd/rayschedd -addr :8080
 
-# Fuzz the topology reader and the shared compute-request decode (the
-# daemon's hostile-input surface) and the lazy Rayleigh counting kernel
-# against its full-draw reference.
+# Fuzz the topology reader, the shared compute-request decode, the shard
+# decoder and the trace header (the daemon's and the coordinator's
+# hostile-input surface) and the Rayleigh counting kernels against their
+# full-draw reference.
 fuzz:
 	$(GO) test ./internal/netio/ -fuzz FuzzReadNetwork -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeComputeRequest -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateBatch -fuzztime 30s
 	$(GO) test ./internal/fading/ -run '^$$' -fuzz FuzzCountSuccessesMatchesReference -fuzztime 30s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecodeShard -fuzztime 30s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTraceContext -fuzztime 30s
 
 clean:
 	$(GO) clean -testcache

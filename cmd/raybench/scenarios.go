@@ -77,6 +77,12 @@ func scenarios() []scenario {
 				}
 			})
 		}},
+		{name: "fading/count-dense-100", quick: true, setup: func() (func(), func(), error) {
+			return countOp(1.0)
+		}},
+		{name: "fading/count-half-100", quick: true, setup: func() (func(), func(), error) {
+			return countOp(0.5)
+		}},
 		{name: "sinr/values-dense-200", quick: true, setup: func() (func(), func(), error) {
 			net, err := benchNetwork(200, 23)
 			if err != nil {
@@ -519,4 +525,22 @@ func serverOp(cfg server.Config, body func(*atomic.Uint64) ([]byte, error), perR
 		}
 	}
 	return op, cleanup, nil
+}
+
+// countOp times the Figure-1 counting kernel, one fading.Counter.Count at
+// β = 2.5, on a paper-settings 100-link network with each link active with
+// probability density. The Counter is built in setup, as the experiments
+// build it once per matrix.
+func countOp(density float64) (func(), func(), error) {
+	net, err := benchNetwork(100, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := fading.NewCounter(net.Gains())
+	src := rng.New(3)
+	active := make([]bool, net.N())
+	for i := range active {
+		active[i] = src.Bernoulli(density)
+	}
+	return func() { c.Count(active, 2.5, src) }, noCleanup, nil
 }

@@ -345,7 +345,7 @@ func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []fl
 
 // SampleSuccesses draws one Rayleigh realization and returns the indices of
 // active links whose realized SINR reaches β. Like SampleSINRs it allocates;
-// counting loops should use CountSuccesses with reused buffers.
+// counting loops should use a Counter.
 func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source) []int {
 	var ok []int
 	vals := SampleSINRs(m, active, src)
@@ -357,65 +357,17 @@ func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.So
 	return ok
 }
 
-// CountSuccesses draws one Rayleigh realization and counts the active links
-// whose realized SINR reaches β. It is the allocation-free counting kernel of
-// the Monte-Carlo experiments. out and idx have the SampleSINRsInto shapes,
-// but out is pure scratch: it does not hold SINRs, and its contents on return
-// are unspecified. The count and the RNG stream consumed are identical to
-// SampleSuccesses.
-//
-// Only a yes/no per link is needed, so the logarithms are taken lazily. For
-// each active receiver the kernel first draws every uniform rng.Exp would
-// draw, in the same order, so the stream ends where SampleSINRsInto leaves
-// it. It then adds interference terms one at a time and stops as soon as the
-// partial sum already rules out success, skipping the remaining logarithms.
+// CountSuccesses is Counter.Count over the caller's scratch and without a
+// strongest-first order: every active set is visited in index order. out
+// (length m.N) holds the uniforms and idx (capacity at least m.N) the active
+// links; their contents on return are unspecified. It needs no set-up per
+// call, but code that counts many realizations of one matrix should hold a
+// Counter. It remains for the benchmark harness in benchsuite/, which calls
+// it by name.
 func CountSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int) int {
 	checkScratch(m.N, out, idx)
-	idx = activeIndices(active, idx)
-	u := out[:len(idx)]
-	count := 0
-receivers:
-	for k, i := range idx {
-		row := m.Incoming(i)
-		for kj, j := range idx {
-			if g := row[j]; g != 0 {
-				if g < 0 {
-					panic(fmt.Sprintf("fading: negative mean gain %g from sender %d at receiver %d", g, j, i))
-				}
-				u[kj] = src.Float64Open()
-			}
-		}
-		var own float64
-		if g := row[i]; g != 0 {
-			own = -g * math.Log(u[k])
-		}
-		interf := m.Noise
-		for kj, j := range idx {
-			// Exact early rejection. Every term is non-negative, and IEEE
-			// round-to-nearest addition is monotone, so no later partial sum
-			// is smaller than this one; own/x rounds monotonically too and
-			// does not grow with x > 0. A partial sum that already fails the
-			// test therefore fails it after the remaining terms are added.
-			if interf > 0 && own/interf < beta {
-				continue receivers
-			}
-			g := row[j]
-			if j == i || g == 0 {
-				continue
-			}
-			interf += -g * math.Log(u[kj])
-		}
-		var v float64
-		if interf != 0 {
-			v = own / interf
-		} else if own > 0 {
-			v = math.Inf(1)
-		}
-		if v >= beta {
-			count++
-		}
-	}
-	return count
+	c := Counter{m: m, u: out, idx: idx}
+	return c.Count(active, beta, src)
 }
 
 // MCResult is a Monte-Carlo estimate with its standard error.

@@ -561,8 +561,7 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 // a paper-settings network, for a sparse and a fully active transmitter set.
 func BenchmarkCountSuccesses100(b *testing.B) {
 	m := randomMatrix(b, 1, 100)
-	vals := make([]float64, 100)
-	idx := make([]int, 0, 100)
+	c := NewCounter(m)
 	for _, density := range []float64{0.3, 1.0} {
 		b.Run(fmt.Sprintf("density=%.1f", density), func(b *testing.B) {
 			active := randomActive(rng.New(3), 100, density)
@@ -570,9 +569,21 @@ func BenchmarkCountSuccesses100(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				CountSuccesses(m, active, 2.5, src, vals, idx)
+				c.Count(active, 2.5, src)
 			}
 		})
+	}
+}
+
+// BenchmarkNewCounter100 times building a Counter for the matrix of
+// BenchmarkCountSuccesses100; TestNewCounterCost holds it to a fifth of
+// building the matrix.
+func BenchmarkNewCounter100(b *testing.B) {
+	m := randomMatrix(b, 1, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewCounter(m)
 	}
 }
 

@@ -54,12 +54,14 @@ func FuzzExactSuccessInvariants(f *testing.F) {
 	})
 }
 
-// FuzzCountSuccessesMatchesReference checks the lazy counting kernel against
+// FuzzCountSuccessesMatchesReference checks the counting kernels against
 // the kept full-draw reference for arbitrary seeds, thresholds, transmitter
 // densities and noise levels, on the generated network and on a copy with
 // zero-gain entries: the count and the final stream position must agree
-// exactly. The noise is set on the matrix directly, so negative, infinite
-// and NaN levels are exercised too.
+// exactly. One Counter per matrix is reused for the drawn set, the full set
+// (visited strongest first) and a single link (in index order once n > 4).
+// The noise is set on the matrix directly, so negative, infinite and NaN
+// levels are exercised too.
 func FuzzCountSuccessesMatchesReference(f *testing.F) {
 	f.Add(uint64(1), 2.5, 0.5, 4e-7)
 	f.Add(uint64(2), 0.5, 1.0, 0.0) // no noise: a lone transmitter reaches +Inf
@@ -69,6 +71,10 @@ func FuzzCountSuccessesMatchesReference(f *testing.F) {
 	f.Add(uint64(6), math.Inf(1), 1.0, 1e-9)
 	f.Add(uint64(7), 2.5, 1.0, -1e-3) // partial sums start negative
 	f.Add(uint64(8), math.NaN(), 0.7, math.Inf(1))
+	f.Add(uint64(9), 2.5, 0.9, math.NaN())
+	f.Add(uint64(10), 2.5, 0.6, math.Inf(-1))
+	f.Add(uint64(11), 2.5, 0.8, 5e-324) // subnormal noise: outside the filter's domain
+	f.Add(uint64(12), math.NaN(), 1.0, 4e-7)
 	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise float64) {
 		cfg := network.Figure1Config()
 		cfg.N = 1 + int(seed%24)
@@ -77,9 +83,17 @@ func FuzzCountSuccessesMatchesReference(f *testing.F) {
 			t.Skip()
 		}
 		active := randomActive(rng.New(^seed), cfg.N, density)
+		all, one := make([]bool, cfg.N), make([]bool, cfg.N)
+		for i := range all {
+			all[i] = true
+		}
+		one[int(seed/24)%cfg.N] = true
 		for _, m := range []*network.Matrix{net.Gains(), zeroSomeGains(net.Gains(), int(seed%3))} {
 			m.Noise = noise
-			checkCountSuccesses(t, m, active, beta, seed)
+			c := NewCounter(m)
+			for _, set := range [][]bool{active, all, one} {
+				checkCountSuccesses(t, c, set, beta, seed)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package fading
 import (
 	"math"
 	"testing"
+	"time"
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
@@ -93,16 +94,15 @@ func TestSampleSINRsWrapperMatchesKernel(t *testing.T) {
 
 func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 	m := randomMatrix(t, 6, 80)
-	vals := make([]float64, 80)
-	idx := make([]int, 0, 80)
+	c := NewCounter(m)
 	setup := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
 		active := randomActive(setup, 80, setup.Float64())
 		src := rng.New(uint64(1000 + trial))
 		want := len(SampleSuccesses(m, active, 2.5, src.Clone()))
-		got := CountSuccesses(m, active, 2.5, src.Clone(), vals, idx)
+		got := c.Count(active, 2.5, src.Clone())
 		if want != got {
-			t.Fatalf("trial %d: CountSuccesses %d, SampleSuccesses %d", trial, got, want)
+			t.Fatalf("trial %d: Counter.Count %d, SampleSuccesses %d", trial, got, want)
 		}
 	}
 }
@@ -120,32 +120,50 @@ func zeroSomeGains(m *network.Matrix, phase int) *network.Matrix {
 	return m
 }
 
-// checkCountSuccesses asserts that CountSuccesses, starting from a stream
-// seeded with seed, returns the success count of referenceSampleSINRs and
-// leaves the stream at the same position. The kernel's scratch starts out
-// NaN-filled, so a read of a slot it did not write shows up as a mismatch.
-func checkCountSuccesses(t testing.TB, m *network.Matrix, active []bool, beta float64, seed uint64) {
+// checkCountSuccesses asserts that c.Count and CountSuccesses, each starting
+// from a stream seeded with seed, return the success count of
+// referenceSampleSINRs on c's matrix and leave the stream at the same
+// position. c is reused from call to call and visits dense active sets
+// strongest first and sparse ones in index order; CountSuccesses visits
+// every set in index order. The scratch of both starts out NaN-filled, so a
+// read of a slot the kernel did not write shows up as a mismatch.
+func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, seed uint64) {
 	t.Helper()
-	ref, ker := rng.New(seed), rng.New(seed)
+	m := c.m
+	ref := rng.New(seed)
 	want := 0
 	for i, v := range referenceSampleSINRs(m, active, ref) {
 		if active[i] && v >= beta {
 			want++
 		}
 	}
+	next := ref.Uint64()
 	scratch := make([]float64, m.N)
-	for i := range scratch {
-		scratch[i] = math.NaN()
-	}
-	got := CountSuccesses(m, active, beta, ker, scratch, make([]int, 0, m.N))
-	if got != want {
-		t.Fatalf("n=%d β=%g ν=%g seed=%d: CountSuccesses %d, reference %d", m.N, beta, m.Noise, seed, got, want)
-	}
-	if ref.Uint64() != ker.Uint64() {
-		t.Fatalf("n=%d β=%g ν=%g seed=%d: kernel consumed a different number of draws", m.N, beta, m.Noise, seed)
+	for _, kernel := range []struct {
+		name  string
+		count func(*rng.Source) int
+	}{
+		{"Counter.Count", func(src *rng.Source) int { return c.Count(active, beta, src) }},
+		{"CountSuccesses", func(src *rng.Source) int {
+			return CountSuccesses(m, active, beta, src, scratch, make([]int, 0, m.N))
+		}},
+	} {
+		for i := range scratch {
+			c.u[i], scratch[i] = math.NaN(), math.NaN()
+		}
+		src := rng.New(seed)
+		if got := kernel.count(src); got != want {
+			t.Fatalf("n=%d β=%g ν=%g seed=%d: %s %d, reference %d", m.N, beta, m.Noise, seed, kernel.name, got, want)
+		}
+		if src.Uint64() != next {
+			t.Fatalf("n=%d β=%g ν=%g seed=%d: %s consumed a different number of draws", m.N, beta, m.Noise, seed, kernel.name)
+		}
 	}
 }
 
+// TestCountSuccessesMatchesReference covers both visit orders, zero gains,
+// and noise levels and thresholds outside the filter's domain: zero,
+// negative, subnormal, infinite and NaN.
 func TestCountSuccessesMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 7, 40, 100} {
 		setup := rng.New(uint64(200 + n))
@@ -154,12 +172,13 @@ func TestCountSuccessesMatchesReference(t *testing.T) {
 			if zeroed {
 				zeroSomeGains(m, n%3)
 			}
-			for _, noise := range []float64{m.Noise, 0} {
+			c := NewCounter(m)
+			for _, noise := range []float64{m.Noise, 0, -1e-3, 5e-324, math.Inf(1), math.NaN()} {
 				m.Noise = noise
 				for _, density := range []float64{0, 0.1, 0.5, 1} {
 					active := randomActive(setup, n, density)
-					for _, beta := range []float64{0.5, 2.5, 50} {
-						checkCountSuccesses(t, m, active, beta, uint64(31*n)+setup.Uint64()%1000)
+					for _, beta := range []float64{0.5, 2.5, 50, 0, 5e-324, math.Inf(1), math.NaN()} {
+						checkCountSuccesses(t, c, active, beta, uint64(31*n)+setup.Uint64()%1000)
 					}
 				}
 			}
@@ -176,6 +195,7 @@ func TestCountSuccessesNoiselessEdges(t *testing.T) {
 		{0, 0, 0},
 		{0.5, 0, 1},
 	}, 0)
+	c := NewCounter(m)
 	for _, tc := range []struct {
 		active []bool
 		beta   float64
@@ -187,11 +207,11 @@ func TestCountSuccessesNoiselessEdges(t *testing.T) {
 		{[]bool{false, true, false}, 0, 1},
 		{[]bool{true, true, true}, 1e300, 0},
 	} {
-		got := CountSuccesses(m, tc.active, tc.beta, rng.New(1), make([]float64, 3), make([]int, 0, 3))
+		got := c.Count(tc.active, tc.beta, rng.New(1))
 		if got != tc.want {
 			t.Errorf("active=%v β=%g: %d successes, want %d", tc.active, tc.beta, got, tc.want)
 		}
-		checkCountSuccesses(t, m, tc.active, tc.beta, 1)
+		checkCountSuccesses(t, c, tc.active, tc.beta, 1)
 	}
 }
 
@@ -199,7 +219,10 @@ func TestCountSuccessesNoiselessEdges(t *testing.T) {
 // the same draws, so own/interf == β holds exactly: once for the full sum
 // (the link succeeds), once for the noise alone and once for a partial sum
 // (the stop test must not fire on equality; the link then fails on the
-// remaining terms).
+// remaining terms). The ties at the full sum, and at a partial sum whose
+// remaining term is below the filter's margin, are too close for the bounds
+// and must reach the canonical fallback; the others are far from a tie once
+// every term is in, and the bounds reject them.
 func TestCountSuccessesExactTies(t *testing.T) {
 	m := mat(t, [][]float64{
 		{1, 0.02, 0.03},
@@ -210,28 +233,108 @@ func TestCountSuccessesExactTies(t *testing.T) {
 	const seed = 9
 	// Receiver 0 draws first, senders in index order.
 	draw := rng.New(seed)
-	own := draw.Exp(m.At(0, 0))
-	s1 := draw.Exp(m.At(1, 0))
-	s2 := draw.Exp(m.At(2, 0))
+	u0, u1, u2 := draw.Float64Open(), draw.Float64Open(), draw.Float64Open()
+	own := -m.At(0, 0) * math.Log(u0)
+	s1 := -m.At(1, 0) * math.Log(u1)
+	s2 := -m.At(2, 0) * math.Log(u2)
 	full := own / (m.Noise + s1 + s2)
 	if got := referenceSampleSINRs(m, active, rng.New(seed))[0]; got != full {
 		t.Fatalf("hand-computed SINR %g, reference %g", full, got)
 	}
+	// A copy whose last term at receiver 0 is four units of roundoff of the
+	// partial sum before it: it still moves the sum, but stays inside δ.
+	faint := mat(t, [][]float64{
+		{1, 0.02, 0.03},
+		{0.2, 1, 0.01},
+		{0.1, 0.05, 1},
+	}, 0.05)
+	faint.SetGain(2, 0, 4*0x1p-53*(m.Noise+s1)/-math.Log(u2))
+	if sum := m.Noise + s1; sum+-faint.At(2, 0)*math.Log(u2) == sum {
+		t.Fatal("the faint term does not change the partial sum")
+	}
 	for _, tc := range []struct {
-		name   string
-		beta   float64
-		reach0 bool
+		name     string
+		m        *network.Matrix
+		beta     float64
+		reach0   bool
+		fallback bool
 	}{
-		{"full sum", full, true},
-		{"noise only", own / m.Noise, false},
-		{"partial sum", own / (m.Noise + s1), false},
+		{"full sum", m, full, true, true},
+		{"noise only", m, own / m.Noise, false, false},
+		{"partial sum", m, own / (m.Noise + s1), false, false},
+		{"partial sum, faint rest", faint, own / (m.Noise + s1), false, true},
 	} {
-		vals := referenceSampleSINRs(m, active, rng.New(seed))
+		vals := referenceSampleSINRs(tc.m, active, rng.New(seed))
 		if reached := vals[0] >= tc.beta; reached != tc.reach0 {
 			t.Fatalf("%s: link 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reached, tc.reach0)
 		}
-		checkCountSuccesses(t, m, active, tc.beta, seed)
+		c := NewCounter(tc.m)
+		checkCountSuccesses(t, c, active, tc.beta, seed)
+		if fell := c.fallbacks > 0; fell != tc.fallback {
+			t.Errorf("%s: %d receivers reached the fallback, want a fallback: %v", tc.name, c.fallbacks, tc.fallback)
+		}
 	}
+}
+
+// TestCounterFallsBackOutsideDomain pins that thresholds and noise levels
+// outside the normal positive range skip the filter for every receiver,
+// and that the paper's settings never need the fallback.
+func TestCounterFallsBackOutsideDomain(t *testing.T) {
+	m := randomMatrix(t, 19, 40)
+	active := randomActive(rng.New(20), 40, 0.8)
+	a := 0
+	for _, on := range active {
+		if on {
+			a++
+		}
+	}
+	noise := m.Noise
+	for _, tc := range []struct {
+		name      string
+		beta, nu  float64
+		fallbacks int
+	}{
+		{"paper settings", 2.5, noise, 0},
+		{"β = 0", 0, noise, a},
+		{"β = +Inf", math.Inf(1), noise, a},
+		{"β = NaN", math.NaN(), noise, a},
+		{"ν = 0", 2.5, 0, a},
+		{"ν subnormal", 2.5, 5e-324, a},
+		{"ν = NaN", 2.5, math.NaN(), a},
+	} {
+		m.Noise = tc.nu
+		c := NewCounter(m)
+		checkCountSuccesses(t, c, active, tc.beta, 21)
+		// checkCountSuccesses counts once with c.
+		if c.fallbacks != tc.fallbacks {
+			t.Errorf("%s: %d receivers fell back, want %d", tc.name, c.fallbacks, tc.fallbacks)
+		}
+	}
+}
+
+// TestNegLogErrorBound pins logErr: over every table cell and every binary
+// exponent a uniform from Float64Open can have, at both cell endpoints, the
+// centre and points between, negLog stays within logErr of −ln u. math.Log
+// is itself within an ulp, which the comparison allows for.
+func TestNegLogErrorBound(t *testing.T) {
+	worst := 0.0
+	for e := -53; e <= -1; e++ {
+		for k := 0; k < logCells; k++ {
+			lo := 1 + float64(k)/logCells
+			hi := math.Nextafter(1+float64(k+1)/logCells, 0)
+			for _, mant := range []float64{lo, math.Nextafter(lo, 2), lo + 0.25/logCells, lo + 0.5/logCells, lo + 0.75/logCells, math.Nextafter(hi, 0), hi} {
+				u := math.Ldexp(mant, e)
+				want := -math.Log(u)
+				ulp := math.Nextafter(want, math.Inf(1)) - want
+				err := math.Abs(negLog(u) - want)
+				if err > logErr-ulp {
+					t.Fatalf("u = %v (2^%d × %v): negLog %v, −ln u %v, error %g > %g", u, e, mant, negLog(u), want, err, logErr-ulp)
+				}
+				worst = max(worst, err)
+			}
+		}
+	}
+	t.Logf("largest error %g (logErr %g)", worst, logErr)
 }
 
 func TestSampleSINRsWithIntoMatchesAllocatingForm(t *testing.T) {
@@ -283,6 +386,15 @@ func TestKernelsAllocationFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("CountSuccesses allocates %.1f objects per run", allocs)
 	}
+	c := NewCounter(m)
+	for _, density := range []float64{0.1, 0.5, 1} {
+		active := randomActive(rng.New(17), 100, density)
+		if allocs := testing.AllocsPerRun(50, func() {
+			c.Count(active, 2.5, src)
+		}); allocs != 0 {
+			t.Errorf("Counter.Count at density %.1f allocates %.1f objects per run", density, allocs)
+		}
+	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		SampleSINRsWithInto(m, active, RayleighGains{}, src, vals, idx)
 	}); allocs != 0 {
@@ -316,4 +428,35 @@ func TestKernelScratchValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestNewCounterCost holds building a Counter to a fifth of building the
+// gain matrix it counts on, so the per-matrix set-up stays a small share of
+// a request that builds both. Each side takes the fastest of several
+// interleaved runs, which discounts a busy host. The race detector slows the
+// memory-bound sort far more than the arithmetic-bound matrix, so a -race
+// build skips the comparison.
+func TestNewCounterCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing comparison is meaningless under -race")
+	}
+	cfg := network.Figure1Config()
+	net, err := network.Random(cfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *network.Matrix
+	gains, counter := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < 15; r++ {
+		start := time.Now()
+		m = net.Gains()
+		gains = min(gains, time.Since(start))
+		start = time.Now()
+		NewCounter(m)
+		counter = min(counter, time.Since(start))
+	}
+	if counter*5 > gains {
+		t.Errorf("NewCounter takes %v, more than a fifth of Gains' %v", counter, gains)
+	}
+	t.Logf("n=%d: Gains %v, NewCounter %v", m.N, gains, counter)
 }

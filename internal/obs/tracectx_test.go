@@ -77,3 +77,29 @@ func TestTraceContextFrom(t *testing.T) {
 		t.Fatal("non-hex run id produced a trace context")
 	}
 }
+
+// FuzzParseTraceContext feeds arbitrary header values to the parser: it must
+// not panic, and every value it accepts must round-trip through
+// TraceContext.String to the same trace and parent IDs.
+func FuzzParseTraceContext(f *testing.F) {
+	f.Add("00-4b8bc3c7d5db6fea-00000000deadbeef-01")
+	f.Add("00-a-0000000000000000-00")
+	f.Add("00-0123456789abcdef0123456789abcdef-ffffffffffffffff-ff")
+	f.Add("00-ABC-0000000000000001-01")
+	f.Add("00--0000000000000001-01")
+	f.Add("00-abc-0000000000000001-01-00")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceContext(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseTraceContext(tc.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose String %q does not parse: %v", s, tc, tc.String(), err)
+		}
+		if back.TraceID != tc.TraceID || back.ParentID != tc.ParentID {
+			t.Fatalf("%q parsed to %+v, its String %q to %+v", s, tc, tc.String(), back)
+		}
+	})
+}

@@ -126,6 +126,28 @@ func (s *Source) Float64Open() float64 {
 	}
 }
 
+// FillOpen fills dst with successive Float64Open values. The stream is the
+// one len(dst) calls to Float64Open draw; the generator state stays in
+// registers for the whole batch instead of being stored after every draw.
+func (s *Source) FillOpen(dst []float64) {
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	for k := 0; k < len(dst); {
+		result := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if v := result >> 11; v != 0 {
+			dst[k] = float64(v) * 0x1p-53
+			k++
+		}
+	}
+	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
+}
+
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

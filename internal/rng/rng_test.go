@@ -75,6 +75,34 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
+// TestFillOpenMatchesFloat64Open pins that a batch draw is the stream of
+// single draws, values and final state, including across a zero the open
+// interval must skip: a state with s1 = 0 makes the next output exactly 0.
+func TestFillOpenMatchesFloat64Open(t *testing.T) {
+	zero := New(1)
+	if err := zero.Restore([4]uint64{1, 0, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if zero.Clone().Float64() != 0 {
+		t.Fatal("the crafted state does not draw 0 first")
+	}
+	for _, start := range []*Source{New(7), zero} {
+		for _, n := range []int{0, 1, 7, 1000} {
+			one, batch := start.Clone(), start.Clone()
+			got := make([]float64, n)
+			batch.FillOpen(got)
+			for k, v := range got {
+				if want := one.Float64Open(); v != want {
+					t.Fatalf("n=%d draw %d: FillOpen %v, Float64Open %v", n, k, v, want)
+				}
+			}
+			if one.State() != batch.State() {
+				t.Fatalf("n=%d: FillOpen left the generator in a different state", n)
+			}
+		}
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	s := New(3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {

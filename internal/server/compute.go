@@ -157,11 +157,10 @@ func computeEstimate(ctx context.Context, p mcParams, net *network.Network) (*es
 	m := net.Gains()
 	q := fading.UniformProbs(m.N, p.Prob)
 	src := rng.New(p.Seed)
-	// Allocation-free sampling: one set of kernel scratch buffers for the
-	// whole request, the SampleSINRsInto convention.
+	// Allocation-free sampling: one Counter and activity buffer for the
+	// whole request. The Counter is request-scoped, never kept on a session.
 	active := make([]bool, m.N)
-	vals := make([]float64, m.N)
-	idx := make([]int, 0, m.N)
+	counter := fading.NewCounter(m)
 	var sum, sumSq float64
 	for s := 0; s < p.Samples; s++ {
 		if s%estimateCtxStride == 0 {
@@ -172,7 +171,7 @@ func computeEstimate(ctx context.Context, p mcParams, net *network.Network) (*es
 		for i := range active {
 			active[i] = src.Bernoulli(q[i])
 		}
-		c := float64(fading.CountSuccesses(m, active, p.Beta, src, vals, idx))
+		c := float64(counter.Count(active, p.Beta, src))
 		sum += c
 		sumSq += c * c
 	}

@@ -219,13 +219,14 @@ func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netRes
 		if err != nil {
 			panic(fmt.Sprintf("sim: figure 1 network generation: %v", err))
 		}
-		// One set of scratch buffers per replication: the kernels below are
-		// allocation-free, so the inner loops touch the heap not at all.
+		// One set of scratch buffers per replication, and one Counter per
+		// gain matrix: the kernels below are allocation-free, so the inner
+		// loops touch the heap not at all.
 		active := make([]bool, cfg.Links)
 		vals := make([]float64, cfg.Links)
-		idx := make([]int, 0, cfg.Links)
 		for _, pw := range powers {
 			m := net.Clone().ApplyPower(pw.pa).Gains()
+			counter := fading.NewCounter(m)
 			nfKey, rlKey := pw.name+"/non-fading", pw.name+"/rayleigh"
 			for pi, p := range cfg.Probs {
 				q := fading.UniformProbs(m.N, p)
@@ -236,7 +237,7 @@ func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netRes
 					nf := countNonFadingInto(m, active, cfg.Beta, vals)
 					out.curves[nfKey].Observe(pi, float64(nf))
 					for fs := 0; fs < cfg.FadingSeeds; fs++ {
-						rl := fading.CountSuccesses(m, active, cfg.Beta, src, vals, idx)
+						rl := counter.Count(active, cfg.Beta, src)
 						out.curves[rlKey].Observe(pi, float64(rl))
 					}
 					tickRealizations(cfg.FadingSeeds)

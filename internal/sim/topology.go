@@ -158,11 +158,11 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 }
 
 // observeCurves fills a non-fading and a Rayleigh series for one matrix,
-// reusing one set of kernel scratch buffers across all draws.
+// reusing one set of kernel scratch buffers and one Counter across all draws.
 func observeCurves(nf, rl *stats.Series, m *network.Matrix, cfg TopologyConfig, src *rng.Source) {
 	active := make([]bool, m.N)
 	vals := make([]float64, m.N)
-	idx := make([]int, 0, m.N)
+	counter := fading.NewCounter(m)
 	for pi, p := range cfg.Probs {
 		for ts := 0; ts < cfg.TransmitSeeds; ts++ {
 			for i := range active {
@@ -170,7 +170,7 @@ func observeCurves(nf, rl *stats.Series, m *network.Matrix, cfg TopologyConfig, 
 			}
 			nf.Observe(pi, float64(countNonFadingInto(m, active, cfg.Beta, vals)))
 			for fs := 0; fs < cfg.FadingSeeds; fs++ {
-				rl.Observe(pi, float64(fading.CountSuccesses(m, active, cfg.Beta, src, vals, idx)))
+				rl.Observe(pi, float64(counter.Count(active, cfg.Beta, src)))
 			}
 			tickRealizations(cfg.FadingSeeds)
 		}
