@@ -12,6 +12,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd benchsuite && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -116,15 +117,16 @@ serve: build
 	$(GO) run ./cmd/rayschedd -addr :8080
 
 # Fuzz the topology reader, the shared compute-request decode, the shard
-# decoder and the trace header (the daemon's and the coordinator's
-# hostile-input surface) and the Rayleigh counting kernels against their
-# full-draw reference.
+# decoder, the journal directory loader and the trace header (the daemon's
+# and the coordinator's hostile-input surface) and the Rayleigh counting
+# kernels against their full-draw reference.
 fuzz:
 	$(GO) test ./internal/netio/ -fuzz FuzzReadNetwork -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeComputeRequest -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateBatch -fuzztime 30s
 	$(GO) test ./internal/fading/ -run '^$$' -fuzz FuzzCountSuccessesMatchesReference -fuzztime 30s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDecodeShard -fuzztime 30s
+	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzJournalLoad -fuzztime 30s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTraceContext -fuzztime 30s
 
 clean:

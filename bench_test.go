@@ -9,6 +9,7 @@ package rayfade
 // record of the reproduced shapes.
 
 import (
+	"context"
 	"testing"
 
 	"rayfade/internal/capacity"
@@ -63,7 +64,10 @@ func BenchmarkFigure2(b *testing.B) {
 	var converged float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sim.RunFigure2(cfg)
+		res, err := sim.RunFigure2Ctx(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		converged = res.ConvergedNF.Mean()
 	}
 	b.ReportMetric(converged, "converged_successes")
@@ -82,7 +86,11 @@ func BenchmarkOptimum(b *testing.B) {
 	var mean float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mean = sim.RunOptimum(cfg).LocalSearch.Mean()
+		res, err := sim.RunOptimumCtx(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mean = res.LocalSearch.Mean()
 	}
 	b.ReportMetric(mean, "optimum_estimate")
 }
@@ -137,7 +145,7 @@ func BenchmarkLemma2Transfer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep := transform.Transfer(m, set, utility.Uniform(utility.Binary{Beta: 2.5}))
-		retention = transform.ExpectedFadingBinaryValue(m, set, 2.5) / rep.NonFadingValue
+		retention = fading.ExpectedBinaryValueOfSet(m, set, 2.5) / rep.NonFadingValue
 	}
 	b.ReportMetric(retention, "retention")
 }

@@ -25,7 +25,6 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
-	"rayfade/internal/sinr"
 	"rayfade/internal/utility"
 )
 
@@ -75,39 +74,6 @@ func ExactSuccess(m *network.Matrix, q []float64, beta float64, i int) float64 {
 	return p
 }
 
-// ExactSuccessLog returns ln Q_i(q,β), accumulating the product of Theorem 1
-// in log space. For large n the plain product can underflow to zero while
-// the log form retains the magnitude; the simulation harness uses it when
-// comparing success probabilities across thousands of links. Returns -Inf
-// when Q_i = 0.
-func ExactSuccessLog(m *network.Matrix, q []float64, beta float64, i int) float64 {
-	checkProbs(m, q)
-	if beta <= 0 {
-		panic(fmt.Sprintf("fading: threshold β = %g must be positive", beta))
-	}
-	if q[i] == 0 || m.Own(i) == 0 {
-		return math.Inf(-1)
-	}
-	sii := m.Own(i)
-	row := m.Incoming(i)
-	logp := math.Log(q[i]) - beta*m.Noise/sii
-	for j := 0; j < m.N; j++ {
-		if j == i || q[j] == 0 {
-			continue
-		}
-		sji := row[j]
-		if sji == 0 {
-			continue
-		}
-		factor := 1 - beta*q[j]/(beta+sii/sji)
-		if factor <= 0 {
-			return math.Inf(-1)
-		}
-		logp += math.Log(factor)
-	}
-	return logp
-}
-
 // ExactSuccessEnumerated computes Q_i(q,β) by the proof's own route rather
 // than the product formula: it enumerates every subset S of potential
 // interferers, weighs it by Π_{j∈S} q_j · Π_{j∉S} (1−q_j), and multiplies
@@ -117,8 +83,9 @@ func ExactSuccessLog(m *network.Matrix, q []float64, beta float64, i int) float6
 //
 // which follows from conditioning on the interferers' exponential draws
 // (the appendix argument behind Theorem 1). It is an O(2^n) reference
-// implementation: tests use it to cross-validate ExactSuccess through a
-// completely different derivation. It panics for n > 25.
+// implementation and panics for n > 25. It has no production caller; it
+// stays as the Theorem-1 oracle that TestExactSuccessMatchesEnumeration
+// checks ExactSuccess against through a completely different derivation.
 func ExactSuccessEnumerated(m *network.Matrix, q []float64, beta float64, i int) float64 {
 	checkProbs(m, q)
 	if beta <= 0 {
@@ -202,38 +169,18 @@ func UpperBound(m *network.Matrix, q []float64, beta float64, i int) float64 {
 	return q[i] * math.Exp(expo)
 }
 
-// InterferenceSum returns A_i = Σ_{j≠i} min{1, β·S̄(j,i)/S̄(i,i)}·q_j, the
-// normalized expected interference load that drives the proof of Theorem 2
-// (where the level k of Algorithm 1 is chosen with b_k ≈ exp(A_i/2)).
-func InterferenceSum(m *network.Matrix, q []float64, beta float64, i int) float64 {
-	checkProbs(m, q)
-	sii := m.Own(i)
-	row := m.Incoming(i)
-	sum := 0.0
-	for j := 0; j < m.N; j++ {
-		if j == i {
-			continue
-		}
-		var ratio float64
-		if sii == 0 {
-			ratio = 1
-		} else {
-			ratio = math.Min(1, beta*row[j]/sii)
-		}
-		sum += ratio * q[j]
-	}
-	return sum
-}
-
 // Observation1Upper is the first inequality of Observation 1:
 // exp(−xq) ≤ 1 − q/(1/x + 1) for all real x ≥ 0 and q ∈ [0,1].
-// Exposed so tests can pin the analytic backbone of Lemma 1.
+// It has no production caller; it stays because it states Observation 1,
+// the analytic backbone of Lemma 1 (TestObservation1Upper, FuzzObservation1).
 func Observation1Upper(x, q float64) (lhs, rhs float64) {
 	return math.Exp(-x * q), 1 - q/(1/x+1)
 }
 
 // Observation1Lower is the second inequality of Observation 1:
-// 1 − q/(1/x + 1) ≤ exp(−xq/2) for x ∈ (0,1], q ∈ [0,1].
+// 1 − q/(1/x + 1) ≤ exp(−xq/2) for x ∈ (0,1], q ∈ [0,1]. It has no
+// production caller; it stays because it states Observation 1
+// (TestObservation1Lower, FuzzObservation1).
 func Observation1Lower(x, q float64) (lhs, rhs float64) {
 	return 1 - q/(1/x+1), math.Exp(-x * q / 2)
 }
@@ -445,36 +392,6 @@ func SuccessProbabilityMC(m *network.Matrix, q []float64, beta float64, i int, s
 		StdErr: math.Sqrt(p * (1 - p) / float64(samples)),
 		N:      samples,
 	}
-}
-
-// NonFadingSuccessesForProbs draws the transmitting set from q and counts
-// non-fading successes at threshold β; one sample of the Figure-1
-// non-fading curves. It returns the count and the drawn set size.
-func NonFadingSuccessesForProbs(m *network.Matrix, q []float64, beta float64, src *rng.Source) (successes, transmitters int) {
-	checkProbs(m, q)
-	active := make([]bool, m.N)
-	for i := range active {
-		if src.Bernoulli(q[i]) {
-			active[i] = true
-			transmitters++
-		}
-	}
-	return sinr.CountSuccesses(m, active, beta), transmitters
-}
-
-// RayleighSuccessesForProbs draws the transmitting set from q, draws one
-// fading realization, and counts Rayleigh successes at threshold β; one
-// sample of the Figure-1 fading curves.
-func RayleighSuccessesForProbs(m *network.Matrix, q []float64, beta float64, src *rng.Source) (successes, transmitters int) {
-	checkProbs(m, q)
-	active := make([]bool, m.N)
-	for i := range active {
-		if src.Bernoulli(q[i]) {
-			active[i] = true
-			transmitters++
-		}
-	}
-	return len(SampleSuccesses(m, active, beta, src)), transmitters
 }
 
 // UniformProbs returns the probability vector assigning p to all n links.

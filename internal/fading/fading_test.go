@@ -113,32 +113,6 @@ func TestExactSuccessPanics(t *testing.T) {
 	}
 }
 
-func TestExactSuccessLogMatches(t *testing.T) {
-	m := randomMatrix(t, 3, 30)
-	src := rng.New(4)
-	q := randomProbs(src, m.N)
-	for i := 0; i < m.N; i++ {
-		p := ExactSuccess(m, q, 2.5, i)
-		lp := ExactSuccessLog(m, q, 2.5, i)
-		if p == 0 {
-			if !math.IsInf(lp, -1) {
-				t.Fatalf("link %d: p=0 but log=%g", i, lp)
-			}
-			continue
-		}
-		if math.Abs(math.Exp(lp)-p) > 1e-12*(1+p) {
-			t.Fatalf("link %d: exp(log Q)=%g, Q=%g", i, math.Exp(lp), p)
-		}
-	}
-}
-
-func TestExactSuccessLogZeroCases(t *testing.T) {
-	m := mat(t, [][]float64{{1, 0}, {0, 1}}, 0)
-	if lp := ExactSuccessLog(m, []float64{0, 1}, 1, 0); !math.IsInf(lp, -1) {
-		t.Fatalf("log Q with q_i = 0 should be -Inf, got %g", lp)
-	}
-}
-
 // Two independent derivations of Theorem 1 — the closed-form product and
 // the subset-enumeration over conditional exponentials — must agree to
 // machine precision on every instance.
@@ -365,29 +339,42 @@ func TestLemma2CoreProbabilityAtLeastOneOverE(t *testing.T) {
 	}
 }
 
+// The interference load of the proof of Theorem 2,
+// A_i = Σ_{j≠i} min{1, β·S̄(j,i)/S̄(i,i)}·q_j, lies in [0, n]. UpperBound is
+// q_i·exp(−βν/S̄ii − A_i/2), so it lies between q_i·exp(−βν/S̄ii − n/2) and
+// q_i·exp(−βν/S̄ii).
 func TestInterferenceSumBounds(t *testing.T) {
 	m := randomMatrix(t, 41, 20)
 	src := rng.New(12)
 	q := randomProbs(src, m.N)
 	for i := 0; i < m.N; i++ {
-		a := InterferenceSum(m, q, 2.5, i)
-		if a < 0 || a > float64(m.N) {
-			t.Fatalf("A_%d = %g outside [0,n]", i, a)
+		hi := q[i] * math.Exp(-2.5*m.Noise/m.Own(i))
+		lo := hi * math.Exp(-float64(m.N)/2)
+		if ub := UpperBound(m, q, 2.5, i); ub < lo*(1-1e-12) || ub > hi*(1+1e-12) {
+			t.Fatalf("link %d: UpperBound %g outside [%g, %g], so A_%d is outside [0,n]", i, ub, lo, hi, i)
 		}
 	}
 }
 
 // The Lemma 1 upper bound rewritten through A_i:
-// Q_i ≤ q_i · exp(−βν/S̄ii − A_i/2).
+// Q_i ≤ q_i · exp(−βν/S̄ii − A_i/2), and UpperBound is exactly that form.
 func TestUpperBoundViaInterferenceSum(t *testing.T) {
 	m := randomMatrix(t, 43, 15)
 	src := rng.New(13)
 	q := randomProbs(src, m.N)
 	beta := 2.5
 	for i := 0; i < m.N; i++ {
-		ai := InterferenceSum(m, q, beta, i)
 		sii := m.Own(i)
+		ai := 0.0
+		for j, sji := range m.Incoming(i) {
+			if j != i {
+				ai += math.Min(1, beta*sji/sii) * q[j]
+			}
+		}
 		bound := q[i] * math.Exp(-beta*m.Noise/sii-ai/2)
+		if ub := UpperBound(m, q, beta, i); math.Abs(ub-bound) > 1e-12*bound {
+			t.Fatalf("link %d: UpperBound %g, A_i form %g", i, ub, bound)
+		}
 		if p := ExactSuccess(m, q, beta, i); p > bound+1e-12 {
 			t.Fatalf("link %d: Q = %g exceeds A_i-form bound %g", i, p, bound)
 		}
@@ -483,17 +470,28 @@ func TestExpectedUtilityMCPanics(t *testing.T) {
 	ExpectedUtilityMC(m, UniformProbs(4, 0.5), utility.Uniform(utility.Shannon{}), 0, rng.New(1))
 }
 
+// One sample of each Figure-1 curve: draw the transmitting set from q, then
+// count non-fading and Rayleigh successes on it.
 func TestSuccessCountersForProbs(t *testing.T) {
 	m := randomMatrix(t, 61, 20)
 	src := rng.New(19)
 	q := UniformProbs(m.N, 0.3)
-	nf, tx1 := NonFadingSuccessesForProbs(m, q, 2.5, src)
-	rl, tx2 := RayleighSuccessesForProbs(m, q, 2.5, src)
-	if nf < 0 || nf > tx1 || tx1 > m.N {
-		t.Fatalf("non-fading successes %d of %d transmitters", nf, tx1)
-	}
-	if rl < 0 || rl > tx2 || tx2 > m.N {
-		t.Fatalf("Rayleigh successes %d of %d transmitters", rl, tx2)
+	counter := NewCounter(m)
+	for k := 0; k < 20; k++ {
+		active := make([]bool, m.N)
+		tx := 0
+		for i := range active {
+			if src.Bernoulli(q[i]) {
+				active[i] = true
+				tx++
+			}
+		}
+		if nf := sinr.CountSuccesses(m, active, 2.5); nf < 0 || nf > tx {
+			t.Fatalf("non-fading successes %d of %d transmitters", nf, tx)
+		}
+		if rl := counter.Count(active, 2.5, src); rl < 0 || rl > tx {
+			t.Fatalf("Rayleigh successes %d of %d transmitters", rl, tx)
+		}
 	}
 }
 

@@ -105,55 +105,3 @@ func SampleSINRsWithInto(m *network.Matrix, active []bool, sampler GainSampler, 
 	}
 	return out
 }
-
-// SuccessProbabilityWithMC estimates the probability that link i reaches β
-// under an arbitrary fading model by Monte Carlo (there is no closed form
-// for general Nakagami interference). q gives per-link transmission
-// probabilities.
-func SuccessProbabilityWithMC(m *network.Matrix, q []float64, beta float64, i int, sampler GainSampler, samples int, src *rng.Source) MCResult {
-	checkProbs(m, q)
-	if samples <= 0 {
-		panic(fmt.Sprintf("fading: %d samples", samples))
-	}
-	hits := 0
-	active := make([]bool, m.N)
-	for s := 0; s < samples; s++ {
-		for k := range active {
-			active[k] = src.Bernoulli(q[k])
-		}
-		if !active[i] {
-			continue
-		}
-		if SampleSINRsWith(m, active, sampler, src)[i] >= beta {
-			hits++
-		}
-	}
-	p := float64(hits) / float64(samples)
-	return MCResult{Mean: p, StdErr: math.Sqrt(p * (1 - p) / float64(samples)), N: samples}
-}
-
-// ExpectedSuccessesWithMC estimates E[#successes] at threshold β for a
-// fixed transmitting set under an arbitrary fading model.
-func ExpectedSuccessesWithMC(m *network.Matrix, active []bool, beta float64, sampler GainSampler, samples int, src *rng.Source) MCResult {
-	if samples <= 0 {
-		panic(fmt.Sprintf("fading: %d samples", samples))
-	}
-	var sum, sumSq float64
-	for s := 0; s < samples; s++ {
-		vals := SampleSINRsWith(m, active, sampler, src)
-		count := 0.0
-		for i, a := range active {
-			if a && vals[i] >= beta {
-				count++
-			}
-		}
-		sum += count
-		sumSq += count * count
-	}
-	mean := sum / float64(samples)
-	variance := sumSq/float64(samples) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return MCResult{Mean: mean, StdErr: math.Sqrt(variance / float64(samples)), N: samples}
-}

@@ -175,17 +175,33 @@ func TestNakagamiInterpolatesTowardNonFading(t *testing.T) {
 	}
 }
 
+// Theorem 1 against Monte Carlo through the generic GainSampler path that
+// the fading sweep and Scenario.SampleFadingSuccesses use.
 func TestSuccessProbabilityWithMCMatchesTheorem1ForRayleigh(t *testing.T) {
 	m := nkMatrix(t, 13, 8)
 	src := rng.New(14)
 	q := UniformProbs(m.N, 0.7)
 	exact := ExactSuccess(m, q, 2.5, 3)
-	mc := SuccessProbabilityWithMC(m, q, 2.5, 3, RayleighGains{}, 100000, src)
-	if math.Abs(mc.Mean-exact) > 4*mc.StdErr+1e-3 {
-		t.Fatalf("MC %g ± %g vs exact %g", mc.Mean, mc.StdErr, exact)
+	const samples = 100000
+	hits := 0
+	active := make([]bool, m.N)
+	for s := 0; s < samples; s++ {
+		for k := range active {
+			active[k] = src.Bernoulli(q[k])
+		}
+		if active[3] && SampleSINRsWith(m, active, RayleighGains{}, src)[3] >= 2.5 {
+			hits++
+		}
+	}
+	mc := float64(hits) / samples
+	stdErr := math.Sqrt(mc * (1 - mc) / samples)
+	if math.Abs(mc-exact) > 4*stdErr+1e-3 {
+		t.Fatalf("MC %g ± %g vs exact %g", mc, stdErr, exact)
 	}
 }
 
+// The expected success count of a fixed transmitting set, estimated through
+// the generic sampler with Nakagami m = 1, matches Theorem 1's exact sum.
 func TestExpectedSuccessesWithMC(t *testing.T) {
 	m := nkMatrix(t, 15, 12)
 	src := rng.New(16)
@@ -193,33 +209,23 @@ func TestExpectedSuccessesWithMC(t *testing.T) {
 	for i := range active {
 		active[i] = true
 	}
-	res := ExpectedSuccessesWithMC(m, active, 2.5, NakagamiGains{M: 2}, 2000, src)
-	if res.Mean < 0 || res.Mean > float64(m.N) {
-		t.Fatalf("mean %g out of range", res.Mean)
+	const samples = 20000
+	var sum, sumSq float64
+	for s := 0; s < samples; s++ {
+		count := 0.0
+		for _, v := range SampleSINRsWith(m, active, NakagamiGains{M: 1}, src) {
+			if v >= 2.5 {
+				count++
+			}
+		}
+		sum += count
+		sumSq += count * count
 	}
-	if res.N != 2000 {
-		t.Fatalf("N = %d", res.N)
-	}
-}
-
-func TestWithMCPanics(t *testing.T) {
-	m := nkMatrix(t, 1, 4)
-	for _, fn := range []func(){
-		func() {
-			SuccessProbabilityWithMC(m, UniformProbs(4, 0.5), 2.5, 0, RayleighGains{}, 0, rng.New(1))
-		},
-		func() {
-			ExpectedSuccessesWithMC(m, make([]bool, 4), 2.5, RayleighGains{}, 0, rng.New(1))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+	mean := sum / samples
+	stdErr := math.Sqrt(math.Max(0, sumSq/samples-mean*mean) / samples)
+	exact := ExpectedSuccessesExact(m, UniformProbs(m.N, 1), 2.5)
+	if math.Abs(mean-exact) > 4*stdErr+1e-3 {
+		t.Fatalf("MC %g ± %g vs exact %g", mean, stdErr, exact)
 	}
 }
 

@@ -8,17 +8,6 @@ import (
 	"rayfade/internal/quad"
 )
 
-// OutageCurve evaluates the exact success probability of link i at every
-// threshold in betas (all positive): the Rayleigh outage curve in the
-// paper's closed form, with no sampling.
-func OutageCurve(m *network.Matrix, q []float64, i int, betas []float64) []float64 {
-	out := make([]float64, len(betas))
-	for k, b := range betas {
-		out[k] = ExactSuccess(m, q, b, i)
-	}
-	return out
-}
-
 // ErrInfiniteRate reports an expected Shannon rate that diverges: with zero
 // ambient noise there is positive probability that no interferer transmits,
 // the SINR is then infinite, and so is E[log(1+γ)].

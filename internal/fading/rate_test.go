@@ -10,18 +10,18 @@ import (
 	"rayfade/internal/utility"
 )
 
+// The Rayleigh outage curve of one link, Theorem 1's Q_i as a function of
+// β, is non-increasing and starts no higher than the transmit probability.
 func TestOutageCurveMonotone(t *testing.T) {
 	m := randomMatrix(t, 71, 15)
 	q := UniformProbs(m.N, 0.6)
-	betas := []float64{0.1, 0.5, 1, 2.5, 5, 10, 50}
-	curve := OutageCurve(m, q, 3, betas)
-	for k := 1; k < len(curve); k++ {
-		if curve[k] > curve[k-1]+1e-15 {
-			t.Fatalf("outage curve not non-increasing: %v", curve)
+	prev := q[3]
+	for _, beta := range []float64{0.1, 0.5, 1, 2.5, 5, 10, 50} {
+		p := ExactSuccess(m, q, beta, 3)
+		if p > prev+1e-15 {
+			t.Fatalf("outage curve rose to %g at β = %g (previous point %g)", p, beta, prev)
 		}
-	}
-	if curve[0] > q[3] {
-		t.Fatalf("curve head %g exceeds transmit probability %g", curve[0], q[3])
+		prev = p
 	}
 }
 

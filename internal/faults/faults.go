@@ -255,9 +255,6 @@ func SetDefault(inj *Injector) {
 // Default returns the process-default injector, or nil.
 func Default() *Injector { return defaultInjector.Load() }
 
-// Enabled reports whether a process-default injector is installed.
-func Enabled() bool { return defaultInjector.Load() != nil }
-
 // Inject evaluates the named site's panic/delay/error rules on the
 // process-default injector: a firing delay sleeps, a firing panic panics
 // (with a recognizable "faults: injected panic" message), and a firing
@@ -379,7 +376,9 @@ func (inj *Injector) Snapshot() map[string]uint64 {
 }
 
 // Fired returns the total number of injected faults across all sites.
-// Nil-safe (0).
+// Nil-safe (0). It has no production caller; it stays as the tally the
+// chaos tests compare recovery counts against
+// (TestClusterInjectedDispatchFaults).
 func (inj *Injector) Fired() uint64 {
 	var total uint64
 	for _, n := range inj.Snapshot() {

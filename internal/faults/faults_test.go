@@ -69,7 +69,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 
 func TestPackageHelpersWithNoDefault(t *testing.T) {
 	SetDefault(nil)
-	if Enabled() {
+	if Default() != nil {
 		t.Fatal("Enabled with no default injector")
 	}
 	if err := Inject(SiteHandler); err != nil {

@@ -30,9 +30,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{k * p.X, k * p.Y} }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // String formats the point with enough precision for debugging.
 func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 
@@ -141,10 +138,6 @@ func (r Rect) Clamp(p Point) Point {
 
 // Valid reports whether the rectangle is non-degenerate.
 func (r Rect) Valid() bool { return r.X1 > r.X0 && r.Y1 > r.Y0 }
-
-// Diameter returns the largest distance between two points of the rectangle
-// under the Euclidean metric.
-func (r Rect) Diameter() float64 { return math.Hypot(r.W(), r.H()) }
 
 // PathLoss returns d^(-α), the propagation attenuation over distance d with
 // path-loss exponent alpha. Distance zero (a degenerate co-located pair)

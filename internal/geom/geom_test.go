@@ -20,9 +20,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Fatalf("Scale = %v", got)
 	}
-	if got := (Point{3, 4}).Norm(); got != 5 {
-		t.Fatalf("Norm = %g", got)
-	}
 }
 
 func TestPolarOffset(t *testing.T) {
@@ -155,9 +152,6 @@ func TestRect(t *testing.T) {
 	}
 	if r.Contains(Point{-1, 5}) || r.Contains(Point{5, 1001}) {
 		t.Fatal("exterior points should not be contained")
-	}
-	if got := r.Diameter(); !almost(got, 1000*math.Sqrt2, 1e-9) {
-		t.Fatalf("Diameter = %g", got)
 	}
 }
 

@@ -57,21 +57,6 @@ func FromMatrix(m *network.Matrix, beta, tau float64) *ConflictGraph {
 	return g
 }
 
-// Conflicts reports whether links i and j conflict.
-func (g *ConflictGraph) Conflicts(i, j int) bool { return g.adj[i][j] }
-
-// Degree returns the number of conflicts of link i.
-func (g *ConflictGraph) Degree(i int) int { return g.deg[i] }
-
-// Edges returns the number of conflict pairs.
-func (g *ConflictGraph) Edges() int {
-	total := 0
-	for _, d := range g.deg {
-		total += d
-	}
-	return total / 2
-}
-
 // IndependentSet greedily builds a maximal independent set, scanning links
 // in non-decreasing degree order (the classic heuristic). This is the
 // graph-model answer to capacity maximization.

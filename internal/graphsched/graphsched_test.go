@@ -24,28 +24,30 @@ func TestFromMatrixSymmetric(t *testing.T) {
 	m := fig1Matrix(t, 1, 30)
 	g := FromMatrix(m, 2.5, DefaultThreshold)
 	for i := 0; i < g.N; i++ {
-		if g.Conflicts(i, i) {
+		if g.adj[i][i] {
 			t.Fatalf("self-conflict at %d", i)
 		}
 		for j := 0; j < g.N; j++ {
-			if g.Conflicts(i, j) != g.Conflicts(j, i) {
+			if g.adj[i][j] != g.adj[j][i] {
 				t.Fatalf("asymmetric conflict %d-%d", i, j)
 			}
 		}
 	}
 	// Degrees consistent with adjacency.
+	edges := 0
 	for i := 0; i < g.N; i++ {
 		count := 0
 		for j := 0; j < g.N; j++ {
-			if g.Conflicts(i, j) {
+			if g.adj[i][j] {
 				count++
 			}
 		}
-		if count != g.Degree(i) {
-			t.Fatalf("degree mismatch at %d: %d vs %d", i, count, g.Degree(i))
+		if count != g.deg[i] {
+			t.Fatalf("degree mismatch at %d: %d vs %d", i, count, g.deg[i])
 		}
+		edges += count
 	}
-	if g.Edges() < 1 {
+	if edges < 2 {
 		t.Fatal("Figure-1 density should produce conflicts")
 	}
 }
@@ -69,7 +71,7 @@ func TestIndependentSetIsIndependent(t *testing.T) {
 	}
 	for a := range set {
 		for b := a + 1; b < len(set); b++ {
-			if g.Conflicts(set[a], set[b]) {
+			if g.adj[set[a]][set[b]] {
 				t.Fatalf("links %d and %d conflict", set[a], set[b])
 			}
 		}
@@ -85,7 +87,7 @@ func TestIndependentSetIsIndependent(t *testing.T) {
 		}
 		conflicting := false
 		for _, s := range set {
-			if g.Conflicts(i, s) {
+			if g.adj[i][s] {
 				conflicting = true
 				break
 			}
@@ -108,7 +110,7 @@ func TestColoringValid(t *testing.T) {
 			}
 			seen[class[a]] = true
 			for b := a + 1; b < len(class); b++ {
-				if g.Conflicts(class[a], class[b]) {
+				if g.adj[class[a]][class[b]] {
 					t.Fatalf("same-color conflict %d-%d", class[a], class[b])
 				}
 			}
@@ -120,8 +122,8 @@ func TestColoringValid(t *testing.T) {
 	// Greedy bound: colors ≤ max degree + 1.
 	maxDeg := 0
 	for i := 0; i < g.N; i++ {
-		if g.Degree(i) > maxDeg {
-			maxDeg = g.Degree(i)
+		if g.deg[i] > maxDeg {
+			maxDeg = g.deg[i]
 		}
 	}
 	if len(classes) > maxDeg+1 {
@@ -174,7 +176,7 @@ func TestQuickGraphStructures(t *testing.T) {
 		set := g.IndependentSet()
 		for a := range set {
 			for b := a + 1; b < len(set); b++ {
-				if g.Conflicts(set[a], set[b]) {
+				if g.adj[set[a]][set[b]] {
 					return false
 				}
 			}
@@ -190,14 +192,18 @@ func TestQuickGraphStructures(t *testing.T) {
 	}
 }
 
-// A tighter conflict threshold (smaller τ) yields more edges, hence no
-// larger independent sets.
+// A tighter conflict threshold (smaller τ) keeps every edge of a looser
+// one, hence yields no larger independent sets.
 func TestThresholdMonotonicity(t *testing.T) {
 	m := fig1Matrix(t, 11, 80)
 	loose := FromMatrix(m, 2.5, 0.9)
 	tight := FromMatrix(m, 2.5, 0.1)
-	if tight.Edges() < loose.Edges() {
-		t.Fatalf("tight τ has fewer edges: %d < %d", tight.Edges(), loose.Edges())
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
+			if loose.adj[i][j] && !tight.adj[i][j] {
+				t.Fatalf("conflict %d-%d at τ = 0.9 missing at τ = 0.1", i, j)
+			}
+		}
 	}
 	if len(tight.IndependentSet()) > len(loose.IndependentSet()) {
 		t.Fatal("tight τ produced a larger independent set")

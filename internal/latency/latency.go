@@ -219,66 +219,6 @@ func RepeatedCapacityCtx(ctx context.Context, m *network.Matrix, beta float64, c
 	return slots, nil
 }
 
-// ValidateSchedule checks a (possibly externally produced) schedule against
-// the non-fading model: every link must appear in at least one slot whose
-// set is simultaneously feasible at beta, and no slot may contain
-// out-of-range or duplicate links. It returns nil for a sound schedule.
-func ValidateSchedule(m *network.Matrix, slots [][]int, beta float64) error {
-	served := make([]bool, m.N)
-	for t, slot := range slots {
-		seen := map[int]bool{}
-		for _, i := range slot {
-			if i < 0 || i >= m.N {
-				return fmt.Errorf("latency: slot %d references link %d outside [0,%d)", t, i, m.N)
-			}
-			if seen[i] {
-				return fmt.Errorf("latency: slot %d lists link %d twice", t, i)
-			}
-			seen[i] = true
-		}
-		if !sinr.Feasible(m, slot, beta) {
-			return fmt.Errorf("latency: slot %d is infeasible at β=%g", t, beta)
-		}
-		for _, i := range slot {
-			served[i] = true
-		}
-	}
-	for i, ok := range served {
-		if !ok {
-			return fmt.Errorf("latency: link %d never scheduled", i)
-		}
-	}
-	return nil
-}
-
-// PlaySchedule executes a fixed schedule under a success model and returns
-// the number of slots after which every link has succeeded at least once,
-// along with the per-slot success counts. If the schedule ends with links
-// still unserved, done reports false and slotsUsed is len(slots).
-func PlaySchedule(m *network.Matrix, slots [][]int, beta float64, model SuccessModel) (slotsUsed int, done bool, perSlot []int) {
-	served := make([]bool, m.N)
-	needed := m.N
-	perSlot = make([]int, 0, len(slots))
-	for t, slot := range slots {
-		active := make([]bool, m.N)
-		for _, i := range slot {
-			active[i] = true
-		}
-		succ := model.Successes(m, active, beta)
-		perSlot = append(perSlot, len(succ))
-		for _, i := range succ {
-			if !served[i] {
-				served[i] = true
-				needed--
-			}
-		}
-		if needed == 0 {
-			return t + 1, true, perSlot
-		}
-	}
-	return len(slots), false, perSlot
-}
-
 // RepeatUntilDone replays a base schedule (expanded by `repeats` per slot,
 // the Section-4 transformation) in rounds under a stochastic model until
 // every link has succeeded or maxRounds is exhausted. It returns the total

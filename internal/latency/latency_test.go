@@ -93,37 +93,6 @@ func allLinks(n int) []int {
 	return set
 }
 
-func TestValidateSchedule(t *testing.T) {
-	net := fig1Net(t, 51, 40)
-	m := net.Gains()
-	slots, err := RepeatedCapacity(m, 2.5, defaultCapFn(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateSchedule(m, slots, 2.5); err != nil {
-		t.Fatalf("sound schedule rejected: %v", err)
-	}
-	// Break it in each way.
-	if err := ValidateSchedule(m, slots[1:], 2.5); err == nil {
-		t.Error("missing-link schedule accepted")
-	}
-	bad := append([][]int{{0, 0}}, slots...)
-	if err := ValidateSchedule(m, bad, 2.5); err == nil {
-		t.Error("duplicate-in-slot schedule accepted")
-	}
-	bad = append([][]int{{m.N}}, slots...)
-	if err := ValidateSchedule(m, bad, 2.5); err == nil {
-		t.Error("out-of-range schedule accepted")
-	}
-	all := make([]int, m.N)
-	for i := range all {
-		all[i] = i
-	}
-	if err := ValidateSchedule(m, [][]int{all}, 2.5); err == nil {
-		t.Error("everything-at-once schedule accepted")
-	}
-}
-
 func TestPlayScheduleNonFadingCompletes(t *testing.T) {
 	net := fig1Net(t, 7, 50)
 	m := net.Gains()
@@ -131,19 +100,12 @@ func TestPlayScheduleNonFadingCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used, done, perSlot := PlaySchedule(m, slots, 2.5, NonFading{})
+	used, done := RepeatUntilDone(m, slots, 2.5, 1, 1, NonFading{})
 	if !done {
 		t.Fatal("non-fading replay of a non-fading schedule must complete")
 	}
 	if used != len(slots) {
 		t.Fatalf("used %d slots of %d; every slot should contribute", used, len(slots))
-	}
-	total := 0
-	for _, c := range perSlot {
-		total += c
-	}
-	if total < m.N {
-		t.Fatalf("only %d successes for %d links", total, m.N)
 	}
 }
 
@@ -151,7 +113,7 @@ func TestPlayScheduleIncomplete(t *testing.T) {
 	net := fig1Net(t, 8, 20)
 	m := net.Gains()
 	// A schedule covering only link 0 cannot serve everyone.
-	used, done, _ := PlaySchedule(m, [][]int{{0}}, 2.5, NonFading{})
+	used, done := RepeatUntilDone(m, [][]int{{0}}, 2.5, 1, 1, NonFading{})
 	if done {
 		t.Fatal("partial schedule reported done")
 	}

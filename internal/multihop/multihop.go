@@ -11,9 +11,7 @@
 package multihop
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 
 	"rayfade/internal/geom"
 	"rayfade/internal/network"
@@ -52,12 +50,6 @@ func NewGraph(nodes []geom.Point, radius float64, metric geom.Metric) (*Graph, e
 	}
 	return g, nil
 }
-
-// Neighbors returns the adjacency list of node u.
-func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
-
-// Degree returns the number of neighbors of node u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // Connected reports whether the whole graph is one connected component.
 func (g *Graph) Connected() bool {
@@ -113,43 +105,6 @@ func (g *Graph) ShortestHops(src, dst int) []int {
 	return nil
 }
 
-// ShortestDistance returns a minimum-total-distance path from src to dst via
-// Dijkstra (edge weight = metric distance), or nil if unreachable.
-func (g *Graph) ShortestDistance(src, dst int) []int {
-	g.check(src)
-	g.check(dst)
-	if src == dst {
-		return []int{src}
-	}
-	dist := make([]float64, len(g.Nodes))
-	prev := make([]int, len(g.Nodes))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	prev[src] = src
-	pq := &nodeQueue{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		if item.dist > dist[item.node] {
-			continue // stale entry
-		}
-		if item.node == dst {
-			return g.walkBack(prev, src, dst)
-		}
-		for _, v := range g.adj[item.node] {
-			d := dist[item.node] + g.Metric.Dist(g.Nodes[item.node], g.Nodes[v])
-			if d < dist[v] {
-				dist[v] = d
-				prev[v] = item.node
-				heap.Push(pq, nodeItem{node: v, dist: d})
-			}
-		}
-	}
-	return nil
-}
-
 func (g *Graph) check(u int) {
 	if u < 0 || u >= len(g.Nodes) {
 		panic(fmt.Sprintf("multihop: node %d out of range [0,%d)", u, len(g.Nodes)))
@@ -169,25 +124,6 @@ func (g *Graph) walkBack(prev []int, src, dst int) []int {
 		path[len(rev)-1-i] = u
 	}
 	return path
-}
-
-type nodeItem struct {
-	node int
-	dist float64
-}
-
-type nodeQueue []nodeItem
-
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(a, b int) bool  { return q[a].dist < q[b].dist }
-func (q nodeQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(nodeItem)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
 }
 
 // Workload is a routed multi-hop instance ready for the latency schedulers:

@@ -1,7 +1,6 @@
 package multihop
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -38,8 +37,8 @@ func TestNewGraphValidation(t *testing.T) {
 func TestAdjacency(t *testing.T) {
 	g := lineGraph(t, 5, 1.5)
 	// Radius 1.5 on a unit line: each interior node sees both neighbors.
-	if g.Degree(0) != 1 || g.Degree(2) != 2 {
-		t.Fatalf("degrees: %d %d", g.Degree(0), g.Degree(2))
+	if len(g.adj[0]) != 1 || len(g.adj[2]) != 2 {
+		t.Fatalf("degrees: %d %d", len(g.adj[0]), len(g.adj[2]))
 	}
 	if !g.Connected() {
 		t.Fatal("line graph should be connected")
@@ -57,9 +56,6 @@ func TestDisconnected(t *testing.T) {
 	}
 	if p := g.ShortestHops(0, 1); p != nil {
 		t.Fatalf("path across components: %v", p)
-	}
-	if p := g.ShortestDistance(0, 1); p != nil {
-		t.Fatalf("Dijkstra path across components: %v", p)
 	}
 }
 
@@ -88,35 +84,6 @@ func TestShortestHopsUsesLongEdges(t *testing.T) {
 	}
 }
 
-func TestShortestDistancePrefersShortEdges(t *testing.T) {
-	// Triangle: direct long edge 0→2 (len 2.0) vs detour via 1 (1.2+1.2).
-	nodes := []geom.Point{{X: 0}, {X: 1, Y: math.Sqrt(1.2*1.2 - 1)}, {X: 2}}
-	g, err := NewGraph(nodes, 2.05, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hops := g.ShortestHops(0, 2)
-	if len(hops) != 2 {
-		t.Fatalf("min-hop path %v, want direct", hops)
-	}
-	dist := g.ShortestDistance(0, 2)
-	if len(dist) != 2 {
-		t.Fatalf("min-dist path %v: direct edge (2.0) beats detour (2.4)", dist)
-	}
-	// Now stretch the direct edge beyond the detour by moving node 2 is
-	// not possible without changing adjacency; instead verify on a square:
-	// corner-to-corner via two sides (1+1=2) vs diagonal sqrt(2)≈1.414.
-	sq := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
-	gs, err := NewGraph(sq, 1.5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := gs.ShortestDistance(0, 2)
-	if len(d) != 2 { // diagonal is within radius and shorter
-		t.Fatalf("diagonal path %v", d)
-	}
-}
-
 func TestPathEndpointsAndContiguity(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
@@ -129,56 +96,19 @@ func TestPathEndpointsAndContiguity(t *testing.T) {
 			return false
 		}
 		s, d := src.Intn(30), src.Intn(30)
-		for _, path := range [][]int{g.ShortestHops(s, d), g.ShortestDistance(s, d)} {
-			if path == nil {
-				continue
-			}
-			if path[0] != s || path[len(path)-1] != d {
+		path := g.ShortestHops(s, d)
+		if path == nil {
+			return true
+		}
+		if path[0] != s || path[len(path)-1] != d {
+			return false
+		}
+		for h := 0; h+1 < len(path); h++ {
+			if g.Metric.Dist(nodes[path[h]], nodes[path[h+1]]) > 30 {
 				return false
-			}
-			for h := 0; h+1 < len(path); h++ {
-				if g.Metric.Dist(nodes[path[h]], nodes[path[h+1]]) > 30 {
-					return false
-				}
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Dijkstra's total distance never exceeds the BFS path's total distance.
-func TestDijkstraDominatesBFSOnDistance(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		nodes := make([]geom.Point, 25)
-		for i := range nodes {
-			nodes[i] = geom.Point{X: src.UniformRange(0, 100), Y: src.UniformRange(0, 100)}
-		}
-		g, err := NewGraph(nodes, 35, nil)
-		if err != nil {
-			return false
-		}
-		s, d := src.Intn(25), src.Intn(25)
-		hops := g.ShortestHops(s, d)
-		dist := g.ShortestDistance(s, d)
-		if (hops == nil) != (dist == nil) {
-			return false
-		}
-		if hops == nil {
-			return true
-		}
-		total := func(p []int) float64 {
-			sum := 0.0
-			for h := 0; h+1 < len(p); h++ {
-				sum += g.Metric.Dist(nodes[p[h]], nodes[p[h+1]])
-			}
-			return sum
-		}
-		// BFS path length (hop count) never exceeds Dijkstra's hop count.
-		return total(dist) <= total(hops)+1e-9 && len(hops) <= len(dist)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -270,7 +200,7 @@ func gHasAllRoutes(g *Graph, routes [][]int) bool {
 	for _, r := range routes {
 		for h := 0; h+1 < len(r); h++ {
 			found := false
-			for _, v := range g.Neighbors(r[h]) {
+			for _, v := range g.adj[r[h]] {
 				if v == r[h+1] {
 					found = true
 					break

@@ -232,7 +232,8 @@ func (n *Network) Gains() *Matrix {
 // NewMatrix builds a Matrix directly from gain values; g[j][i] is the mean
 // strength of sender j at receiver i. It is the injection point for
 // non-geometric instances (the paper's reduction needs only non-negative
-// means). Weights default to 1.
+// means). Weights default to 1. It has no production caller; it stays as
+// the constructor tests in several packages use for hand-built instances.
 func NewMatrix(g [][]float64, noise float64) (*Matrix, error) {
 	n := len(g)
 	if n == 0 {

@@ -258,9 +258,6 @@ func SetDefault(t *Tracer) {
 	defaultTracer.Store(t)
 }
 
-// Default returns the process-default tracer, or nil.
-func Default() *Tracer { return defaultTracer.Load() }
-
 // WithTracer returns a ctx whose Start calls record into t.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey{}, t)
@@ -309,7 +306,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // args) but is its own root — it renders on its own track in the Chrome
 // trace rather than nesting inside the parent's. This is the right shape for
 // work that runs concurrently with its siblings (replications under a
-// Parallel fan-out, per-request algorithm calls in the daemon): complete
+// ParallelCtx fan-out, per-request algorithm calls in the daemon): complete
 // events on one Chrome track must nest by containment, which overlapping
 // siblings would violate. Disabled path and nil-safety match Start.
 func StartDetached(ctx context.Context, name string) (context.Context, *Span) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -86,20 +85,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[name] = c.Load()
 	}
 	return out
-}
-
-// Names returns the registered counter names, sorted — the deterministic
-// iteration order every rendered view uses.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

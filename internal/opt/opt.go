@@ -118,7 +118,9 @@ func BruteForce(m *network.Matrix, beta float64) []int {
 // beta (weights from m.Weights), by the same downward-closed branch-and-
 // bound as BruteForce with a weight-based bound. It panics if m.N exceeds
 // MaxBruteForceN. It is the exact reference for link-weighted capacity
-// maximization (the paper's second valid-utility family).
+// maximization (the paper's second valid-utility family). It has no
+// production caller; it stays as the oracle for capacity.GreedyWeighted
+// (TestGreedyWeightedAgainstExact).
 func BruteForceWeighted(m *network.Matrix, beta float64) (best []int, bestWeight float64) {
 	if m.N > MaxBruteForceN {
 		panic(fmt.Sprintf("opt: BruteForceWeighted limited to n ≤ %d, got %d", MaxBruteForceN, m.N))

@@ -85,7 +85,7 @@ func (t *Tracker) Registry() *obs.Registry {
 }
 
 // AddTotal registers n further expected replications. The harness calls it
-// once per Parallel fan-out, so experiments composed of several fan-outs
+// once per sim.ParallelCtx fan-out, so experiments composed of several fan-outs
 // accumulate a correct denominator.
 func (t *Tracker) AddTotal(n int) {
 	if t == nil {

@@ -96,6 +96,9 @@ func BestResponseDynamics(m *network.Matrix, beta float64, maxSweeps int) NashRe
 
 // IsPureNash reports whether the profile is a pure Nash equilibrium of the
 // expected-reward game: no link strictly gains by switching its action.
+// It has no production caller; it stays as the oracle that
+// BestResponseDynamics ends in an equilibrium
+// (TestBestResponseDynamicsConverges).
 func IsPureNash(m *network.Matrix, profile []bool, beta float64) bool {
 	if len(profile) != m.N {
 		panic(fmt.Sprintf("regret: profile has %d entries for %d links", len(profile), m.N))

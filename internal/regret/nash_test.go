@@ -7,6 +7,8 @@ import (
 	"rayfade/internal/rng"
 )
 
+// Best-response dynamics of the capacity game (Section 6) end in a pure
+// Nash equilibrium, checked with IsPureNash.
 func TestBestResponseDynamicsConverges(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		net := fig2Net(t, seed+100, 60)

@@ -58,9 +58,6 @@ func NewRWM() *RWM {
 	return &RWM{w: [2]float64{1, 1}, eta: math.Sqrt(0.5), nextPow: 2}
 }
 
-// Eta returns the current learning rate (exposed for tests).
-func (r *RWM) Eta() float64 { return r.eta }
-
 // Weights returns the current action weights (exposed for tests).
 func (r *RWM) Weights() [2]float64 { return r.w }
 
@@ -182,10 +179,6 @@ func NewGame(m *network.Matrix, beta float64, model Model, src *rng.Source) *Gam
 	return &Game{m: m, beta: beta, model: model, learners: learners, src: src,
 		sinrBuf: make([]float64, m.N), idxBuf: make([]int, 0, m.N)}
 }
-
-// Learners exposes the per-link learners (for tests and probability
-// inspection).
-func (g *Game) Learners() []Learner { return g.learners }
 
 // step plays one round and returns its record.
 func (g *Game) step() Round {
@@ -396,7 +389,8 @@ func (h *History) Lemma5() Lemma5Stats {
 // of successes over the next `window` rounds stays within `tol` (relative)
 // of the final converged level, or -1 if the trajectory never settles. It
 // quantifies the paper's "good performance can already be seen after 30 to
-// 40 time steps" observation.
+// 40 time steps" observation. It has no production caller; it stays
+// because it states that remark (TestRoundsToConvergeMatchesPaperBand).
 func (h *History) RoundsToConverge(window int, tol float64) int {
 	if window <= 0 || window > len(h.Rounds) {
 		window = len(h.Rounds) / 4

@@ -26,7 +26,7 @@ func TestRWMInitialState(t *testing.T) {
 	if w := r.Weights(); w[0] != 1 || w[1] != 1 {
 		t.Fatalf("initial weights %v", w)
 	}
-	if got := r.Eta(); math.Abs(got-math.Sqrt(0.5)) > 1e-15 {
+	if got := r.eta; math.Abs(got-math.Sqrt(0.5)) > 1e-15 {
 		t.Fatalf("initial η = %g", got)
 	}
 	if p := r.SendProbability(); p != 0.5 {
@@ -59,21 +59,21 @@ func TestRWMRewardsSucceeding(t *testing.T) {
 func TestRWMEtaSchedule(t *testing.T) {
 	r := NewRWM()
 	losses := [2]float64{0, 0}
-	eta0 := r.Eta()
+	eta0 := r.eta
 	// η decays only when steps crosses the next power of two (2, 4, 8, ...).
 	r.Update(losses) // steps=1
 	r.Update(losses) // steps=2, not > 2
-	if r.Eta() != eta0 {
+	if r.eta != eta0 {
 		t.Fatalf("η decayed too early at 2 steps")
 	}
 	r.Update(losses) // steps=3 > 2 → decay
-	if want := eta0 * math.Sqrt(0.5); math.Abs(r.Eta()-want) > 1e-15 {
-		t.Fatalf("η after first decay = %g, want %g", r.Eta(), want)
+	if want := eta0 * math.Sqrt(0.5); math.Abs(r.eta-want) > 1e-15 {
+		t.Fatalf("η after first decay = %g, want %g", r.eta, want)
 	}
 	r.Update(losses) // 4
 	r.Update(losses) // 5 > 4 → decay
-	if want := eta0 * 0.5; math.Abs(r.Eta()-want) > 1e-15 {
-		t.Fatalf("η after second decay = %g, want %g", r.Eta(), want)
+	if want := eta0 * 0.5; math.Abs(r.eta-want) > 1e-15 {
+		t.Fatalf("η after second decay = %g, want %g", r.eta, want)
 	}
 }
 

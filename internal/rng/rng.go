@@ -16,7 +16,6 @@
 package rng
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -315,22 +314,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 func (s *Source) Clone() *Source {
 	c := *s
 	return &c
-}
-
-// State returns the four state words of the generator; together with
-// Restore it allows checkpointing long simulations.
-func (s *Source) State() [4]uint64 {
-	return [4]uint64{s.s0, s.s1, s.s2, s.s3}
-}
-
-// ErrInvalidState reports an all-zero generator state passed to Restore.
-var ErrInvalidState = errors.New("rng: all-zero state is not a valid xoshiro256** state")
-
-// Restore sets the generator to a previously captured state.
-func (s *Source) Restore(state [4]uint64) error {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		return ErrInvalidState
-	}
-	s.s0, s.s1, s.s2, s.s3 = state[0], state[1], state[2], state[3]
-	return nil
 }

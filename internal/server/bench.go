@@ -102,16 +102,3 @@ func BenchShardRequest(seed uint64) ([]byte, error) {
 	}
 	return body, nil
 }
-
-// BenchScheduleRequest wraps a BenchTopology payload into a complete
-// /v1/schedule request body for the given algorithm ("" selects greedy).
-func BenchScheduleRequest(topology []byte, algorithm string) ([]byte, error) {
-	body, err := json.Marshal(scheduleRequest{
-		computeRequest: computeRequest{Network: json.RawMessage(topology)},
-		Algorithm:      algorithm,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: bench schedule request: %w", err)
-	}
-	return body, nil
-}

@@ -45,10 +45,7 @@ func TestBenchRequestsAreServable(t *testing.T) {
 	if resp, body := post(t, ts, "/v1/estimate", est); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/estimate: %d: %s", resp.StatusCode, body)
 	}
-	sched, err := BenchScheduleRequest(topo, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := []byte(`{"network":` + string(topo) + `}`)
 	if resp, body := post(t, ts, "/v1/schedule", sched); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/schedule: %d: %s", resp.StatusCode, body)
 	}

@@ -289,9 +289,6 @@ func (s *Server) Close() { s.pool.Close() }
 // concurrently with requests; flipping back to false re-opens intake.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether drain mode is set.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Busy reports whether compute work is still queued or in flight — the
 // condition a draining daemon waits to clear before exiting.
 func (s *Server) Busy() bool {

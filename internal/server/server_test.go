@@ -431,8 +431,8 @@ func TestDrainRefusesPostsAndRecovers(t *testing.T) {
 		t.Fatalf("pre-drain status = %d", resp.StatusCode)
 	}
 	s.SetDraining(true)
-	if !s.Draining() {
-		t.Fatal("Draining() = false after SetDraining(true)")
+	if !s.draining.Load() {
+		t.Fatal("draining = false after SetDraining(true)")
 	}
 	resp, out := post(t, ts, "/v1/schedule", body)
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -66,14 +66,9 @@ type BaselineResult struct {
 	Config            BaselineConfig
 }
 
-// RunBaseline compares conflict-graph scheduling to SINR-aware scheduling.
-func RunBaseline(cfg BaselineConfig) *BaselineResult {
-	res, _ := RunBaselineCtx(context.Background(), cfg)
-	return res
-}
-
-// RunBaselineCtx is RunBaseline with cooperative cancellation; it returns
-// nil and ctx.Err() when the context is cancelled before the sweep finishes.
+// RunBaselineCtx compares conflict-graph scheduling to SINR-aware
+// scheduling. It returns nil and ctx.Err() when the context is cancelled
+// before the sweep finishes.
 func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.baseline",

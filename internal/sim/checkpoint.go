@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -182,18 +181,6 @@ func OpenCheckpoint(path, experiment string, config any, reps, every int) (*Chec
 // Restored returns how many replications were loaded from disk at Open —
 // the amount of work a resumed run skips. 0 for a fresh checkpoint.
 func (ck *Checkpoint) Restored() int { return ck.restored }
-
-// Indices returns the replication indices currently held, ascending.
-func (ck *Checkpoint) Indices() []int {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	out := make([]int, 0, len(ck.results))
-	for rep := range ck.results {
-		out = append(out, rep)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Done returns how many replications the checkpoint currently holds.
 func (ck *Checkpoint) Done() int {

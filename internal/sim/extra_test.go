@@ -18,7 +18,7 @@ func TestRunFadingSweepShapes(t *testing.T) {
 		Shapes:        []float64{0.5, 1, 4, 16},
 		Seed:          11,
 	}
-	res := RunFadingSweep(cfg)
+	res := run(t, RunFadingSweepCtx, cfg)
 	if len(res.Shapes) != 4 || len(res.PerShape.Acc) != 4 {
 		t.Fatalf("shapes %v", res.Shapes)
 	}
@@ -53,7 +53,7 @@ func TestRunFadingSweepApproachesNonFading(t *testing.T) {
 		Shapes:        []float64{1, 32},
 		Seed:          13,
 	}
-	res := RunFadingSweep(cfg)
+	res := run(t, RunFadingSweepCtx, cfg)
 	nf := res.NonFading.Mean()
 	gapRayleigh := abs(res.PerShape.Acc[0].Mean() - nf)
 	gapMild := abs(res.PerShape.Acc[1].Mean() - nf)
@@ -79,7 +79,7 @@ func TestRunTopologyShapes(t *testing.T) {
 		RandomNets:    3,
 		Seed:          15,
 	}
-	res := RunTopology(cfg)
+	res := run(t, RunTopologyCtx, cfg)
 	if len(res.Curves) != 4 {
 		t.Fatalf("%d curves", len(res.Curves))
 	}
@@ -115,7 +115,7 @@ func TestRayleighBeatsNonFadingAtFullActivityBothTopologies(t *testing.T) {
 		RandomNets:    6,
 		Seed:          17,
 	}
-	res := RunTopology(cfg)
+	res := run(t, RunTopologyCtx, cfg)
 	for _, pair := range [][2]string{
 		{CurveGridRayleigh, CurveGridNonFading},
 		{CurveRandomRayleigh, CurveRandomNonFading},
@@ -137,9 +137,9 @@ func TestRunTopologyDeterministic(t *testing.T) {
 		RandomNets:    3,
 		Seed:          19,
 	}
-	a := RunTopology(cfg)
+	a := run(t, RunTopologyCtx, cfg)
 	cfg.Workers = 1
-	b := RunTopology(cfg)
+	b := run(t, RunTopologyCtx, cfg)
 	for name := range a.Curves {
 		if a.Curves[name].Acc[0].Mean() != b.Curves[name].Acc[0].Mean() {
 			t.Fatalf("%s differs across worker counts", name)
@@ -156,7 +156,7 @@ func TestRunShannonShapes(t *testing.T) {
 		Probs:         []float64{0.2, 0.6, 1.0},
 		Seed:          21,
 	}
-	res := RunShannon(cfg)
+	res := run(t, RunShannonCtx, cfg)
 	for name, s := range res.Curves {
 		for i := range res.Probs {
 			if s.Acc[i].N() == 0 {
@@ -191,7 +191,7 @@ func TestRunShannonExactMatchesMC(t *testing.T) {
 		Seed:          25,
 		Exact:         true,
 	}
-	res := RunShannon(cfg)
+	res := run(t, RunShannonCtx, cfg)
 	mc := res.Curves[CurveShannonRayleigh]
 	exact := res.Curves[CurveShannonExact]
 	for i := range cfg.Probs {
@@ -211,7 +211,7 @@ func TestRunLatencySmall(t *testing.T) {
 		Trials:   2,
 		Seed:     23,
 	}
-	res := RunLatency(cfg)
+	res := run(t, RunLatencyCtx, cfg)
 	if res.Incomplete != 0 {
 		t.Fatalf("%d incomplete runs", res.Incomplete)
 	}
@@ -291,7 +291,7 @@ func TestFigure1RayleighCurveMatchesClosedForm(t *testing.T) {
 	}
 	res := RunFigure1(cfg)
 	// Recompute the exact expectations over the same deterministic
-	// network sequence (Parallel splits the master stream once per
+	// network sequence (ParallelCtx splits the master stream once per
 	// replication, and network generation is each stream's first use).
 	const beta = 2.5 // the default the run used
 	base := rng.New(cfg.Seed)
@@ -328,7 +328,7 @@ func TestFigure1RayleighCurveMatchesClosedForm(t *testing.T) {
 }
 
 func TestFigure2FinalSendProb(t *testing.T) {
-	res := RunFigure2(Figure2Config{Networks: 2, Links: 30, Rounds: 60, Seed: 33})
+	res := run(t, RunFigure2Ctx, Figure2Config{Networks: 2, Links: 30, Rounds: 60, Seed: 33})
 	for _, acc := range []stats.Running{res.FinalSendProbNF, res.FinalSendProbRL} {
 		if acc.N() != 2 {
 			t.Fatalf("samples %d", acc.N())
@@ -347,7 +347,7 @@ func TestRunFigure2WithExp3(t *testing.T) {
 		Learner:  "exp3",
 		Seed:     31,
 	}
-	res := RunFigure2(cfg)
+	res := run(t, RunFigure2Ctx, cfg)
 	if res.ConvergedNF.Mean() <= 0 {
 		t.Fatalf("Exp3 converged throughput %g", res.ConvergedNF.Mean())
 	}
@@ -355,7 +355,7 @@ func TestRunFigure2WithExp3(t *testing.T) {
 	// same instances and horizon.
 	rwm := cfg
 	rwm.Learner = "rwm"
-	rwmRes := RunFigure2(rwm)
+	rwmRes := run(t, RunFigure2Ctx, rwm)
 	if res.ConvergedNF.Mean() > rwmRes.ConvergedNF.Mean()*1.5 {
 		t.Fatalf("Exp3 (%.1f) implausibly above RWM (%.1f)",
 			res.ConvergedNF.Mean(), rwmRes.ConvergedNF.Mean())
@@ -368,12 +368,12 @@ func TestRunFigure2UnknownLearnerPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RunFigure2(Figure2Config{Networks: 1, Links: 5, Rounds: 2, Learner: "sarsa"})
+	run(t, RunFigure2Ctx, Figure2Config{Networks: 1, Links: 5, Rounds: 2, Learner: "sarsa"})
 }
 
 func TestRunBaselineSmall(t *testing.T) {
 	cfg := BaselineConfig{Networks: 4, Links: 60, Seed: 27}
-	res := RunBaseline(cfg)
+	res := run(t, RunBaselineCtx, cfg)
 	if res.GraphSetSize.N() != 4 {
 		t.Fatalf("samples %d", res.GraphSetSize.N())
 	}
@@ -405,6 +405,6 @@ func BenchmarkFadingSweepTiny(b *testing.B) {
 		Seed:          1,
 	}
 	for i := 0; i < b.N; i++ {
-		RunFadingSweep(cfg)
+		run(b, RunFadingSweepCtx, cfg)
 	}
 }

@@ -67,16 +67,10 @@ type FadingSweepResult struct {
 	Config    FadingSweepConfig
 }
 
-// RunFadingSweep measures the expected success count under Nakagami-m
-// fading for each shape, against the non-fading count on identical
-// transmit sets.
-func RunFadingSweep(cfg FadingSweepConfig) *FadingSweepResult {
-	res, _ := RunFadingSweepCtx(context.Background(), cfg)
-	return res
-}
-
-// RunFadingSweepCtx is RunFadingSweep with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunFadingSweepCtx measures the expected success count under Nakagami-m
+// fading for each shape, against the non-fading count on identical transmit
+// sets. It returns nil and ctx.Err() when the context is cancelled before
+// the run completes.
 func RunFadingSweepCtx(ctx context.Context, cfg FadingSweepConfig) (*FadingSweepResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.fadingsweep",

@@ -110,17 +110,11 @@ type Figure2Result struct {
 	Lemma5RL        []regret.Lemma5Stats
 }
 
-// RunFigure2 reproduces Figure 2: on each random network, n RWM learners
+// RunFigure2Ctx reproduces Figure 2: on each random network, n RWM learners
 // play for the configured number of rounds in the non-fading model and —
 // with independent randomness — in the Rayleigh model; the per-round
-// success counts are averaged across networks.
-func RunFigure2(cfg Figure2Config) *Figure2Result {
-	res, _ := RunFigure2Ctx(context.Background(), cfg)
-	return res
-}
-
-// RunFigure2Ctx is RunFigure2 with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// success counts are averaged across networks. It returns nil and ctx.Err()
+// when the context is cancelled before the run completes.
 func RunFigure2Ctx(ctx context.Context, cfg Figure2Config) (*Figure2Result, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.figure2",

@@ -64,14 +64,9 @@ type LatencyResult struct {
 	Config     LatencyConfig
 }
 
-// RunLatency measures all three latency schedulers in both models.
-func RunLatency(cfg LatencyConfig) *LatencyResult {
-	res, _ := RunLatencyCtx(context.Background(), cfg)
-	return res
-}
-
-// RunLatencyCtx is RunLatency with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunLatencyCtx measures all three latency schedulers in both models. It
+// returns nil and ctx.Err() when the context is cancelled before the run
+// completes.
 func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.latency",

@@ -81,15 +81,10 @@ type OptimumResult struct {
 	Config            OptimumConfig
 }
 
-// RunOptimum estimates the Figure-1 workload's maximum feasible set size
-// under uniform powers, per network, by greedy and by local search.
-func RunOptimum(cfg OptimumConfig) *OptimumResult {
-	res, _ := RunOptimumCtx(context.Background(), cfg)
-	return res
-}
-
-// RunOptimumCtx is RunOptimum with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunOptimumCtx estimates the Figure-1 workload's maximum feasible set size
+// under uniform powers, per network, by greedy and by local search. It
+// returns nil and ctx.Err() when the context is cancelled before the run
+// completes.
 func RunOptimumCtx(ctx context.Context, cfg OptimumConfig) (*OptimumResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.optimum",

@@ -69,18 +69,12 @@ type ReductionResult struct {
 	Config ReductionConfig
 }
 
-// RunReduction measures the empirical Theorem-2 factor across network
+// RunReductionCtx measures the empirical Theorem-2 factor across network
 // sizes: for each random network it evaluates the exact expected Rayleigh
 // success count at the common probability q, runs Algorithm 1's schedule,
 // Monte-Carlo-evaluates each level in the non-fading model, and records the
-// ratio of the Rayleigh value to the best level's value.
-func RunReduction(cfg ReductionConfig) *ReductionResult {
-	res, _ := RunReductionCtx(context.Background(), cfg)
-	return res
-}
-
-// RunReductionCtx is RunReduction with cooperative cancellation; it returns
-// nil and ctx.Err() when the context is cancelled before the sweep finishes.
+// ratio of the Rayleigh value to the best level's value. It returns nil and
+// ctx.Err() when the context is cancelled before the sweep finishes.
 func RunReductionCtx(ctx context.Context, cfg ReductionConfig) (*ReductionResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.reduction",

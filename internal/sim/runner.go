@@ -28,12 +28,12 @@ import (
 // tracker, when set, receives replication- and realization-level
 // notifications from every experiment in the package. It is process-global
 // rather than per-config because one CLI invocation runs one experiment; the
-// atomic pointer keeps Parallel's worker goroutines race-free against
+// atomic pointer keeps ParallelCtx's worker goroutines race-free against
 // SetProgress.
 var tracker atomic.Pointer[progress.Tracker]
 
 // SetProgress installs (or, with nil, removes) the progress tracker observed
-// by Parallel and the experiment inner loops. The CLI's -progress flag is
+// by ParallelCtx and the experiment inner loops. The CLI's -progress flag is
 // its only intended caller.
 func SetProgress(t *progress.Tracker) {
 	tracker.Store(t)
@@ -71,30 +71,24 @@ func activeLogger() *slog.Logger {
 	return obs.Discard()
 }
 
-// Parallel runs fn for reps replications on up to workers goroutines and
+// ParallelCtx runs fn for reps replications on up to workers goroutines and
 // returns the per-replication results in replication order.
 //
 // Determinism: the RNG streams are split from base sequentially before any
 // goroutine starts, so the result for replication r does not depend on the
 // worker count or scheduling. workers ≤ 0 selects GOMAXPROCS.
 //
-// When a progress tracker is installed via SetProgress, Parallel registers
+// When a progress tracker is installed via SetProgress, ParallelCtx registers
 // reps expected replications up front and reports each completion, giving
 // long runs an elapsed/ETA readout at no cost to the replication hot path.
-func Parallel[T any](reps, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) []T {
-	results, _ := ParallelCtx(context.Background(), reps, workers, base, fn)
-	return results
-}
-
-// ParallelCtx is Parallel with cooperative cancellation: when ctx is
-// cancelled, no further replications are started and ctx.Err() is returned
-// alongside the partial results (already-running replications finish — fn is
-// never interrupted mid-flight, so each results[r] is either complete or the
-// zero value). A nil error means every replication ran.
 //
-// Cancellation granularity is one replication. Experiments whose single
-// replications are long pass ctx into their inner scheduler loops as well
-// (see capacity and latency's Ctx variants).
+// Cancellation: when ctx is cancelled, no further replications are started
+// and ctx.Err() is returned alongside the partial results (already-running
+// replications finish — fn is never interrupted mid-flight, so each
+// results[r] is either complete or the zero value). A nil error means every
+// replication ran. Experiments whose single replications are long pass ctx
+// into their inner scheduler loops as well (see capacity and latency's Ctx
+// variants).
 func ParallelCtx[T any](ctx context.Context, reps, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) ([]T, error) {
 	if reps < 0 {
 		panic(fmt.Sprintf("sim: negative replication count %d", reps))

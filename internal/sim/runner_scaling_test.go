@@ -25,7 +25,7 @@ func spin(iters int, src *rng.Source) float64 {
 // returns the wall-clock time.
 func timeParallel(reps, workers, iters int) time.Duration {
 	start := time.Now()
-	Parallel(reps, workers, rng.New(99), func(rep int, src *rng.Source) float64 {
+	ParallelCtx(context.Background(), reps, workers, rng.New(99), func(rep int, src *rng.Source) float64 {
 		return spin(iters, src)
 	})
 	return time.Since(start)
@@ -71,7 +71,7 @@ func TestParallelCtxWorkerInvariance(t *testing.T) {
 		return sum
 	}
 	const reps = 37
-	want := Parallel(reps, 1, rng.New(7), body)
+	want := parallel(t, reps, 1, rng.New(7), body)
 	for _, workers := range []int{2, 3, 8, 64, 0} {
 		got, err := ParallelCtx(context.Background(), reps, workers, rng.New(7), body)
 		if err != nil {

@@ -87,15 +87,10 @@ type ShannonResult struct {
 	Config ShannonConfig
 }
 
-// RunShannon measures E[Σ_i log(1+γ_i)] (nats) against the transmission
-// probability in both interference models on the Figure-1 geometry.
-func RunShannon(cfg ShannonConfig) *ShannonResult {
-	res, _ := RunShannonCtx(context.Background(), cfg)
-	return res
-}
-
-// RunShannonCtx is RunShannon with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunShannonCtx measures E[Σ_i log(1+γ_i)] (nats) against the transmission
+// probability in both interference models on the Figure-1 geometry. It
+// returns nil and ctx.Err() when the context is cancelled before the run
+// completes.
 func RunShannonCtx(ctx context.Context, cfg ShannonConfig) (*ShannonResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.shannon",

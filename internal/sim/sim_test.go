@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,13 +11,35 @@ import (
 	"rayfade/internal/stats"
 )
 
+// run calls an experiment's Ctx entry point with a background context and
+// fails the test if it returns an error.
+func run[C, R any](t testing.TB, experiment func(context.Context, C) (R, error), cfg C) R {
+	t.Helper()
+	res, err := experiment(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// parallel is ParallelCtx with a background context; it fails the test if
+// the fan-out returns an error.
+func parallel[T any](t testing.TB, reps, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) []T {
+	t.Helper()
+	res, err := ParallelCtx(context.Background(), reps, workers, base, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestParallelOrderAndDeterminism(t *testing.T) {
 	fn := func(rep int, src *rng.Source) float64 {
 		return float64(rep) + src.Float64()
 	}
-	a := Parallel(50, 8, rng.New(9), fn)
-	b := Parallel(50, 1, rng.New(9), fn) // sequential must match parallel
-	c := Parallel(50, 3, rng.New(9), fn)
+	a := parallel(t, 50, 8, rng.New(9), fn)
+	b := parallel(t, 50, 1, rng.New(9), fn) // sequential must match parallel
+	c := parallel(t, 50, 3, rng.New(9), fn)
 	for r := range a {
 		if a[r] != b[r] || a[r] != c[r] {
 			t.Fatalf("rep %d: results differ across worker counts: %g %g %g", r, a[r], b[r], c[r])
@@ -28,10 +51,10 @@ func TestParallelOrderAndDeterminism(t *testing.T) {
 }
 
 func TestParallelEdgeCases(t *testing.T) {
-	if got := Parallel(0, 4, rng.New(1), func(int, *rng.Source) int { return 1 }); len(got) != 0 {
+	if got := parallel(t, 0, 4, rng.New(1), func(int, *rng.Source) int { return 1 }); len(got) != 0 {
 		t.Fatalf("reps=0 returned %v", got)
 	}
-	got := Parallel(3, 100, rng.New(1), func(rep int, _ *rng.Source) int { return rep * 2 })
+	got := parallel(t, 3, 100, rng.New(1), func(rep int, _ *rng.Source) int { return rep * 2 })
 	if got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("got %v", got)
 	}
@@ -41,7 +64,7 @@ func TestParallelEdgeCases(t *testing.T) {
 				t.Error("negative reps did not panic")
 			}
 		}()
-		Parallel(-1, 1, rng.New(1), func(int, *rng.Source) int { return 0 })
+		parallel(t, -1, 1, rng.New(1), func(int, *rng.Source) int { return 0 })
 	}()
 }
 
@@ -49,7 +72,7 @@ func TestParallelNotifiesTracker(t *testing.T) {
 	tr := progress.New("test", nil)
 	SetProgress(tr)
 	defer SetProgress(nil)
-	Parallel(12, 4, rng.New(3), func(rep int, _ *rng.Source) int { return rep })
+	parallel(t, 12, 4, rng.New(3), func(rep int, _ *rng.Source) int { return rep })
 	if s := tr.Snapshot(); s.Total != 12 || s.Done != 12 {
 		t.Fatalf("tracker saw %d/%d replications, want 12/12", s.Done, s.Total)
 	}
@@ -206,7 +229,7 @@ func smallFig2() Figure2Config {
 }
 
 func TestRunFigure2Shapes(t *testing.T) {
-	res := RunFigure2(smallFig2())
+	res := run(t, RunFigure2Ctx, smallFig2())
 	if len(res.Rounds) != 40 {
 		t.Fatalf("%d rounds", len(res.Rounds))
 	}
@@ -229,7 +252,7 @@ func TestRunFigure2Shapes(t *testing.T) {
 func TestRunFigure2Converges(t *testing.T) {
 	cfg := smallFig2()
 	cfg.Rounds = 80
-	res := RunFigure2(cfg)
+	res := run(t, RunFigure2Ctx, cfg)
 	// Converged throughput beats round-1 throughput in both models.
 	firstNF := res.NonFading.Acc[0].Mean()
 	if res.ConvergedNF.Mean() < firstNF {
@@ -242,10 +265,10 @@ func TestRunFigure2Converges(t *testing.T) {
 }
 
 func TestRunFigure2Deterministic(t *testing.T) {
-	a := RunFigure2(smallFig2())
+	a := run(t, RunFigure2Ctx, smallFig2())
 	cfg := smallFig2()
 	cfg.Workers = 1
-	b := RunFigure2(cfg)
+	b := run(t, RunFigure2Ctx, cfg)
 	am, bm := a.NonFading.Means(), b.NonFading.Means()
 	for i := range am {
 		if am[i] != bm[i] {
@@ -260,7 +283,7 @@ func TestRunOptimumSmall(t *testing.T) {
 		Links:    40,
 		Seed:     13,
 	}
-	res := RunOptimum(cfg)
+	res := run(t, RunOptimumCtx, cfg)
 	if res.Greedy.N() != 4 || res.LocalSearch.N() != 4 {
 		t.Fatalf("sample counts %d/%d", res.Greedy.N(), res.LocalSearch.N())
 	}
@@ -288,7 +311,7 @@ func TestRunReduction(t *testing.T) {
 		SamplesPerStp: 50,
 		Seed:          9,
 	}
-	res := RunReduction(cfg)
+	res := run(t, RunReductionCtx, cfg)
 	if len(res.Points) != 2 {
 		t.Fatalf("%d points", len(res.Points))
 	}
@@ -398,6 +421,6 @@ func BenchmarkFigure1Tiny(b *testing.B) {
 
 func BenchmarkParallelOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Parallel(64, 0, rng.New(1), func(rep int, src *rng.Source) int { return rep })
+		parallel(b, 64, 0, rng.New(1), func(rep int, src *rng.Source) int { return rep })
 	}
 }

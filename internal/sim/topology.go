@@ -88,15 +88,10 @@ type TopologyResult struct {
 	Config TopologyConfig
 }
 
-// RunTopology measures success-vs-probability curves on the deterministic
-// grid and on density-matched random networks, in both models.
-func RunTopology(cfg TopologyConfig) *TopologyResult {
-	res, _ := RunTopologyCtx(context.Background(), cfg)
-	return res
-}
-
-// RunTopologyCtx is RunTopology with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunTopologyCtx measures success-vs-probability curves on the
+// deterministic grid and on density-matched random networks, in both
+// models. It returns nil and ctx.Err() when the context is cancelled before
+// the run completes.
 func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.topology",

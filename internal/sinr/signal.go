@@ -15,6 +15,8 @@ import (
 // are more robust: under Rayleigh fading their links succeed with higher
 // probability, which is why signal-strengthening appears as a tool in the
 // transferred algorithms' analyses. The empty set has infinite strength.
+// It has no production caller; it stays as the oracle for PartitionToSignal's
+// p-signal guarantee (TestPartitionToSignalCovers).
 func SignalStrength(m *network.Matrix, set []int, beta float64) float64 {
 	if beta <= 0 {
 		panic(fmt.Sprintf("sinr: threshold β = %g must be positive", beta))
@@ -40,6 +42,9 @@ func SignalStrength(m *network.Matrix, set []int, beta float64) float64 {
 //
 // Singleton viability is required: a link that cannot reach p·β even alone
 // (noise-dominated) makes the partition impossible and yields an error.
+// It has no production caller; it stays because it states the
+// signal-strengthening lemma (TestPartitionToSignalCovers,
+// TestSignalStrengthImprovesFadingSurvival).
 func PartitionToSignal(m *network.Matrix, set []int, beta, p float64) ([][]int, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("sinr: signal factor p = %g must be at least 1", p)
@@ -80,7 +85,8 @@ func PartitionToSignal(m *network.Matrix, set []int, beta, p float64) ([][]int, 
 // least half the links: feasibility caps every link's incoming affectance
 // at 1, so the total is at most |set| and fewer than half the members can
 // emit more than 2. The Theorem-4 argument (throughput of no-regret
-// dynamics) runs on exactly this core.
+// dynamics) runs on exactly this core. It has no production caller; it
+// stays because it states Lemma 7 (TestQuickLemma7HalfCore).
 func LowOutAffectanceCore(m *network.Matrix, set []int, beta, bound float64) []int {
 	if bound <= 0 {
 		panic(fmt.Sprintf("sinr: affectance bound %g must be positive", bound))

@@ -36,6 +36,8 @@ func TestSignalStrengthPanics(t *testing.T) {
 	SignalStrength(m, []int{0}, 0)
 }
 
+// Signal strengthening: PartitionToSignal splits a set into parts that
+// each have SignalStrength at least p, covering the set exactly once.
 func TestPartitionToSignalCovers(t *testing.T) {
 	m := randomMatrix(t, 61, 40)
 	beta := 2.5
@@ -193,14 +195,10 @@ func TestQuickLemma7HalfCore(t *testing.T) {
 func TestLowOutAffectanceCoreMonotone(t *testing.T) {
 	m := randomMatrix(t, 81, 40)
 	set := make([]int, 0, m.N)
-	acc := NewAccumulator(m)
 	for i := 0; i < m.N; i++ {
-		acc.Add(i)
-		if !acc.AllFeasible(2.5) {
-			acc.Remove(i)
-			continue
+		if Feasible(m, append(set, i), 2.5) {
+			set = append(set, i)
 		}
-		set = append(set, i)
 	}
 	if len(set) < 4 {
 		t.Skip("instance too tight")

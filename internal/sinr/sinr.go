@@ -22,7 +22,10 @@ import (
 // Value returns the non-fading SINR γ_i^nf of link i when exactly the links
 // with active[j] == true transmit. If i itself is not active, Value returns
 // 0 (a link that does not transmit achieves no rate). If interference and
-// noise are both zero the SINR is +Inf.
+// noise are both zero the SINR is +Inf. It has no production caller; it
+// stays as the direct evaluation of the SINR definition that ValuesInto and
+// the Accumulator are checked against (TestValuesMatchesValue,
+// TestAccumulatorMatchesDirect).
 func Value(m *network.Matrix, active []bool, i int) float64 {
 	if !active[i] {
 		return 0
@@ -191,21 +194,11 @@ func AffectanceUncapped(m *network.Matrix, beta float64, j, i int) float64 {
 	return beta * m.At(j, i) / margin
 }
 
-// AffectanceSum returns Σ_{j ∈ set} a(j,i), the total capped affectance of a
-// set on link i.
-func AffectanceSum(m *network.Matrix, beta float64, set []int, i int) float64 {
-	sum := 0.0
-	for _, j := range set {
-		sum += Affectance(m, beta, j, i)
-	}
-	return sum
-}
-
 // FeasibleByAffectance reports whether every link i in the set has total
 // uncapped affectance at most 1 from the rest of the set, which is exactly
 // the SINR feasibility condition (noise-dominated links make the set
-// infeasible). It cross-checks Feasible and serves the algorithms that
-// reason in affectance space.
+// infeasible). It has no production caller; it stays as the affectance-
+// space oracle for Feasible (TestQuickFeasibleByAffectanceAgrees).
 func FeasibleByAffectance(m *network.Matrix, set []int, beta float64) bool {
 	for _, i := range set {
 		if m.Own(i) < beta*m.Noise {
@@ -271,9 +264,6 @@ func (a *Accumulator) Remove(j int) {
 	}
 }
 
-// Active reports whether sender j is currently active.
-func (a *Accumulator) Active(j int) bool { return a.active[j] }
-
 // Count returns the number of active senders.
 func (a *Accumulator) Count() int { return a.count }
 
@@ -293,16 +283,6 @@ func (a *Accumulator) SINR(i int) float64 {
 		return math.Inf(1)
 	}
 	return a.m.Own(i) / interf
-}
-
-// AllFeasible reports whether every currently active link reaches β.
-func (a *Accumulator) AllFeasible(beta float64) bool {
-	for i, act := range a.active {
-		if act && a.SINR(i) < beta {
-			return false
-		}
-	}
-	return true
 }
 
 // Set returns the currently active links as a sorted index set.

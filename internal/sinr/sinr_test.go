@@ -72,6 +72,7 @@ func TestValueInfiniteWithoutNoiseOrInterference(t *testing.T) {
 	}
 }
 
+// Values agrees with Value, the direct evaluation of the SINR definition.
 func TestValuesMatchesValue(t *testing.T) {
 	m := randomMatrix(t, 5, 20)
 	src := rng.New(77)
@@ -301,12 +302,15 @@ func TestFeasibleByAffectanceAgreesWhenUncapped(t *testing.T) {
 	}
 }
 
+// The self term contributes nothing to a link's affectance sum, the form
+// FeasibleByAffectance evaluates over a set: a(i,i) = 0.
 func TestAffectanceSum(t *testing.T) {
 	m := mat2(t)
-	got := AffectanceSum(m, 2, []int{0, 1}, 0)
-	want := Affectance(m, 2, 1, 0) // self term contributes 0
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("AffectanceSum = %g, want %g", got, want)
+	if got := Affectance(m, 2, 0, 0); got != 0 {
+		t.Fatalf("a(0,0) = %g, want 0", got)
+	}
+	if got := Affectance(m, 2, 1, 0); got <= 0 {
+		t.Fatalf("a(1,0) = %g, want positive", got)
 	}
 }
 
@@ -349,19 +353,19 @@ func TestAccumulatorMatchesDirect(t *testing.T) {
 func TestAccumulatorBookkeeping(t *testing.T) {
 	m := mat2(t)
 	acc := NewAccumulator(m)
-	if acc.Count() != 0 || acc.Active(0) {
+	if acc.Count() != 0 || acc.active[0] {
 		t.Fatal("fresh accumulator not empty")
 	}
 	acc.Add(0)
 	acc.Add(1)
-	if acc.Count() != 2 || !acc.Active(1) {
+	if acc.Count() != 2 || !acc.active[1] {
 		t.Fatal("adds not recorded")
 	}
 	if got := acc.Set(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Set = %v", got)
 	}
 	acc.Remove(0)
-	if acc.Count() != 1 || acc.Active(0) {
+	if acc.Count() != 1 || acc.active[0] {
 		t.Fatal("remove not recorded")
 	}
 }
@@ -388,16 +392,18 @@ func TestAccumulatorPanics(t *testing.T) {
 	}()
 }
 
+// With both links of the fixture active, every active link reaches β = 3
+// but not β = 5 (γ_0 = 4).
 func TestAccumulatorAllFeasible(t *testing.T) {
 	m := mat2(t)
 	acc := NewAccumulator(m)
 	acc.Add(0)
 	acc.Add(1)
-	if !acc.AllFeasible(3) {
-		t.Fatal("AllFeasible(3) should hold")
+	if acc.SINR(0) < 3 || acc.SINR(1) < 3 {
+		t.Fatalf("SINRs %g, %g: both links should reach 3", acc.SINR(0), acc.SINR(1))
 	}
-	if acc.AllFeasible(5) {
-		t.Fatal("AllFeasible(5) should fail (γ_0 = 4)")
+	if acc.SINR(0) >= 5 {
+		t.Fatalf("γ_0 = %g should miss 5", acc.SINR(0))
 	}
 }
 

@@ -61,13 +61,6 @@ func (r *Running) Add(v float64) {
 	r.m2 += d * (v - r.mean)
 }
 
-// AddAll incorporates every value of vs.
-func (r *Running) AddAll(vs []float64) {
-	for _, v := range vs {
-		r.Add(v)
-	}
-}
-
 // Merge combines another accumulator into r, as if every observation seen by
 // o had been Added to r. This is how per-worker accumulators from parallel
 // replications are reduced.

@@ -22,7 +22,9 @@ func TestKahanSumExactness(t *testing.T) {
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	r.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		r.Add(v)
+	}
 	if r.N() != 8 {
 		t.Fatalf("N = %d", r.N())
 	}
@@ -109,7 +111,9 @@ func TestCI95(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	var r Running
-	r.AddAll([]float64{1, 2, 3})
+	for _, v := range []float64{1, 2, 3} {
+		r.Add(v)
+	}
 	s := r.Summarize()
 	if s.N != 3 || s.Mean != 2 {
 		t.Fatalf("Summary = %+v", s)

@@ -87,18 +87,12 @@ func Transfer(m *network.Matrix, set []int, us []utility.Func) TransferReport {
 	}
 }
 
-// ExpectedFadingBinaryValue returns the exact expected number of successes
-// of the transferred set under Rayleigh fading at threshold β (Theorem 1
-// applied to the indicator probability vector). Tests verify that it always
-// dominates the Lemma-2 guarantee for binary utilities.
-func ExpectedFadingBinaryValue(m *network.Matrix, set []int, beta float64) float64 {
-	return fading.ExpectedBinaryValueOfSet(m, set, beta)
-}
-
 // RepeatedSuccessProbability returns 1 − (1 − p/e)^r: the probability that
 // at least one of r independent Rayleigh executions of a non-fading step
 // with success probability p reaches the threshold, using the Lemma-1
 // guarantee that each execution succeeds with probability at least p/e.
+// It has no production caller; it stays because it states why AlohaRepeats
+// = 4 repetitions cover every p ≤ 1/2 (TestFourRepeatsSufficeForHalf).
 func RepeatedSuccessProbability(p float64, r int) float64 {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("transform: success probability %g outside [0,1]", p))
@@ -202,7 +196,8 @@ func RunScheduleOnce(m *network.Matrix, steps []Step, src *rng.Source) []float64
 // SimulationValueMC estimates E[Σ_i u_i(max_t γ_i^{nf,t})], the total
 // utility of the simulation when every link keeps the best of its attempts.
 // This is the quantity the proof of Theorem 2 lower-bounds against the
-// Rayleigh expectation.
+// Rayleigh expectation. It has no production caller; it stays because it
+// states Theorem 2's transfer (TestTheorem2SimulationDominates).
 func SimulationValueMC(m *network.Matrix, steps []Step, us []utility.Func, samples int, src *rng.Source) fading.MCResult {
 	if samples <= 0 {
 		panic(fmt.Sprintf("transform: %d samples", samples))

@@ -63,7 +63,7 @@ func TestLemma2HoldsExactly(t *testing.T) {
 		}
 		us := utility.Uniform(utility.Binary{Beta: beta})
 		rep := Transfer(m, set, us)
-		got := ExpectedFadingBinaryValue(m, set, beta)
+		got := fading.ExpectedBinaryValueOfSet(m, set, beta)
 		return got >= rep.GuaranteedValue-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

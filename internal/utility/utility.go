@@ -147,8 +147,10 @@ type Report struct {
 // non-negative everywhere and non-decreasing and concave on
 // [sii/(c·nu), ∞). The check samples the interval geometrically up to a
 // large multiple of the threshold; it can produce false positives only for
-// adversarial functions that misbehave strictly between sample points,
-// which is acceptable for its role as an input-validation guard.
+// adversarial functions that misbehave strictly between sample points. It
+// has no production caller; it stays because it states Definition 1, which
+// Theorem 2 requires of every utility the paper transfers
+// (TestCheckValidAcceptsPaperFamilies).
 func CheckValid(u Func, sii, nu, c float64) Report {
 	if c <= 1 {
 		return Report{Reason: fmt.Sprintf("constant c = %g must exceed 1", c)}
@@ -201,7 +203,9 @@ func CheckValid(u Func, sii, nu, c float64) Report {
 // BinaryValidFor reports whether the binary utility at threshold beta is a
 // valid utility function for a link with own strength sii under noise nu,
 // i.e. whether there exists c > 1 with beta ≤ sii/(c·nu) (the paper's
-// condition β ≤ min_i S̄(i,i)/(c·ν)). With ν = 0 every β qualifies.
+// condition β ≤ min_i S̄(i,i)/(c·ν)). With ν = 0 every β qualifies. It has
+// no production caller; it stays because it states that condition, which
+// TestBinaryValidFor checks at the Figure-1 and Figure-2 settings.
 func BinaryValidFor(beta, sii, nu float64) bool {
 	if nu == 0 {
 		return true

@@ -98,6 +98,8 @@ func TestSumPanics(t *testing.T) {
 	}
 }
 
+// Definition 1: the paper's utility families (binary, weighted, Shannon)
+// are valid, so Theorem 2's transfer applies to each of them.
 func TestCheckValidAcceptsPaperFamilies(t *testing.T) {
 	// Binary utilities with β ≤ S̄ii/(c·ν) — the paper's first example.
 	sii, nu := 1.0, 1e-3
@@ -176,6 +178,9 @@ func TestCheckValidThresholdValue(t *testing.T) {
 	}
 }
 
+// The paper's validity condition for binary utilities,
+// β ≤ min_i S̄(i,i)/(c·ν), holds at the Figure-1 settings and always when
+// ν = 0 (Figure 2).
 func TestBinaryValidFor(t *testing.T) {
 	// Paper Figure 1: β=2.5, p=2, d∈[20,40], α=2.2, ν=4e-7. Weakest link:
 	// sii = 2/40^2.2 ≈ 6.1e-4, sii/(β·ν) ≈ 610 ≫ 1 — valid.
