@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -191,11 +192,28 @@ func TestClusterQuarantineRejectsVersionSkew(t *testing.T) {
 	}))
 	t.Cleanup(impostor.Close)
 
+	// Gate: the healthy worker holds its first shard until the coordinator
+	// has refused the impostor's re-admission. Otherwise the healthy worker
+	// can drain the queue while the impostor is still in quarantine, and a
+	// run that ends mid-quarantine declares nobody dead.
+	refused := &logWatch{substr: "re-admission refused: version skew", hit: make(chan struct{})}
+	backend := server.New(server.Config{Workers: 2, QueueSize: 16})
+	healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard" {
+			select {
+			case <-refused.hit:
+			case <-time.After(10 * time.Second): // fail the assertion, not the suite
+			}
+		}
+		backend.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(func() { healthy.Close(); backend.Close() })
+
 	cc := fastClient()
 	cc.MaxAttempts = 1
 	cc.Sleep = clk.Sleep
 	co, err := New(Config{
-		Workers:       append([]string{impostor.URL}, startWorkers(t, 1)...),
+		Workers:       []string{impostor.URL, healthy.URL},
 		ShardSize:     1,
 		MaxAttempts:   20,
 		DeadAfter:     1,
@@ -205,6 +223,7 @@ func TestClusterQuarantineRejectsVersionSkew(t *testing.T) {
 		Client:        cc,
 		Now:           clk.Now,
 		Sleep:         clk.Sleep,
+		Log:           slog.New(slog.NewTextHandler(refused, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

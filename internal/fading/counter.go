@@ -18,30 +18,44 @@ import (
 // sum the interference from the noise up in index order, compare
 // S(i,i)/interference with β — and leaves the stream where it leaves it. It
 // gets there with less work. The uniforms are drawn exactly as the canonical
-// computation draws them; then each receiver is decided in three steps:
+// computation draws them; then each receiver runs through up to three
+// tiers, each reached only by receivers the one before left undecided:
 //
-//  1. Filter. The interference is bounded by a cheap sum, ν + Σ g_j·ℓ̃(u_j),
-//     where ℓ̃ is negLog, a table-driven −ln u within logErr of the true
-//     value. On dense active sets the senders are visited strongest mean
-//     gain first, so a failing receiver is usually rejected after a few
-//     terms; on sparse ones, and for a Counter without an order, in index
-//     order.
-//  2. Decide. The receiver fails as soon as a lower bound on the canonical
-//     interference exceeds own/β, and succeeds when, after every term, an
-//     upper bound is below it. The bounds widen the filter sum by the
-//     relative margin δ = (a+8)·2⁻⁵⁰ for a active links, plus logErr times
-//     the gains visited. The canonical sum is within (a+4) units of
-//     roundoff (u = 2⁻⁵³) of the exact real sum, the filter sum within
-//     (2a+4)u of its own plus logErr per unit gain, own/β within u, and the
-//     bound arithmetic within 4u; δ = 8(a+8)u is more than twice all of it,
-//     so a decided receiver is decided as the canonical division would.
-//  3. Fall back. A receiver left undecided runs the canonical index-order
-//     loop with math.Log. So does every receiver when β or ν is not a
-//     normal, finite, positive number, and any receiver whose own/β is not:
-//     there the relative bounds above do not hold. A gain sum that
-//     overflows makes both bounds fail, which falls back too.
+//  1. Coarse. The interference is bounded by the sum ν + Σ g_j·ℓ̃(u_j),
+//     where ℓ̃ is negLogCoarse, one table lookup within err = coarseErr of
+//     −ln u, and own/β by [lo, hi] = g_ii·(ℓ̃(u_i) ∓ coarseErr)/β. On dense
+//     active sets the senders are visited strongest mean gain first, so a
+//     failing receiver is usually rejected after a few terms; on sparse
+//     ones, and for a Counter without an order, in index order.
+//  2. Precise. The same bounds in index order with negLog, within
+//     err = logErr, against lo = hi = own/β, own from math.Log.
+//  3. Canonical. The index-order loop with math.Log.
 //
-// The visit order changes only how many terms are summed, never a result.
+// A bounded tier rejects the receiver as soon as a lower bound on the
+// canonical interference exceeds own/β, sum·(1−δ) − err·G > hi·(1+δ) with G
+// the gains visited, and accepts it when, after every term, an upper bound
+// is below it, sum·(1+δ) + err·G < lo·(1−δ). With a active links and unit
+// roundoff u = 2⁻⁵³, δ = (a+8)·2⁻⁵⁰ = 8(a+8)u. The canonical sum is within
+// (a+4)u (relative) of the exact real sum; the tier's sum within (2a+4)u of
+// its own exact value, which is within err·G of the real sum; err·G within
+// (a+2)u of itself, which is below (a+2)u of the sum whenever the lower
+// bound is positive; [lo, hi] and the canonical own/β each within 4u of
+// the exact bracket and own/β, the bracket holding −ln u_i within err; and
+// the bound arithmetic within 4u. δ is more than twice all of it, so a
+// decided receiver is decided as the canonical division would.
+//
+// The strongest-first walk does not branch on activity: it visits every
+// other sender, multiplies its gain by mask (1 active, 0 not) and reads its
+// uniform at pos, the sentinel slot u[len(idx)] for an inactive one. A
+// zero or masked gain adds exactly 0, since negLogCoarse is finite for any
+// bits; an infinite gain masked to 0 gives NaN, which fails both tests.
+//
+// Both bounded tiers are skipped when β or ν is not a normal positive
+// number at most MaxFloat64/2, the coarse one when lo or hi is not and the
+// precise one when own/β is not: there the relative bounds above do not
+// hold, or a sum that overflows could reject wrongly. A bound that turns
+// NaN fails both tests and moves on too. The visit order changes only how
+// many terms are summed, never a result.
 type Counter struct {
 	m *network.Matrix
 	// order holds, for each receiver i, the other senders strongest mean
@@ -51,10 +65,12 @@ type Counter struct {
 	// positive[i] reports that every gain into receiver i is positive, so
 	// its uniforms can be drawn as one batch. Nil means check every gain.
 	positive []bool
-	pos      []int32   // pos[j] is link j's place in idx, or −1 if inactive
-	u        []float64 // u[k] is the uniform of sender idx[k]
+	pos      []int32   // pos[j] is link j's place in idx, or len(idx) if inactive
+	mask     []float64 // mask[j] is 1 if link j is active, 0 if not
+	u        []float64 // u[k] is the uniform of sender idx[k]; u[len(idx)] the sentinel
 	idx      []int     // the active links, in increasing order
 
+	refined   int // receivers the coarse tier left undecided
 	fallbacks int // receivers decided by the canonical loop
 }
 
@@ -63,12 +79,14 @@ type Counter struct {
 func NewCounter(m *network.Matrix) *Counter {
 	n := m.N
 	ints := make([]int32, n*max(n-1, 0)+n)
+	floats := make([]float64, 2*n+1)
 	c := &Counter{
 		m:        m,
 		order:    ints[: len(ints)-n : len(ints)-n],
 		pos:      ints[len(ints)-n:],
 		positive: make([]bool, n),
-		u:        make([]float64, n),
+		mask:     floats[:n:n],
+		u:        floats[n:],
 		idx:      make([]int, 0, n),
 	}
 	c.sortRows()
@@ -127,8 +145,11 @@ func exponent(g float64) int { return int(math.Float64bits(g)>>52) & 0x7ff }
 // relative, which subnormal operands would break.
 const minNormal = 0x1p-1022
 
-// normal reports whether x is a normal, finite, positive number.
-func normal(x float64) bool { return x >= minNormal && x <= math.MaxFloat64 }
+// inDomain reports whether x is a normal positive number at most half the
+// largest float64, the domain of the bounded tiers' operands. The cap keeps
+// a sum that overflows to +Inf a valid reason to reject: the interference
+// it bounds is then above MaxFloat64·(1 − 2⁻⁹), and own/β below it.
+func inDomain(x float64) bool { return x >= minNormal && x <= math.MaxFloat64/2 }
 
 // Count draws one Rayleigh realization for the links with active[i] set and
 // returns how many of them reach SINR β. It consumes the stream exactly as
@@ -143,14 +164,16 @@ func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
 	var order []int32
 	if c.order != nil && 4*len(idx) >= m.N {
 		order = c.order
+		sentinel := int32(len(idx))
+		c.u[sentinel] = 0.5 // a typical uniform: only the mask keeps inactive senders out
 		for j := range c.pos {
-			c.pos[j] = -1
+			c.pos[j], c.mask[j] = sentinel, 0
 		}
 		for k, j := range idx {
-			c.pos[j] = int32(k)
+			c.pos[j], c.mask[j] = int32(k), 1
 		}
 	}
-	filter := normal(beta) && normal(m.Noise)
+	filter := inDomain(beta) && inDomain(m.Noise)
 	delta := float64(len(idx)+8) * 0x1p-50
 	count := 0
 	for k, i := range idx {
@@ -167,22 +190,32 @@ func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
 				}
 			}
 		}
-		var own float64
-		if g := row[i]; g != 0 {
-			own = -g * math.Log(u[k])
-		}
-		target := own / beta
+		g := row[i]
 		ok, decided := false, false
-		if filter && normal(target) {
-			if order != nil {
-				ok, decided = c.boundOrdered(row, order[i*(m.N-1):(i+1)*(m.N-1)], u, target, delta)
-			} else {
-				ok, decided = c.boundIndexed(row, i, idx, u, target, delta)
+		if filter {
+			l := negLogCoarse(u[k])
+			lo, hi := g*(l-coarseErr)/beta, g*(l+coarseErr)/beta
+			if inDomain(lo) && inDomain(hi) {
+				if order != nil {
+					ok, decided = c.coarseOrdered(row, order[i*(m.N-1):(i+1)*(m.N-1)], lo, hi, delta)
+				} else {
+					ok, decided = c.coarseIndexed(row, i, idx, u, lo, hi, delta)
+				}
 			}
 		}
 		if !decided {
-			c.fallbacks++
-			ok = c.exact(row, i, idx, u, own, beta)
+			c.refined++
+			var own float64
+			if g != 0 {
+				own = -g * math.Log(u[k])
+			}
+			if target := own / beta; filter && inDomain(target) {
+				ok, decided = c.precise(row, i, idx, u, target, delta)
+			}
+			if !decided {
+				c.fallbacks++
+				ok = c.exact(row, i, idx, u, own, beta)
+			}
 		}
 		if ok {
 			count++
@@ -191,28 +224,44 @@ func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
 	return count
 }
 
-// boundOrdered runs the filter and decide steps for one receiver over the
-// senders of visit, strongest first, skipping inactive ones: it reports
-// whether the receiver succeeds and whether the bounds settled it.
-func (c *Counter) boundOrdered(row []float64, visit []int32, u []float64, target, delta float64) (ok, decided bool) {
-	reject := target * (1 + delta)
+// coarseOrdered runs the coarse tier for one receiver over the senders of
+// visit, strongest first, masking inactive ones: it reports whether the
+// receiver succeeds and whether the bounds settled it.
+func (c *Counter) coarseOrdered(row []float64, visit []int32, lo, hi, delta float64) (ok, decided bool) {
+	reject, shrink := hi*(1+delta), 1-delta
+	mask, pos, u := c.mask, c.pos, c.u
 	sum, gains := c.m.Noise, 0.0
 	for _, j := range visit {
-		k, g := c.pos[j], row[j]
-		if k < 0 || g == 0 {
-			continue
-		}
-		sum += g * negLog(u[k])
+		g := row[j] * mask[j]
+		sum += g * negLogCoarse(u[pos[j]])
 		gains += g
-		if sum*(1-delta)-logErr*gains > reject {
+		if sum*shrink-coarseErr*gains > reject {
 			return false, true
 		}
 	}
-	return accept(sum, gains, target, delta)
+	return accept(sum, gains, coarseErr, lo, delta)
 }
 
-// boundIndexed is boundOrdered over the active senders in index order.
-func (c *Counter) boundIndexed(row []float64, i int, idx []int, u []float64, target, delta float64) (ok, decided bool) {
+// coarseIndexed is coarseOrdered over the active senders in index order.
+func (c *Counter) coarseIndexed(row []float64, i int, idx []int, u []float64, lo, hi, delta float64) (ok, decided bool) {
+	reject := hi * (1 + delta)
+	sum, gains := c.m.Noise, 0.0
+	for k, j := range idx {
+		g := row[j]
+		if j == i {
+			continue
+		}
+		sum += g * negLogCoarse(u[k])
+		gains += g
+		if sum*(1-delta)-coarseErr*gains > reject {
+			return false, true
+		}
+	}
+	return accept(sum, gains, coarseErr, lo, delta)
+}
+
+// precise is coarseIndexed with negLog, against own/β itself.
+func (c *Counter) precise(row []float64, i int, idx []int, u []float64, target, delta float64) (ok, decided bool) {
 	reject := target * (1 + delta)
 	sum, gains := c.m.Noise, 0.0
 	for k, j := range idx {
@@ -226,14 +275,14 @@ func (c *Counter) boundIndexed(row []float64, i int, idx []int, u []float64, tar
 			return false, true
 		}
 	}
-	return accept(sum, gains, target, delta)
+	return accept(sum, gains, logErr, target, delta)
 }
 
-// accept settles a receiver whose filter sum over every sender did not
-// reject it: it succeeds if the upper bound clears own/β, and is left to
-// the canonical loop otherwise.
-func accept(sum, gains, target, delta float64) (ok, decided bool) {
-	if sum*(1+delta)+logErr*gains < target*(1-delta) {
+// accept settles a receiver whose sum over every sender did not reject it:
+// it succeeds if the upper bound, with err per unit gain, clears lo, and is
+// left to the next tier otherwise.
+func accept(sum, gains, err, lo, delta float64) (ok, decided bool) {
+	if sum*(1+delta)+err*gains < lo*(1-delta) {
 		return true, true
 	}
 	return false, false

@@ -52,26 +52,31 @@ func FuzzExactSuccessInvariants(f *testing.F) {
 
 // FuzzCountSuccessesMatchesReference checks the counting kernels against
 // the kept full-draw reference for arbitrary seeds, thresholds, transmitter
-// densities and noise levels, on the generated network and on a copy with
-// zero-gain entries: the count and the final stream position must agree
-// exactly. One Counter per matrix is reused for the drawn set, the full set
-// (visited strongest first) and a single link (in index order once n > 4).
-// The noise is set on the matrix directly, so negative, infinite and NaN
-// levels are exercised too.
+// densities, noise levels and one planted gain, on the generated network
+// and on a copy with zero-gain entries: the count and the final stream
+// position must agree exactly. One Counter per matrix is reused for the
+// drawn set, the full set (visited strongest first) and a single link (in
+// index order once n > 4). The noise is set on the matrix directly, so
+// negative, infinite and NaN levels are exercised too. A positive gain is
+// planted from one sender, inactive in the drawn set when any is, into
+// every other receiver: huge and infinite gains on a sender the masked
+// strongest-first walk skips, and on one it visits in the full set.
 func FuzzCountSuccessesMatchesReference(f *testing.F) {
-	f.Add(uint64(1), 2.5, 0.5, 4e-7)
-	f.Add(uint64(2), 0.5, 1.0, 0.0) // no noise: a lone transmitter reaches +Inf
-	f.Add(uint64(3), 50.0, 0.1, 1.0)
-	f.Add(uint64(4), 2.5, 0.0, 4e-7) // nobody transmits
-	f.Add(uint64(5), 0.0, 1.0, 0.0)  // β = 0: SINR 0 succeeds
-	f.Add(uint64(6), math.Inf(1), 1.0, 1e-9)
-	f.Add(uint64(7), 2.5, 1.0, -1e-3) // partial sums start negative
-	f.Add(uint64(8), math.NaN(), 0.7, math.Inf(1))
-	f.Add(uint64(9), 2.5, 0.9, math.NaN())
-	f.Add(uint64(10), 2.5, 0.6, math.Inf(-1))
-	f.Add(uint64(11), 2.5, 0.8, 5e-324) // subnormal noise: outside the filter's domain
-	f.Add(uint64(12), math.NaN(), 1.0, 4e-7)
-	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise float64) {
+	f.Add(uint64(1), 2.5, 0.5, 4e-7, 0.0)
+	f.Add(uint64(2), 0.5, 1.0, 0.0, 0.0) // no noise: a lone transmitter reaches +Inf
+	f.Add(uint64(3), 50.0, 0.1, 1.0, 0.0)
+	f.Add(uint64(4), 2.5, 0.0, 4e-7, 0.0) // nobody transmits
+	f.Add(uint64(5), 0.0, 1.0, 0.0, 0.0)  // β = 0: SINR 0 succeeds
+	f.Add(uint64(6), math.Inf(1), 1.0, 1e-9, 0.0)
+	f.Add(uint64(7), 2.5, 1.0, -1e-3, 0.0) // partial sums start negative
+	f.Add(uint64(8), math.NaN(), 0.7, math.Inf(1), 0.0)
+	f.Add(uint64(9), 2.5, 0.9, math.NaN(), 0.0)
+	f.Add(uint64(10), 2.5, 0.6, math.Inf(-1), 0.0)
+	f.Add(uint64(11), 2.5, 0.8, 5e-324, 0.0) // subnormal noise: outside the filter's domain
+	f.Add(uint64(12), math.NaN(), 1.0, 4e-7, 0.0)
+	f.Add(uint64(13), 2.5, 0.8, 4e-7, math.MaxFloat64) // huge gain: masked to 0, overflows when active
+	f.Add(uint64(14), 2.5, 0.8, 4e-7, math.Inf(1))     // masked to NaN on the ordered walk
+	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise, gain float64) {
 		cfg := network.Figure1Config()
 		cfg.N = 1 + int(seed%24)
 		net, err := network.Random(cfg, rng.New(seed))
@@ -84,8 +89,22 @@ func FuzzCountSuccessesMatchesReference(f *testing.F) {
 			all[i] = true
 		}
 		one[int(seed/24)%cfg.N] = true
+		planted := int(seed % uint64(cfg.N))
+		for j, on := range active {
+			if !on {
+				planted = j
+				break
+			}
+		}
 		for _, m := range []*network.Matrix{net.Gains(), zeroSomeGains(net.Gains(), int(seed%3))} {
 			m.Noise = noise
+			if gain > 0 {
+				for i := 0; i < m.N; i++ {
+					if i != planted {
+						m.SetGain(planted, i, gain)
+					}
+				}
+			}
 			c := NewCounter(m)
 			for _, set := range [][]bool{active, all, one} {
 				checkCountSuccesses(t, c, set, beta, seed)

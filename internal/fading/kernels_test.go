@@ -312,6 +312,57 @@ func TestCounterFallsBackOutsideDomain(t *testing.T) {
 	}
 }
 
+// TestCoarseTierDecidesPaperSettings pins that at the paper's settings
+// (n = 100, β = 2.5, ν = 4·10⁻⁷) the one-lookup coarse tier settles at
+// least 99% of receivers on its own, in both visit orders, with counts and
+// stream positions equal to the reference.
+func TestCoarseTierDecidesPaperSettings(t *testing.T) {
+	m := randomMatrix(t, 23, 100)
+	setup := rng.New(24)
+	for _, density := range []float64{0.25, 0.5, 1} {
+		c := NewCounter(m)
+		receivers := 0
+		for trial := 0; trial < 100; trial++ {
+			active := randomActive(setup, m.N, density)
+			for _, on := range active {
+				if on {
+					receivers++
+				}
+			}
+			checkCountSuccesses(t, c, active, 2.5, setup.Uint64())
+		}
+		if 100*c.refined > receivers {
+			t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.refined, receivers)
+		}
+		t.Logf("density %.2f: %d of %d receivers refined, %d fell back", density, c.refined, receivers, c.fallbacks)
+	}
+}
+
+// TestNegLogCoarseErrorBound pins coarseErr as TestNegLogErrorBound pins
+// logErr: over every table cell and every binary exponent a uniform from
+// Float64Open can have, at both cell endpoints, the centre and points
+// between, negLogCoarse stays within coarseErr of −ln u.
+func TestNegLogCoarseErrorBound(t *testing.T) {
+	worst := 0.0
+	for e := -53; e <= -1; e++ {
+		for k := 0; k < coarseCells; k++ {
+			lo := 1 + float64(k)/coarseCells
+			hi := math.Nextafter(1+float64(k+1)/coarseCells, 0)
+			for _, mant := range []float64{lo, math.Nextafter(lo, 2), lo + 0.25/coarseCells, lo + 0.5/coarseCells, lo + 0.75/coarseCells, math.Nextafter(hi, 0), hi} {
+				u := math.Ldexp(mant, e)
+				want := -math.Log(u)
+				ulp := math.Nextafter(want, math.Inf(1)) - want
+				err := math.Abs(negLogCoarse(u) - want)
+				if err > coarseErr-ulp {
+					t.Fatalf("u = %v (2^%d × %v): negLogCoarse %v, −ln u %v, error %g > %g", u, e, mant, negLogCoarse(u), want, err, coarseErr-ulp)
+				}
+				worst = max(worst, err)
+			}
+		}
+	}
+	t.Logf("largest error %g (coarseErr %g)", worst, coarseErr)
+}
+
 // TestNegLogErrorBound pins logErr: over every table cell and every binary
 // exponent a uniform from Float64Open can have, at both cell endpoints, the
 // centre and points between, negLog stays within logErr of −ln u. math.Log

@@ -128,20 +128,23 @@ func (s *Source) Float64Open() float64 {
 // FillOpen fills dst with successive Float64Open values. The stream is the
 // one len(dst) calls to Float64Open draw; the generator state stays in
 // registers for the whole batch instead of being stored after every draw.
+// The inner loop redraws only on a zero, which happens once in 2⁵³ draws.
 func (s *Source) FillOpen(dst []float64) {
 	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
-	for k := 0; k < len(dst); {
-		result := bits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		if v := result >> 11; v != 0 {
-			dst[k] = float64(v) * 0x1p-53
-			k++
+	for k := range dst {
+		for {
+			result := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			if v := result >> 11; v != 0 {
+				dst[k] = float64(v) * 0x1p-53
+				break
+			}
 		}
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
@@ -200,15 +203,6 @@ func (s *Source) Exp(mean float64) float64 {
 		return 0
 	}
 	return -mean * math.Log(s.Float64Open())
-}
-
-// ExpRate returns an exponentially distributed value with rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
-func (s *Source) ExpRate(lambda float64) float64 {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("rng: ExpRate called with non-positive rate %g", lambda))
-	}
-	return -math.Log(s.Float64Open()) / lambda
 }
 
 // Normal returns a normally distributed value with the given mean and
@@ -297,14 +291,6 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes n elements uniformly at random using the provided swap
-// function, in the manner of math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
 }
 
 // Clone returns an exact copy of the Source: the clone and the original

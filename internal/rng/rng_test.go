@@ -207,28 +207,6 @@ func TestExpDistribution(t *testing.T) {
 	}
 }
 
-func TestExpRate(t *testing.T) {
-	s := New(17)
-	const n = 100000
-	lambda := 4.0
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.ExpRate(lambda)
-	}
-	if got, want := sum/n, 1/lambda; math.Abs(got-want)/want > 0.03 {
-		t.Fatalf("ExpRate(%g) mean %g, want about %g", lambda, got, want)
-	}
-}
-
-func TestExpRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExpRate(0) did not panic")
-		}
-	}()
-	New(1).ExpRate(0)
-}
-
 func TestNormalMoments(t *testing.T) {
 	s := New(19)
 	const n = 200000
@@ -395,19 +373,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	s := New(37)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("Shuffle lost or duplicated elements: %v", xs)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(41)
 	child := parent.Split()
@@ -537,6 +502,16 @@ func BenchmarkExp(b *testing.B) {
 		sink += s.Exp(1)
 	}
 	_ = sink
+}
+
+// BenchmarkFillOpen100 draws one receiver's uniforms at the paper's 100
+// links, the batch fading.Counter draws per receiver.
+func BenchmarkFillOpen100(b *testing.B) {
+	s := New(1)
+	dst := make([]float64, 100)
+	for i := 0; i < b.N; i++ {
+		s.FillOpen(dst)
+	}
 }
 
 func BenchmarkSplit(b *testing.B) {
