@@ -50,6 +50,9 @@ func cmdCluster(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkFormat(*format); err != nil {
+		return err
+	}
 	workers := splitWorkers(*workersFlag)
 	if len(workers) == 0 {
 		return fmt.Errorf("cluster: -workers is required (comma-separated rayschedd URLs)")
@@ -57,110 +60,68 @@ func cmdCluster(ctx context.Context, args []string) error {
 	if *status {
 		return runClusterStatus(ctx, workers)
 	}
-	ctx, obsDone, err := of.start(ctx)
+	wire := server.Figure1ShardConfig{
+		Networks: *networks, Links: *links,
+		TransmitSeeds: *txSeeds, FadingSeeds: *fdSeeds,
+		Points: *points, Seed: *seed, Topology: *topology,
+	}
+	cfg := dist.Config{
+		Workers:       workers,
+		ShardSize:     *shardSize,
+		LeaseTimeout:  *lease,
+		MaxAttempts:   *maxAttempts,
+		DeadAfter:     *deadAfter,
+		JournalDir:    *journal,
+		HedgeAfter:    *hedge,
+		ProbeInterval: *probeInterval,
+		MaxProbes:     *maxProbes,
+		Client:        client.Config{JitterSeed: *seed},
+	}
+	if *prog {
+		cfg.Tracker = progress.New("cluster", os.Stderr)
+	}
+	res, err := runExperiment(ctx, of, false, "cluster", func(ctx context.Context, cfg dist.Config) (*sim.Figure1Result, error) {
+		return runCluster(ctx, of, cfg, wire, *mergedCk)
+	}, cfg)
 	if err != nil {
 		return err
 	}
-	err = runCluster(ctx, of, clusterParams{
-		workers: workers,
-		wire: server.Figure1ShardConfig{
-			Networks: *networks, Links: *links,
-			TransmitSeeds: *txSeeds, FadingSeeds: *fdSeeds,
-			Points: *points, Seed: *seed, Topology: *topology,
-		},
-		shardSize:     *shardSize,
-		lease:         *lease,
-		maxAttempts:   *maxAttempts,
-		deadAfter:     *deadAfter,
-		journal:       *journal,
-		hedge:         *hedge,
-		probeInterval: *probeInterval,
-		maxProbes:     *maxProbes,
-		format:        *format,
-		out:           *out,
-		mergedCk:      *mergedCk,
-		progress:      *prog,
-	})
-	if ferr := obsDone(); err == nil {
-		err = ferr
-	}
-	return err
+	return renderFigure1(res, *format, *out)
 }
 
-// clusterParams is the resolved flag set for one cluster run.
-type clusterParams struct {
-	workers       []string
-	wire          server.Figure1ShardConfig
-	shardSize     int
-	lease         time.Duration
-	maxAttempts   int
-	deadAfter     int
-	journal       string
-	hedge         time.Duration
-	probeInterval time.Duration
-	maxProbes     int
-	format        string
-	out           string
-	mergedCk      string
-	progress      bool
-}
-
-func runCluster(ctx context.Context, of *obsFlags, p clusterParams) error {
-	cfg := p.wire.SimConfig()
-	sha, err := sim.Figure1ConfigSHA(cfg)
+// runCluster dispatches the Figure-1 replications described by wire across
+// cfg's workers, merges the shard results into a checkpoint (kept at
+// mergedCk when set) and replays it through the single-node pipeline.
+func runCluster(ctx context.Context, of *obsFlags, cfg dist.Config, wire server.Figure1ShardConfig, mergedCk string) (*sim.Figure1Result, error) {
+	simCfg := wire.SimConfig()
+	sha, err := sim.Figure1ConfigSHA(simCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	// The coordinator logs through the -log logger of.start built (nil
+	// discards); a nil Tracker, without -progress, reports nothing.
+	cfg.Log = of.log
+	cfg.Tracker.Start(progressInterval)
+	defer cfg.Tracker.Stop()
 
-	// The coordinator reuses the -log level for its own event stream; the
-	// sim logger installed by of.start only covers the local replay.
-	log := obs.Discard()
-	if of.logLevel != "" {
-		lvl, err := obs.ParseLevel(of.logLevel)
-		if err != nil {
-			return err
-		}
-		log = obs.NewLogger(os.Stderr, lvl, false)
-	}
-	var tracker *progress.Tracker
-	if p.progress {
-		tracker = progress.New("cluster", os.Stderr)
-		tracker.Start(progressInterval)
-		defer tracker.Stop()
-	}
-
-	co, err := dist.New(dist.Config{
-		Workers:       p.workers,
-		ShardSize:     p.shardSize,
-		LeaseTimeout:  p.lease,
-		MaxAttempts:   p.maxAttempts,
-		DeadAfter:     p.deadAfter,
-		JournalDir:    p.journal,
-		HedgeAfter:    p.hedge,
-		ProbeInterval: p.probeInterval,
-		MaxProbes:     p.maxProbes,
-		Client:        client.Config{JitterSeed: p.wire.Seed},
-		Log:           log,
-		Tracker:       tracker,
-	})
+	co, err := dist.New(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	live, err := co.Discover(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "raysched: cluster: %d/%d workers live\n", len(live), len(p.workers))
+	fmt.Fprintf(os.Stderr, "raysched: cluster: %d/%d workers live\n", len(live), len(cfg.Workers))
 	for _, w := range live {
 		fmt.Fprintf(os.Stderr, "raysched: cluster:   %s instance=%s gomaxprocs=%d\n", w.URL, w.Instance, w.GoMaxProcs)
 	}
 
-	wire := p.wire
-	timeoutMS := p.lease.Milliseconds()
+	timeoutMS := cfg.LeaseTimeout.Milliseconds()
 	job := dist.Job{
 		Experiment: sim.ExperimentFigure1,
 		ConfigSHA:  sha,
-		Reps:       cfg.Networks,
+		Reps:       simCfg.Networks,
 		NewRequest: func(lo, hi int) ([]byte, error) {
 			return json.Marshal(server.ShardRequest{
 				Experiment: sim.ExperimentFigure1,
@@ -172,7 +133,7 @@ func runCluster(ctx context.Context, of *obsFlags, p clusterParams) error {
 	}
 	results, st, err := co.Run(ctx, job)
 	if err != nil {
-		return fmt.Errorf("cluster run (%d/%d shards merged, %d resumed, %d reassigned, %d dead workers): %w",
+		return nil, fmt.Errorf("cluster run (%d/%d shards merged, %d resumed, %d reassigned, %d dead workers): %w",
 			st.Completed, st.Shards, st.Resumed, st.Reassigned, st.DeadWorkers, err)
 	}
 	fmt.Fprintf(os.Stderr, "raysched: cluster: %d shards merged (%d resumed from journal), %d reassigned, %d hedged, %d quarantined (%d readmitted), %d dead workers\n",
@@ -195,28 +156,23 @@ func runCluster(ctx context.Context, of *obsFlags, p clusterParams) error {
 		}
 	}
 
-	ckPath := p.mergedCk
-	if ckPath == "" {
+	if mergedCk == "" {
 		dir, err := os.MkdirTemp("", "raysched-cluster-")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		ckPath = filepath.Join(dir, "merged.ckpt")
+		mergedCk = filepath.Join(dir, "merged.ckpt")
 	}
-	if err := sim.WriteMergedCheckpoint(ckPath, job.Experiment, sha, job.Reps, results); err != nil {
-		return err
+	if err := sim.WriteMergedCheckpoint(mergedCk, job.Experiment, sha, job.Reps, results); err != nil {
+		return nil, err
 	}
 
 	// Replay: every replication restores from the merged checkpoint, so this
 	// computes nothing — it routes the remote results through the identical
-	// aggregation and rendering path as a single-node run.
-	cfg.Checkpoint = ckPath
-	res, err := sim.RunFigure1Ctx(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	return renderFigure1(res, p.format, p.out)
+	// aggregation path as a single-node run.
+	simCfg.Checkpoint = mergedCk
+	return sim.RunFigure1Ctx(ctx, simCfg)
 }
 
 // runClusterStatus is `raysched cluster -status`: one /healthz sweep over the

@@ -82,15 +82,56 @@ func TestCmdFigure1SVG(t *testing.T) {
 	}
 }
 
+// TestCmdFigure1Formats runs every curve command in every -format and checks
+// each output's signature; an unknown -format must fail before anything runs.
 func TestCmdFigure1Formats(t *testing.T) {
-	for _, format := range []string{"md", "ascii"} {
-		out := captureStdout(t, func() error {
-			return cmdFigure1(context.Background(), []string{"-networks", "1", "-links", "15", "-txseeds", "2",
-				"-fadeseeds", "1", "-points", "3", "-format", format})
-		})
-		if len(out) == 0 {
-			t.Fatalf("format %s produced no output", format)
+	cmds := []struct {
+		name, x string
+		run     func(context.Context, []string) error
+		args    []string
+	}{
+		{"figure1", "prob", cmdFigure1, []string{"-networks", "1", "-links", "15", "-txseeds", "2", "-fadeseeds", "1", "-points", "3"}},
+		{"figure2", "round", cmdFigure2, []string{"-networks", "1", "-links", "15", "-rounds", "5"}},
+		{"shannon", "prob", cmdShannon, []string{"-networks", "1", "-links", "15"}},
+		{"topology", "prob", cmdTopology, []string{"-side", "3"}},
+	}
+	for _, c := range cmds {
+		signatures := map[string]func(string) bool{
+			"csv": func(out string) bool { return strings.HasPrefix(out, c.x+",") },
+			"md":  func(out string) bool { return strings.HasPrefix(out, "| "+c.x+" |") },
+			"svg": func(out string) bool {
+				return strings.HasPrefix(out, "<svg") && strings.HasSuffix(strings.TrimSpace(out), "</svg>")
+			},
+			"ascii": func(out string) bool {
+				return strings.TrimSpace(out) != "" && !strings.HasPrefix(out, "|") && !strings.HasPrefix(out, "<")
+			},
 		}
+		for format, ok := range signatures {
+			t.Run(c.name+"/"+format, func(t *testing.T) {
+				out := captureStdout(t, func() error {
+					return c.run(context.Background(), append(append([]string{}, c.args...), "-format", format))
+				})
+				if !ok(out) {
+					t.Fatalf("-format %s output lacks its signature:\n%s", format, out)
+				}
+			})
+		}
+		t.Run(c.name+"/bogus", func(t *testing.T) {
+			// A trace file appears only if the run started.
+			trace := filepath.Join(t.TempDir(), "run.trace.json")
+			err := c.run(context.Background(), append(append([]string{}, c.args...), "-format", "bogus", "-trace", trace))
+			if err == nil || !strings.Contains(err.Error(), "-format") {
+				t.Fatalf("-format bogus: err = %v, want an unknown-format error", err)
+			}
+			if _, serr := os.Stat(trace); serr == nil {
+				t.Fatal("-format bogus ran the experiment before failing")
+			}
+		})
+	}
+	// cluster rejects the format before dispatching to any worker.
+	err := cmdCluster(context.Background(), []string{"-workers", "http://127.0.0.1:1", "-format", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), "-format") {
+		t.Fatalf("cluster -format bogus: err = %v, want an unknown-format error", err)
 	}
 }
 

@@ -358,67 +358,6 @@ func GreedyWeighted(m *network.Matrix, beta float64) (set []int, value float64) 
 	return set, value
 }
 
-// LengthClasses buckets links into nearly-equal-length classes: class k
-// holds the links whose length lies in [d_min·2^k, d_min·2^(k+1)). Many of
-// the transferred algorithms' analyses (and the O(log Δ) bounds the paper
-// cites for uniform powers) proceed class by class, because links of
-// similar length interact through distance alone. Empty classes are
-// omitted; classes are ordered by increasing length.
-func LengthClasses(net *network.Network) [][]int {
-	lengths := net.Lengths()
-	if len(lengths) == 0 {
-		return nil
-	}
-	dmin := math.Inf(1)
-	for _, d := range lengths {
-		if d < dmin {
-			dmin = d
-		}
-	}
-	classes := map[int][]int{}
-	maxK := 0
-	for i, d := range lengths {
-		k := int(math.Floor(math.Log2(d / dmin)))
-		if k < 0 { // float round-off at d == dmin
-			k = 0
-		}
-		classes[k] = append(classes[k], i)
-		if k > maxK {
-			maxK = k
-		}
-	}
-	var out [][]int
-	for k := 0; k <= maxK; k++ {
-		if c := classes[k]; len(c) > 0 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// GreedyByClasses runs the affectance greedy separately inside every
-// length class and returns the best single class's selection — the
-// class-decomposition form of the uniform-power algorithms, whose
-// approximation factor is the number of classes (O(log Δ)).
-func GreedyByClasses(net *network.Network, beta float64) (best []int, classes [][]int) {
-	m := net.Gains()
-	order := LengthOrder(net)
-	pos := make(map[int]int, len(order))
-	for p, i := range order {
-		pos[i] = p
-	}
-	classes = LengthClasses(net)
-	for _, class := range classes {
-		scan := append([]int(nil), class...)
-		sort.SliceStable(scan, func(a, b int) bool { return pos[scan[a]] < pos[scan[b]] })
-		set := GreedyAffectance(m, beta, DefaultTau, scan)
-		if len(set) > len(best) {
-			best = set
-		}
-	}
-	return best, classes
-}
-
 // RateClass is one threshold class of the flexible-data-rate decomposition.
 type RateClass struct {
 	Beta  float64

@@ -326,88 +326,6 @@ func TestFlexibleRatesPanics(t *testing.T) {
 	}
 }
 
-func TestLengthClassesPartition(t *testing.T) {
-	net := fig1Net(t, 41, 50) // lengths in [20,40]: at most 2 classes
-	classes := LengthClasses(net)
-	if len(classes) == 0 || len(classes) > 2 {
-		t.Fatalf("Figure-1 lengths should give 1–2 classes, got %d", len(classes))
-	}
-	seen := map[int]bool{}
-	for _, c := range classes {
-		for _, i := range c {
-			if seen[i] {
-				t.Fatalf("link %d in two classes", i)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != net.N() {
-		t.Fatalf("classes cover %d of %d", len(seen), net.N())
-	}
-	// Every class spans less than a factor 2 in length.
-	lengths := net.Lengths()
-	for k, c := range classes {
-		lo, hi := math.Inf(1), 0.0
-		for _, i := range c {
-			lo = math.Min(lo, lengths[i])
-			hi = math.Max(hi, lengths[i])
-		}
-		if hi/lo >= 2.0000001 {
-			t.Fatalf("class %d spans factor %g", k, hi/lo)
-		}
-	}
-}
-
-func TestLengthClassesWideRange(t *testing.T) {
-	cfg := network.Figure2Config() // lengths (0,100]: many classes
-	cfg.N = 150
-	net, err := network.Random(cfg, rng.New(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := LengthClasses(net)
-	if len(classes) < 4 {
-		t.Fatalf("wide length range produced only %d classes", len(classes))
-	}
-}
-
-func TestGreedyByClasses(t *testing.T) {
-	net := fig1Net(t, 45, 80)
-	best, classes := GreedyByClasses(net, 2.5)
-	if len(best) == 0 || len(classes) == 0 {
-		t.Fatal("degenerate class greedy")
-	}
-	if !sinr.Feasible(net.Gains(), best, 2.5) {
-		t.Fatal("class greedy infeasible")
-	}
-	// Links of the winning selection all come from one class.
-	inClass := func(c []int) map[int]bool {
-		m := map[int]bool{}
-		for _, i := range c {
-			m[i] = true
-		}
-		return m
-	}
-	found := false
-	for _, c := range classes {
-		cm := inClass(c)
-		all := true
-		for _, i := range best {
-			if !cm[i] {
-				all = false
-				break
-			}
-		}
-		if all {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("winning selection spans multiple classes")
-	}
-}
-
 func TestWeightOrder(t *testing.T) {
 	net := fig1Net(t, 31, 10)
 	m := net.Gains()

@@ -166,25 +166,17 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 // error — the caller distinguishes application failures from transport
 // failure; err is non-nil only when the budget is exhausted or ctx ends.
 func (c *Client) PostJSON(ctx context.Context, path string, body []byte) ([]byte, int, error) {
-	return c.post(ctx, path, "application/json", body)
+	return c.post(ctx, path, body)
 }
 
-// PostNDJSON posts an NDJSON body (one JSON document per line) to path under
-// the same retry policy as PostJSON. Retrying a whole batch is safe: every
-// rayschedd batch line is deterministic and cached, so a replay returns
-// byte-identical lines.
-func (c *Client) PostNDJSON(ctx context.Context, path string, body []byte) ([]byte, int, error) {
-	return c.post(ctx, path, "application/x-ndjson", body)
-}
-
-// post is the shared retry loop behind PostJSON and PostNDJSON. One request
-// ID is minted per logical request and sent as X-Request-ID on every
-// attempt, so retries correlate to one line of intent in worker access logs
-// instead of presenting as distinct requests; the attempt number rides on
-// the span as an attribute. When a tracer governs ctx, the outbound
+// post is the retry loop behind PostJSON. One request ID is minted per
+// logical request and sent as X-Request-ID on every attempt, so retries
+// correlate to one line of intent in worker access logs instead of
+// presenting as distinct requests; the attempt number rides on the span as
+// an attribute. When a tracer governs ctx, the outbound
 // requests also carry an X-Trace-Context header naming the run and the
 // enclosing span, so a collecting server parents its work under this call.
-func (c *Client) post(ctx context.Context, path, contentType string, body []byte) ([]byte, int, error) {
+func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, int, error) {
 	c.requests.Add(1)
 	reqID := obs.NewRequestID()
 	ctx, sp := obs.Start(ctx, "client.post")
@@ -229,7 +221,7 @@ func (c *Client) post(ctx context.Context, path, contentType string, body []byte
 				c.failures.Add(1)
 				return nil, 0, rerr
 			}
-			req.Header.Set("Content-Type", contentType)
+			req.Header.Set("Content-Type", "application/json")
 			req.Header.Set("X-Request-ID", reqID)
 			if traceHeader != "" {
 				req.Header.Set(obs.HeaderTraceContext, traceHeader)

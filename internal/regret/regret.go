@@ -242,17 +242,6 @@ func (g *Game) step() Round {
 	}
 }
 
-// SendProbSeries returns the per-round mean send probability — it shows the
-// population splitting into persistent senders and silenced links as the
-// dynamics converge.
-func (h *History) SendProbSeries() []float64 {
-	out := make([]float64, len(h.Rounds))
-	for t, r := range h.Rounds {
-		out[t] = r.AvgSendProb
-	}
-	return out
-}
-
 // counterfactualSuccess evaluates whether idle link i would have reached β
 // had it transmitted alongside the realized set.
 func (g *Game) counterfactualSuccess(sent []bool, i int) bool {

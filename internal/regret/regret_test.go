@@ -385,28 +385,6 @@ func TestExpectedRewardMatchesEmpirical(t *testing.T) {
 	}
 }
 
-func TestSendProbSeries(t *testing.T) {
-	net := fig2Net(t, 13, 30)
-	h := NewGame(net.Gains(), 0.5, NonFading, rng.New(41)).Run(80)
-	series := h.SendProbSeries()
-	if len(series) != 80 {
-		t.Fatalf("series length %d", len(series))
-	}
-	if math.Abs(series[0]-0.5) > 1e-12 {
-		t.Fatalf("round-1 average send probability %g, want 0.5 (fresh RWM)", series[0])
-	}
-	for tIdx, p := range series {
-		if p < 0 || p > 1 {
-			t.Fatalf("round %d probability %g", tIdx, p)
-		}
-	}
-	// After convergence the population splits; the average must have moved
-	// away from the uniform 0.5 start.
-	if last := series[len(series)-1]; math.Abs(last-0.5) < 0.01 {
-		t.Fatalf("send probabilities did not move from 0.5 (last %g)", last)
-	}
-}
-
 // Determinism: identical seeds give identical histories.
 func TestGameDeterministic(t *testing.T) {
 	net := fig2Net(t, 11, 20)

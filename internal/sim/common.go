@@ -4,22 +4,13 @@ import (
 	"context"
 	"time"
 
-	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
 	"rayfade/internal/sinr"
 )
 
-// squareArea returns the [0,side]² deployment area.
-func squareArea(side float64) geom.Rect { return geom.Square(side) }
-
-// countNonFading counts active links reaching beta in the non-fading model.
-func countNonFading(m *network.Matrix, active []bool, beta float64) int {
-	return sinr.CountSuccesses(m, active, beta)
-}
-
-// countNonFadingInto is the buffer-reusing variant of countNonFading: vals
-// must have length m.N and is overwritten.
+// countNonFadingInto counts active links reaching beta in the non-fading
+// model; vals must have length m.N and is overwritten.
 func countNonFadingInto(m *network.Matrix, active []bool, beta float64, vals []float64) int {
 	sinr.ValuesInto(m, active, vals)
 	count := 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
 	"rayfade/internal/stats"
@@ -300,7 +301,7 @@ func TestFigure1RayleighCurveMatchesClosedForm(t *testing.T) {
 		src := base.Split()
 		netCfg := network.Config{
 			N:     cfg.Links,
-			Area:  squareArea(1000),
+			Area:  geom.Square(1000),
 			DMin:  20,
 			DMax:  40,
 			Alpha: 2.2,

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
 	"rayfade/internal/rng"
@@ -95,7 +96,7 @@ func (c Figure1Config) withDefaults() Figure1Config {
 func (c Figure1Config) drawNetwork(src *rng.Source) (*network.Network, error) {
 	base := network.Config{
 		N:     c.Links,
-		Area:  squareArea(c.Side),
+		Area:  geom.Square(c.Side),
 		DMin:  c.DMin,
 		DMax:  c.DMax,
 		Alpha: c.Alpha,

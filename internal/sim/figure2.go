@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rayfade/internal/capacity"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
 	"rayfade/internal/regret"
@@ -141,7 +142,7 @@ func RunFigure2Ctx(ctx context.Context, cfg Figure2Config) (*Figure2Result, erro
 	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
-			Area:  squareArea(cfg.Side),
+			Area:  geom.Square(cfg.Side),
 			DMin:  cfg.DMin,
 			DMax:  cfg.DMax,
 			Alpha: cfg.Alpha,

@@ -6,6 +6,7 @@ import (
 
 	"rayfade/internal/capacity"
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/opt"
 	"rayfade/internal/rng"
@@ -97,7 +98,7 @@ func RunOptimumCtx(ctx context.Context, cfg OptimumConfig) (*OptimumResult, erro
 	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
-			Area:  squareArea(cfg.Side),
+			Area:  geom.Square(cfg.Side),
 			DMin:  cfg.DMin,
 			DMax:  cfg.DMax,
 			Alpha: cfg.Alpha,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
 	"rayfade/internal/sinr"
@@ -104,7 +105,7 @@ func RunShannonCtx(ctx context.Context, cfg ShannonConfig) (*ShannonResult, erro
 	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
-			Area:  squareArea(cfg.Side),
+			Area:  geom.Square(cfg.Side),
 			DMin:  cfg.DMin,
 			DMax:  cfg.DMax,
 			Alpha: cfg.Alpha,

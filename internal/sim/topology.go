@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
 	"rayfade/internal/rng"
@@ -127,7 +128,7 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 	perNet, perErr := ParallelCtx(ctx, cfg.RandomNets, cfg.Workers, base, func(rep int, src *rng.Source) netSeries {
 		netCfg := network.Config{
 			N:     n,
-			Area:  squareArea(area),
+			Area:  geom.Square(area),
 			DMin:  cfg.LinkLen * 0.999,
 			DMax:  cfg.LinkLen,
 			Alpha: cfg.Alpha,

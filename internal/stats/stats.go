@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // KahanSum accumulates float64 values with compensated summation, avoiding
@@ -179,35 +178,6 @@ func Mean(vs []float64) float64 {
 		k.Add(v)
 	}
 	return k.Sum() / float64(len(vs))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of vs using linear
-// interpolation between order statistics. It copies and sorts its input.
-// It panics on an empty slice, a q outside [0,1], or a NaN observation:
-// NaN compares false against everything, so it would land at an arbitrary
-// sort position and silently poison the interpolated result.
-func Quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile fraction %g outside [0,1]", q))
-	}
-	sorted := append([]float64(nil), vs...)
-	for i, v := range sorted {
-		if math.IsNaN(v) {
-			panic(fmt.Sprintf("stats: Quantile input %d is NaN", i))
-		}
-	}
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Histogram counts observations into equal-width bins over [Lo, Hi].

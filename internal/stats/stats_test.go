@@ -132,46 +132,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	vs := []float64{4, 1, 3, 2}
-	if got := Quantile(vs, 0); got != 1 {
-		t.Fatalf("q0 = %g", got)
-	}
-	if got := Quantile(vs, 1); got != 4 {
-		t.Fatalf("q1 = %g", got)
-	}
-	if got := Quantile(vs, 0.5); got != 2.5 {
-		t.Fatalf("median = %g", got)
-	}
-	// Input must not be mutated.
-	if vs[0] != 4 {
-		t.Fatal("Quantile mutated its input")
-	}
-	if got := Quantile([]float64{7}, 0.3); got != 7 {
-		t.Fatalf("singleton quantile = %g", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-		// A NaN observation would sort to an arbitrary position and silently
-		// poison the interpolated result; it must be rejected loudly.
-		func() { Quantile([]float64{1, math.NaN(), 3}, 0.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
@@ -377,29 +337,6 @@ func TestQuickRunningMeanBounded(t *testing.T) {
 			r.Add(src.Normal(0, 100))
 		}
 		return r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9 && r.Var() >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Quantile is monotone in q.
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(seed uint64, q1Raw, q2Raw float64) bool {
-		if math.IsNaN(q1Raw) || math.IsNaN(q2Raw) {
-			return true
-		}
-		src := rng.New(seed)
-		vs := make([]float64, 20)
-		for i := range vs {
-			vs[i] = src.Float64()
-		}
-		q1 := math.Mod(math.Abs(q1Raw), 1)
-		q2 := math.Mod(math.Abs(q2Raw), 1)
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		return Quantile(vs, q1) <= Quantile(vs, q2)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
