@@ -190,9 +190,20 @@ func scenarios() []scenario {
 			// decodes the small body, resolves the session and re-keys;
 			// estimate-cache-hit's alias skips all three, and the gap
 			// between the two is the cost of that canonical path.
-			return sessionServerOp(server.Config{}, func(ref string) ([]byte, error) {
+			return sessionServerOp(server.Config{}, 40, func(ref string, _ uint64) ([]byte, error) {
 				return server.BenchEstimateRefRequest(ref, 100, 1)
-			})
+			}, false)
+		}},
+		scenario{name: "server/estimate-ref-compute", quick: true, setup: func() (func(), func(), error) {
+			// serve-cold's by-ref estimate: a 100-link session, caching
+			// disabled and a fresh seed per request, so every request
+			// resolves the ref and computes 200 samples on the session's
+			// topology. Against server/estimate-compute it isolates what a
+			// session saves beyond the parse: the compiled gain matrix and
+			// counter plan the daemon keeps on it.
+			return sessionServerOp(server.Config{CacheSize: -1}, 100, func(ref string, seq uint64) ([]byte, error) {
+				return server.BenchEstimateRefRequest(ref, 200, seq)
+			}, true)
 		}},
 		scenario{name: "server/cluster-trace-overhead", quick: true, setup: clusterTraceOverheadOp},
 		scenario{name: "server/singleflight", quick: true, units: singleflightFan, setup: singleflightOp},
@@ -212,17 +223,17 @@ const (
 	batchLines = 256
 )
 
-// startBenchServer boots an httptest rayschedd and registers the standard
-// 40-link bench topology as a session, returning the base URL, the session
-// ref, and a cleanup.
-func startBenchServer(cfg server.Config) (ts *httptest.Server, ref string, cleanup func(), err error) {
+// startBenchServer boots an httptest rayschedd and registers the bench
+// topology with links links as a session, returning the base URL, the
+// session ref, and a cleanup.
+func startBenchServer(cfg server.Config, links int) (ts *httptest.Server, ref string, cleanup func(), err error) {
 	srv := server.New(cfg)
 	ts = httptest.NewServer(srv)
 	cleanup = func() {
 		ts.Close()
 		srv.Close()
 	}
-	topo, err := server.BenchTopology(40, 1)
+	topo, err := server.BenchTopology(links, 1)
 	if err != nil {
 		cleanup()
 		return nil, "", nil, err
@@ -241,29 +252,17 @@ func startBenchServer(cfg server.Config) (ts *httptest.Server, ref string, clean
 	return ts, server.TopologyRef(topo), cleanup, nil
 }
 
-// sessionServerOp starts a rayschedd with the bench topology registered and
-// returns an op posting one fixed session-ref /v1/estimate request.
-func sessionServerOp(cfg server.Config, body func(ref string) ([]byte, error)) (func(), func(), error) {
-	ts, ref, cleanup, err := startBenchServer(cfg)
+// sessionServerOp starts a rayschedd with the bench topology of links links
+// registered and returns estimateOp's op over session-ref bodies.
+func sessionServerOp(cfg server.Config, links int, body func(ref string, seq uint64) ([]byte, error), perRequest bool) (func(), func(), error) {
+	ts, ref, cleanup, err := startBenchServer(cfg, links)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, err := body(ref)
+	op, err := estimateOp(ts, func(counter *atomic.Uint64) ([]byte, error) { return body(ref, counter.Add(1)) }, perRequest)
 	if err != nil {
 		cleanup()
 		return nil, nil, err
-	}
-	httpc := ts.Client()
-	op := func() {
-		resp, err := httpc.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			panic(fmt.Sprintf("raybench: session scenario: %v", err))
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			panic(fmt.Sprintf("raybench: session scenario: status %d", resp.StatusCode))
-		}
 	}
 	return op, cleanup, nil
 }
@@ -273,7 +272,7 @@ func sessionServerOp(cfg server.Config, body func(ref string) ([]byte, error)) (
 // so every burst recomputes — once — and the rest ride the flight. Caching is
 // off precisely so the singleflight path (not the LRU) is what answers.
 func singleflightOp() (func(), func(), error) {
-	ts, ref, cleanup, err := startBenchServer(server.Config{CacheSize: -1})
+	ts, ref, cleanup, err := startBenchServer(server.Config{CacheSize: -1}, 40)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -311,7 +310,7 @@ func singleflightOp() (func(), func(), error) {
 // is a hit — the measurement isolates framing and per-line dispatch, which
 // is exactly what batching amortizes against the per-request path.
 func batchThroughputOp() (func(), func(), error) {
-	ts, ref, cleanup, err := startBenchServer(server.Config{CacheSize: 1024})
+	ts, ref, cleanup, err := startBenchServer(server.Config{CacheSize: 1024}, 40)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -483,10 +482,7 @@ func sampleSINRsOp(links int, seed uint64, fill func(active []bool)) (func(), fu
 	return func() { fading.SampleSINRsInto(m, active, src, vals, idx) }, noCleanup, nil
 }
 
-// serverOp starts an httptest rayschedd and returns an op that posts one
-// /v1/estimate request and drains the response. When perRequest is true the
-// body builder runs per call (fresh seed → cache miss); otherwise the body
-// is built once and reused (cache hit after the first call).
+// serverOp starts an httptest rayschedd and returns estimateOp's op on it.
 func serverOp(cfg server.Config, body func(*atomic.Uint64) ([]byte, error), perRequest bool) (func(), func(), error) {
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv)
@@ -494,18 +490,30 @@ func serverOp(cfg server.Config, body func(*atomic.Uint64) ([]byte, error), perR
 		ts.Close()
 		srv.Close()
 	}
+	op, err := estimateOp(ts, body, perRequest)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return op, cleanup, nil
+}
+
+// estimateOp returns an op that posts one /v1/estimate request to ts and
+// drains the response. When perRequest is true the body builder runs per
+// call (fresh seed → cache miss); otherwise the body is built once and
+// reused (cache hit after the first call).
+func estimateOp(ts *httptest.Server, body func(*atomic.Uint64) ([]byte, error), perRequest bool) (func(), error) {
 	var counter atomic.Uint64
 	var fixed []byte
 	if !perRequest {
 		b, err := body(&counter)
 		if err != nil {
-			cleanup()
-			return nil, nil, err
+			return nil, err
 		}
 		fixed = b
 	}
 	client := ts.Client()
-	op := func() {
+	return func() {
 		payload := fixed
 		if perRequest {
 			b, err := body(&counter)
@@ -523,8 +531,7 @@ func serverOp(cfg server.Config, body func(*atomic.Uint64) ([]byte, error), perR
 		if resp.StatusCode != http.StatusOK {
 			panic(fmt.Sprintf("raybench: server scenario: status %d", resp.StatusCode))
 		}
-	}
-	return op, cleanup, nil
+	}, nil
 }
 
 // countOp times the Figure-1 counting kernel, one fading.Counter.Count at

@@ -8,10 +8,60 @@ import (
 	"rayfade/internal/rng"
 )
 
+// Plan is the part of a Counter that depends only on its gain matrix: each
+// receiver's senders in visit order and which rows are all positive. Build
+// it once per matrix with NewPlan; it is immutable, so one Plan may back any
+// number of Counters on any number of goroutines.
+type Plan struct{ plan }
+
+// plan holds a Plan's fields; Counter embeds it by value, so a Counter reads
+// them without an indirection.
+type plan struct {
+	m *network.Matrix
+	// order holds, for each receiver i, the other senders strongest mean
+	// gain first: row i is order[i*(n-1) : (i+1)*(n-1)]. Nil means every
+	// set is visited in index order.
+	order []int32
+	// positive[i] reports that every gain into receiver i is positive, so
+	// its uniforms can be drawn as one batch. Nil means check every gain.
+	positive []bool
+}
+
+// NewPlan sorts m's rows into a Plan. m's gains must not change while the
+// Plan or a Counter built from it is in use; its noise may, and is read at
+// every Count.
+func NewPlan(m *network.Matrix) *Plan {
+	n := m.N
+	ints := make([]int32, n*max(n-1, 0)+n)
+	p := &Plan{plan{
+		m:        m,
+		order:    ints[: len(ints)-n : len(ints)-n],
+		positive: make([]bool, n),
+	}}
+	p.sortRows(ints[len(ints)-n:])
+	return p
+}
+
+// Counter returns a fresh Counter on the Plan's matrix. It allocates only
+// the Counter's scratch, O(n), and shares the Plan's order and flags.
+func (p *Plan) Counter() *Counter {
+	n := p.m.N
+	floats := make([]float64, 2*n+1)
+	return &Counter{
+		plan: p.plan,
+		pos:  make([]int32, n),
+		mask: floats[:n:n],
+		u:    floats[n:],
+		idx:  make([]int, 0, n),
+	}
+}
+
 // Counter counts Rayleigh successes on one gain matrix. It is the counting
 // kernel of the Monte-Carlo experiments: build it once per matrix with
-// NewCounter, then call Count once per realization. It owns its scratch, so
-// Count does not allocate; a Counter is not safe for concurrent use.
+// NewCounter, or once per goroutine with Plan.Counter, then call Count once
+// per realization. It reads its Plan's order and flags, shared and never
+// written, and owns its scratch, so Count does not allocate; a Counter is
+// not safe for concurrent use, but Counters of one Plan are independent.
 //
 // Count returns exactly what the canonical computation returns — draw every
 // exponential S(j,i) = −S̄(j,i)·ln u in increasing (receiver, sender) order,
@@ -57,41 +107,19 @@ import (
 // NaN fails both tests and moves on too. The visit order changes only how
 // many terms are summed, never a result.
 type Counter struct {
-	m *network.Matrix
-	// order holds, for each receiver i, the other senders strongest mean
-	// gain first: row i is order[i*(n-1) : (i+1)*(n-1)]. Nil means every
-	// set is visited in index order.
-	order []int32
-	// positive[i] reports that every gain into receiver i is positive, so
-	// its uniforms can be drawn as one batch. Nil means check every gain.
-	positive []bool
-	pos      []int32   // pos[j] is link j's place in idx, or len(idx) if inactive
-	mask     []float64 // mask[j] is 1 if link j is active, 0 if not
-	u        []float64 // u[k] is the uniform of sender idx[k]; u[len(idx)] the sentinel
-	idx      []int     // the active links, in increasing order
+	plan           // shared with every Counter of the same Plan; read only
+	pos  []int32   // pos[j] is link j's place in idx, or len(idx) if inactive
+	mask []float64 // mask[j] is 1 if link j is active, 0 if not
+	u    []float64 // u[k] is the uniform of sender idx[k]; u[len(idx)] the sentinel
+	idx  []int     // the active links, in increasing order
 
 	refined   int // receivers the coarse tier left undecided
 	fallbacks int // receivers decided by the canonical loop
 }
 
-// NewCounter returns a Counter for m. m's gains must not change while the
-// Counter is in use; its noise may, and is read at every Count.
-func NewCounter(m *network.Matrix) *Counter {
-	n := m.N
-	ints := make([]int32, n*max(n-1, 0)+n)
-	floats := make([]float64, 2*n+1)
-	c := &Counter{
-		m:        m,
-		order:    ints[: len(ints)-n : len(ints)-n],
-		pos:      ints[len(ints)-n:],
-		positive: make([]bool, n),
-		mask:     floats[:n:n],
-		u:        floats[n:],
-		idx:      make([]int, 0, n),
-	}
-	c.sortRows()
-	return c
-}
+// NewCounter returns a Counter for m: NewPlan(m).Counter(), for a caller
+// that counts on m from one goroutine.
+func NewCounter(m *network.Matrix) *Counter { return NewPlan(m).Counter() }
 
 // orderBuckets is how many binary orders of magnitude below a row's
 // strongest gain sortRows tells apart; weaker and zero gains share the last
@@ -101,12 +129,11 @@ const orderBuckets = 64
 // sortRows fills order, each receiver's other senders by decreasing mean
 // gain up to a factor of two — a counting sort on the binary exponent below
 // the row's largest, stable in sender index — and positive. It keeps each
-// sender's bucket in pos, which Count overwrites before reading.
-func (c *Counter) sortRows() {
-	n := c.m.N
-	keys := c.pos
+// sender's bucket in keys, n entries of scratch.
+func (p *plan) sortRows(keys []int32) {
+	n := p.m.N
 	for i := 0; i < n; i++ {
-		row := c.m.Incoming(i)
+		row := p.m.Incoming(i)
 		top, positive := 0, true
 		for j, g := range row {
 			positive = positive && g > 0
@@ -114,7 +141,7 @@ func (c *Counter) sortRows() {
 				top = max(top, exponent(g))
 			}
 		}
-		c.positive[i] = positive
+		p.positive[i] = positive
 		var bucket [orderBuckets]int
 		for j, g := range row {
 			if j != i {
@@ -127,7 +154,7 @@ func (c *Counter) sortRows() {
 			bucket[b] = start
 			start += size
 		}
-		dst := c.order[i*(n-1) : (i+1)*(n-1)]
+		dst := p.order[i*(n-1) : (i+1)*(n-1)]
 		for j := range row {
 			if j != i {
 				dst[bucket[keys[j]]] = int32(j)

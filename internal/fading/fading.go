@@ -313,7 +313,7 @@ func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.So
 // it by name.
 func CountSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int) int {
 	checkScratch(m.N, out, idx)
-	c := Counter{m: m, u: out, idx: idx}
+	c := Counter{plan: plan{m: m}, u: out, idx: idx}
 	return c.Count(active, beta, src)
 }
 

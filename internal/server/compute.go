@@ -8,7 +8,6 @@ import (
 	"rayfade/internal/capacity"
 	"rayfade/internal/fading"
 	"rayfade/internal/latency"
-	"rayfade/internal/network"
 	"rayfade/internal/rng"
 	"rayfade/internal/stats"
 	"rayfade/internal/transform"
@@ -16,13 +15,14 @@ import (
 )
 
 // The compute functions below are the service's business logic: pure,
-// deterministic functions from (parsed request, topology) to a response
-// struct. They run on pool workers with the request's deadline-carrying
+// deterministic functions from (parsed request, compiled topology) to a
+// response struct. The compiled topology may be shared with concurrent
+// requests, so they only read it. They run on pool workers with the request's deadline-carrying
 // context and poll it through the Ctx variants of the compute layers, so a
 // deadline or client disconnect stops the work instead of burning a worker.
 
-func computeSchedule(ctx context.Context, p scheduleParams, net *network.Network) (*scheduleResponse, error) {
-	m := net.Gains()
+func computeSchedule(ctx context.Context, p scheduleParams, t *compiled) (*scheduleResponse, error) {
+	net, m := t.net, t.m
 	resp := &scheduleResponse{Algorithm: p.Algorithm, Links: m.N, Beta: p.Beta}
 	switch p.Algorithm {
 	case "greedy":
@@ -65,8 +65,8 @@ func computeSchedule(ctx context.Context, p scheduleParams, net *network.Network
 	return resp, nil
 }
 
-func computeLatency(ctx context.Context, p latencyParams, net *network.Network) (*latencyResponse, error) {
-	m := net.Gains()
+func computeLatency(ctx context.Context, p latencyParams, t *compiled) (*latencyResponse, error) {
+	net, m := t.net, t.m
 	resp := &latencyResponse{
 		Scheduler: p.Scheduler, Model: p.Model, Links: m.N,
 		Beta: p.Beta, Seed: p.Seed, Repeats: 1,
@@ -116,8 +116,8 @@ func computeLatency(ctx context.Context, p latencyParams, net *network.Network) 
 	return resp, nil
 }
 
-func computeReduce(ctx context.Context, p mcParams, net *network.Network) (*reduceResponse, error) {
-	m := net.Gains()
+func computeReduce(ctx context.Context, p mcParams, t *compiled) (*reduceResponse, error) {
+	m := t.m
 	q := fading.UniformProbs(m.N, p.Prob)
 	steps := transform.Schedule(q, transform.ScheduleRepeats)
 	best, all, err := transform.BestStepCtx(ctx, m, steps,
@@ -153,14 +153,15 @@ func computeReduce(ctx context.Context, p mcParams, net *network.Network) (*redu
 // polls in computeEstimate.
 const estimateCtxStride = 64
 
-func computeEstimate(ctx context.Context, p mcParams, net *network.Network) (*estimateResponse, error) {
-	m := net.Gains()
+func computeEstimate(ctx context.Context, p mcParams, t *compiled) (*estimateResponse, error) {
+	m := t.m
 	q := fading.UniformProbs(m.N, p.Prob)
 	src := rng.New(p.Seed)
 	// Allocation-free sampling: one Counter and activity buffer for the
-	// whole request. The Counter is request-scoped, never kept on a session.
+	// whole request. The Counter's scratch is request-scoped; its Plan is
+	// the compiled topology's, shared when that is memoized.
 	active := make([]bool, m.N)
-	counter := fading.NewCounter(m)
+	counter := t.counter()
 	var sum, sumSq float64
 	for s := 0; s < p.Samples; s++ {
 		if s%estimateCtxStride == 0 {

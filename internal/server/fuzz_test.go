@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"rayfade/internal/netio"
 )
 
 // FuzzDecodeComputeRequest drives arbitrary bytes through the decode and
@@ -12,9 +15,10 @@ import (
 // take too). For each row, whatever the input:
 //
 //   - decode and resolve never panic;
+//   - the resolved topology's digest is that of its canonical bytes;
 //   - canonicalize∘decode is idempotent: an accepted request re-encoded
 //     with its canonical topology inline decodes and resolves to the same
-//     canonical bytes and the same cache key;
+//     topology digest and the same cache key;
 //   - the topology_ref of the canonical bytes is stable when those bytes
 //     are decoded and canonicalized again.
 //
@@ -44,16 +48,24 @@ func FuzzDecodeComputeRequest(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			_, again, err := parseTopology(c.canon, s.cfg.MaxLinks)
-			if err != nil {
-				t.Fatalf("%s: canonical topology does not decode: %v\n%s", ep.path, err, c.canon)
+			var buf bytes.Buffer
+			if err := netio.Save(&buf, c.topo.net); err != nil {
+				t.Fatalf("%s: canonicalize resolved topology: %v", ep.path, err)
 			}
-			if !bytes.Equal(again, c.canon) || TopologyRef(again) != TopologyRef(c.canon) {
-				t.Fatalf("%s: canonicalization not idempotent:\n%s\nthen\n%s", ep.path, c.canon, again)
+			canon := buf.Bytes()
+			if sha256.Sum256(canon) != c.topo.digest {
+				t.Fatalf("%s: topology digest is not the digest of its canonical bytes:\n%s", ep.path, canon)
+			}
+			_, again, err := parseTopology(canon, s.cfg.MaxLinks)
+			if err != nil {
+				t.Fatalf("%s: canonical topology does not decode: %v\n%s", ep.path, err, canon)
+			}
+			if !bytes.Equal(again, canon) || TopologyRef(again) != TopologyRef(canon) {
+				t.Fatalf("%s: canonicalization not idempotent:\n%s\nthen\n%s", ep.path, canon, again)
 			}
 
 			sh := req.shared()
-			sh.Network, sh.TopologyRef = c.canon, ""
+			sh.Network, sh.TopologyRef = canon, ""
 			doc, err := json.Marshal(req)
 			if err != nil {
 				t.Fatalf("%s: re-encode: %v", ep.path, err)
@@ -66,7 +78,7 @@ func FuzzDecodeComputeRequest(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: re-encoded request does not resolve: %v\n%s", ep.path, err, doc)
 			}
-			if requestKey(ep.path, c2.params, c2.canon) != requestKey(ep.path, c.params, c.canon) {
+			if c2.topo.digest != c.topo.digest || requestKey(ep.path, c2.params, c2.topo) != requestKey(ep.path, c.params, c.topo) {
 				t.Fatalf("%s: re-encoded request keys differently:\n%s", ep.path, doc)
 			}
 		}

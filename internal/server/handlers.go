@@ -110,33 +110,36 @@ func parseTopology(raw json.RawMessage, maxLinks int) (*network.Network, []byte,
 	return net, canon.Bytes(), nil
 }
 
-// resolveTopology produces the parsed network and canonical bytes for one
-// compute request, from either an inline netio document or a session ref
-// registered via POST /v1/topology. The canonical bytes are identical in
-// both cases (the session store keeps netio.Save output), so cache keys —
-// and therefore response bytes — do not depend on which form the client
-// chose.
-func (s *Server) resolveTopology(raw json.RawMessage, ref string) (*network.Network, []byte, error) {
+// resolveTopology produces the topology of one compute request, from either
+// an inline netio document or a session ref registered via POST
+// /v1/topology; byRef reports the second. Both carry the digest of the same
+// canonical netio.Save bytes, so cache keys — and therefore response bytes
+// — do not depend on which form the client chose.
+func (s *Server) resolveTopology(raw json.RawMessage, ref string) (t *topology, byRef bool, err error) {
 	if ref == "" {
-		return parseTopology(raw, s.cfg.MaxLinks)
+		net, canon, err := parseTopology(raw, s.cfg.MaxLinks)
+		if err != nil {
+			return nil, false, err
+		}
+		return newTopology(net, canon), false, nil
 	}
 	if len(raw) != 0 {
-		return nil, nil, badRequest("provide either \"network\" or \"topology_ref\", not both")
+		return nil, false, badRequest("provide either \"network\" or \"topology_ref\", not both")
 	}
-	net, canon, ok := s.sessions.Get(ref)
+	t, ok := s.sessions.get(ref)
 	if !ok {
-		return nil, nil, &httpError{status: http.StatusNotFound,
+		return nil, false, &httpError{status: http.StatusNotFound,
 			msg: fmt.Sprintf("unknown topology_ref %q (never uploaded, or evicted from the session store — POST /v1/topology to (re)register)", ref)}
 	}
-	return net, canon, nil
+	return t, true, nil
 }
 
 // requestKey builds the cache key for one request: a hash over the endpoint
 // name, the defaults-applied parameter struct (marshaled, so field order is
-// fixed), and the canonical topology bytes. Per-request operational knobs
-// that do not affect the computed result (the deadline) must not appear in
-// params.
-func requestKey(endpoint string, params any, topology []byte) string {
+// fixed), and the topology's canonical digest (nothing for a shard, which
+// has no topology). Per-request operational knobs that do not affect the
+// computed result (the deadline) must not appear in params.
+func requestKey(endpoint string, params any, t *topology) string {
 	pb, err := json.Marshal(params)
 	if err != nil {
 		// Params are plain structs of scalars; this cannot fail at runtime.
@@ -147,7 +150,9 @@ func requestKey(endpoint string, params any, topology []byte) string {
 	h.Write([]byte{0})
 	h.Write(pb)
 	h.Write([]byte{0})
-	h.Write(topology)
+	if t != nil {
+		h.Write(t.digest[:])
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -212,11 +217,14 @@ type endpoint struct {
 
 // computeReq is a decoded compute request. bind applies the endpoint's
 // defaults and validation, returning the defaults-applied params (the
-// cache-key payload) and the computation they select on net.
+// cache-key payload) and the computation they select.
 type computeReq interface {
 	shared() *computeRequest
-	bind(net *network.Network, maxSamples int) (params any, compute func(context.Context) (any, error), err error)
+	bind(maxSamples int) (params any, compute computeFunc, err error)
 }
+
+// computeFunc is a bound computation on a compiled topology.
+type computeFunc func(context.Context, *compiled) (any, error)
 
 // computeRequest is the part every compute request shares: where the
 // topology comes from (an inline netio document or a session ref) and the
@@ -230,11 +238,11 @@ type computeRequest struct {
 func (r *computeRequest) shared() *computeRequest { return r }
 
 // call is a compute request resolved and ready to serve: the params and
-// canonical topology that key the cache, the request's deadline knob, and
-// the bound computation.
+// topology that key the cache, the request's deadline knob, and the bound
+// computation.
 type call struct {
 	params    any
-	canon     []byte
+	topo      *topology // nil for shards
 	timeoutMS int64
 	compute   func(ctx context.Context) (any, error)
 	// probe is the request body's pass through the alias index (zero for
@@ -247,17 +255,22 @@ type call struct {
 // single-request handler and the batch loop both go through it, so a batch
 // line and a lone request with the same fields always produce the same
 // cache key and response bytes.
+//
+// The computation compiles the topology (see Server.compile) on the pool
+// worker that runs it, so a cache hit or a shared flight never pays for it.
 func (s *Server) resolve(req computeReq) (call, error) {
 	sh := req.shared()
-	net, canon, err := s.resolveTopology(sh.Network, sh.TopologyRef)
+	t, byRef, err := s.resolveTopology(sh.Network, sh.TopologyRef)
 	if err != nil {
 		return call{}, err
 	}
-	params, compute, err := req.bind(net, s.cfg.MaxSamples)
+	params, compute, err := req.bind(s.cfg.MaxSamples)
 	if err != nil {
 		return call{}, err
 	}
-	return call{params: params, canon: canon, timeoutMS: sh.TimeoutMS, compute: compute}, nil
+	return call{params: params, topo: t, timeoutMS: sh.TimeoutMS, compute: func(ctx context.Context) (any, error) {
+		return compute(ctx, s.compile(t, byRef))
+	}}, nil
 }
 
 // decodeCall decodes raw as one ep request (what names it in errors) and
@@ -322,7 +335,7 @@ type scheduleRequest struct {
 	Beta      float64 `json:"beta,omitempty"`
 }
 
-func (r *scheduleRequest) bind(net *network.Network, _ int) (any, func(context.Context) (any, error), error) {
+func (r *scheduleRequest) bind(int) (any, computeFunc, error) {
 	p := scheduleParams{Algorithm: r.Algorithm, Beta: r.Beta}
 	if p.Algorithm == "" {
 		p.Algorithm = "greedy"
@@ -338,7 +351,7 @@ func (r *scheduleRequest) bind(net *network.Network, _ int) (any, func(context.C
 	default:
 		return nil, nil, badRequest("unknown algorithm %q (want greedy, weighted, or powercontrol)", p.Algorithm)
 	}
-	return p, func(ctx context.Context) (any, error) { return computeSchedule(ctx, p, net) }, nil
+	return p, func(ctx context.Context, t *compiled) (any, error) { return computeSchedule(ctx, p, t) }, nil
 }
 
 // scheduleResponse reports a single-slot capacity solution and its fading
@@ -381,7 +394,7 @@ type latencyRequest struct {
 	Seed      uint64  `json:"seed,omitempty"`
 }
 
-func (r *latencyRequest) bind(net *network.Network, _ int) (any, func(context.Context) (any, error), error) {
+func (r *latencyRequest) bind(int) (any, computeFunc, error) {
 	p := latencyParams{
 		Scheduler: r.Scheduler, Model: r.Model, Beta: r.Beta,
 		Prob: r.Prob, MaxSlots: r.MaxSlots, Seed: r.Seed,
@@ -420,7 +433,7 @@ func (r *latencyRequest) bind(net *network.Network, _ int) (any, func(context.Co
 	if p.MaxSlots < 0 {
 		return nil, nil, badRequest("max_slots must be non-negative")
 	}
-	return p, func(ctx context.Context) (any, error) { return computeLatency(ctx, p, net) }, nil
+	return p, func(ctx context.Context, t *compiled) (any, error) { return computeLatency(ctx, p, t) }, nil
 }
 
 // latencyResponse reports a full-coverage schedule (every link served).
@@ -488,12 +501,12 @@ func (r *mcRequest) params(samples, maxSamples int) (mcParams, error) {
 
 type reduceRequest mcRequest
 
-func (r *reduceRequest) bind(net *network.Network, maxSamples int) (any, func(context.Context) (any, error), error) {
+func (r *reduceRequest) bind(maxSamples int) (any, computeFunc, error) {
 	p, err := (*mcRequest)(r).params(200, maxSamples)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, func(ctx context.Context) (any, error) { return computeReduce(ctx, p, net) }, nil
+	return p, func(ctx context.Context, t *compiled) (any, error) { return computeReduce(ctx, p, t) }, nil
 }
 
 // reduceStep is one level of the Algorithm-1 simulation with its estimated
@@ -530,12 +543,12 @@ type reduceResponse struct {
 
 type estimateRequest mcRequest
 
-func (r *estimateRequest) bind(net *network.Network, maxSamples int) (any, func(context.Context) (any, error), error) {
+func (r *estimateRequest) bind(maxSamples int) (any, computeFunc, error) {
 	p, err := (*mcRequest)(r).params(1000, maxSamples)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, func(ctx context.Context) (any, error) { return computeEstimate(ctx, p, net) }, nil
+	return p, func(ctx context.Context, t *compiled) (any, error) { return computeEstimate(ctx, p, t) }, nil
 }
 
 // estimateResponse reports a Monte-Carlo estimate of the expected Rayleigh
@@ -579,7 +592,7 @@ type Health struct {
 
 // Stats are the tallies /metrics also renders, as JSON: per-endpoint
 // request counts and latency quantiles, and the cache, singleflight,
-// session, batch and trace counters.
+// session, compiled-topology, batch and trace counters.
 type Stats struct {
 	Endpoints          []EndpointSummary `json:"endpoints"`
 	CacheHits          uint64            `json:"cache_hits"`
@@ -587,8 +600,16 @@ type Stats struct {
 	SingleflightShared uint64            `json:"singleflight_shared"`
 	SessionHits        uint64            `json:"session_hits"`
 	SessionMisses      uint64            `json:"session_misses"`
-	BatchLines         uint64            `json:"batch_lines"`
-	TracesRetained     uint64            `json:"traces_retained"`
+	// The compiled-topology memo (see Server.compile): computes that found
+	// a compiled topology, found none, or were over the per-session byte
+	// cap; the topologies built into it and the bytes it holds.
+	CompiledHits   uint64 `json:"compiled_hits"`
+	CompiledMisses uint64 `json:"compiled_misses"`
+	CompiledSkips  uint64 `json:"compiled_skips"`
+	CompiledBuilds uint64 `json:"compiled_builds"`
+	CompiledBytes  int64  `json:"compiled_bytes"`
+	BatchLines     uint64 `json:"batch_lines"`
+	TracesRetained uint64 `json:"traces_retained"`
 }
 
 // EndpointSummary is the RED view of one endpoint label.

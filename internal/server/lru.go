@@ -73,6 +73,28 @@ func (c *lru[K, V]) add(k K, mk func() V) (v V, created bool) {
 	return v, true
 }
 
+// peek returns the value under k without counting a lookup or refreshing
+// its recency.
+func (c *lru[K, V]) peek(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return el.Value.(*lruEntry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// each calls f on every resident value, under the lock: f must be cheap and
+// must not use c.
+func (c *lru[K, V]) each(f func(V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		f(el.Value.(*lruEntry[K, V]).val)
+	}
+}
+
 // len returns the number of resident entries.
 func (c *lru[K, V]) len() int {
 	c.mu.Lock()

@@ -41,7 +41,9 @@
 //     validation, and canonicalization once; compute requests then send
 //     topology_ref instead of the full document. Refs are content hashes,
 //     so eviction from the bounded session LRU is always recoverable by
-//     re-uploading.
+//     re-uploading. A session compiles its topology (gain matrix and
+//     counter Plan) on its first by-ref compute and keeps it, within a
+//     byte budget, for every later request on it (compiled.go).
 //   - Singleflight. Concurrent identical computations collapse onto one
 //     pool job; followers receive the leader's exact bytes (exported as
 //     rayschedd_singleflight_shared_total).
@@ -103,6 +105,10 @@ type Config struct {
 	MaxSamples int
 	// MaxSessions bounds the topology session LRU (entries); 0 selects 128,
 	// negative disables the session API (uploads answer 503, refs miss).
+	// Each session keeps its topology's digest, not its canonical bytes,
+	// and, once computed on by ref, its compiled topology (gain matrix and
+	// counter Plan, 12·n² bytes for n links) if that fits in a fixed 64 MiB
+	// divided by MaxSessions; see compiled.go.
 	MaxSessions int
 	// MaxBatchLines caps the number of NDJSON lines one /v1/estimate/batch
 	// request may carry; <= 0 selects 10_000.
@@ -177,6 +183,10 @@ type Server struct {
 	// traces holds the per-trace span collectors (newTraceTracer) by trace
 	// ID; nil when Config.MaxTraces < 0 disables collection.
 	traces *lru[string, *obs.Tracer]
+	// memoCap is the per-session byte cap of a compiled topology,
+	// compiledBudget / MaxSessions; memo tallies its use (see compile).
+	memoCap int64
+	memo    memoStats
 
 	// sfShared tallies singleflight followers: responses delivered from a
 	// computation another request led. batchLines / batchLineErrors tally
@@ -230,6 +240,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxTraces > 0 {
 		s.traces = newLRU[string, *obs.Tracer](cfg.MaxTraces)
 	}
+	if cfg.MaxSessions > 0 {
+		s.memoCap = compiledBudget / int64(cfg.MaxSessions)
+	}
 	s.metrics.SetBuildInfo(version.Version, s.instance, runtime.GOMAXPROCS(0))
 	s.shardsCompleted = s.metrics.Counter("rayschedd_shards_completed_total")
 	s.sfShared = s.metrics.Counter("rayschedd_singleflight_shared_total")
@@ -239,6 +252,11 @@ func New(cfg Config) *Server {
 	s.metrics.Gauge("rayschedd_session_hits_total", func() float64 { h, _, _ := s.sessions.stats(); return float64(h) })
 	s.metrics.Gauge("rayschedd_session_misses_total", func() float64 { _, m, _ := s.sessions.stats(); return float64(m) })
 	s.metrics.Gauge("rayschedd_session_evictions_total", func() float64 { _, _, e := s.sessions.stats(); return float64(e) })
+	s.metrics.Gauge("rayschedd_compiled_hits_total", func() float64 { return float64(s.memo.hits.Load()) })
+	s.metrics.Gauge("rayschedd_compiled_misses_total", func() float64 { return float64(s.memo.misses.Load()) })
+	s.metrics.Gauge("rayschedd_compiled_builds_total", func() float64 { return float64(s.memo.builds.Load()) })
+	s.metrics.Gauge("rayschedd_compiled_skips_total", func() float64 { return float64(s.memo.skips.Load()) })
+	s.metrics.Gauge("rayschedd_compiled_bytes", func() float64 { return float64(s.memoBytes()) })
 	s.metrics.Gauge("rayschedd_shards_inflight", func() float64 { return float64(s.shardsInflight.Load()) })
 	s.metrics.Gauge("rayschedd_traces_retained", func() float64 { return float64(s.tracesRetained()) })
 	s.metrics.Gauge("rayschedd_queue_depth", func() float64 { return float64(s.pool.QueueDepth()) })
@@ -510,7 +528,7 @@ type computeOutcome struct {
 }
 
 // respond resolves one call into response bytes under its canonical key
-// (requestKey of endpoint, params and canonical topology): LRU lookup, then
+// (requestKey of endpoint, params and topology digest): LRU lookup, then
 // singleflight join (followers share the leader's bytes), then a fresh
 // pool-admitted, deadline-bounded compute whose marshaled result fills the
 // cache. It is the shared core of the single-request pipeline (serve) and
@@ -525,7 +543,7 @@ type computeOutcome struct {
 // result if the leader's client disconnects, and the bytes land in the
 // cache either way.
 func (s *Server) respond(ctx context.Context, endpoint string, c call) (out computeOutcome, err error) {
-	key := requestKey(endpoint, c.params, c.canon)
+	key := requestKey(endpoint, c.params, c.topo)
 	if c.probe.inline {
 		defer func() {
 			if err == nil {
@@ -689,6 +707,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			SingleflightShared: uint64(s.sfShared.Load()),
 			SessionHits:        sh,
 			SessionMisses:      sm,
+			CompiledHits:       s.memo.hits.Load(),
+			CompiledMisses:     s.memo.misses.Load(),
+			CompiledSkips:      s.memo.skips.Load(),
+			CompiledBuilds:     s.memo.builds.Load(),
+			CompiledBytes:      s.memoBytes(),
 			BatchLines:         uint64(s.batchLines.Load()),
 			TracesRetained:     uint64(s.tracesRetained()),
 		},

@@ -19,58 +19,64 @@ var ErrSessionsDisabled = errors.New("server: topology sessions disabled")
 // content-derived, so re-uploading an identical topology (even from another
 // client, even after an eviction) always yields the same handle, and a
 // handle can be computed offline without talking to the daemon.
-func TopologyRef(canonical []byte) string {
-	sum := sha256.Sum256(canonical)
-	return "sha256:" + hex.EncodeToString(sum[:])
+func TopologyRef(canonical []byte) string { return refOf(sha256.Sum256(canonical)) }
+
+// refOf is the session handle of a canonical-serialization digest.
+func refOf(digest [sha256.Size]byte) string { return "sha256:" + hex.EncodeToString(digest[:]) }
+
+// topology is one resolved topology: the parsed network the compute layers
+// consume and the SHA-256 of its canonical netio serialization, which
+// request keys hash and session refs name. The canonical bytes themselves
+// are not kept. A registered topology is a session entry and also carries
+// its compiled-topology memo (see Server.compile); an inline one is built
+// per request and its memo stays empty. The network and digest are
+// immutable after construction, so one entry is shared by every concurrent
+// request that references it.
+type topology struct {
+	net    *network.Network
+	digest [sha256.Size]byte
+	memo   memo
 }
 
-// sessionEntry is one registered topology: the parsed network the compute
-// layers consume and the canonical bytes request keys hash. Both are
-// immutable after insertion — the parsed *network.Network is shared by every
-// concurrent request that references it, which is safe because the compute
-// paths only read it (Gains builds a fresh Matrix per call).
-type sessionEntry struct {
-	net   *network.Network
-	canon []byte
+// newTopology pairs a parsed network with its canonical serialization.
+func newTopology(net *network.Network, canon []byte) *topology {
+	return &topology{net: net, digest: sha256.Sum256(canon)}
 }
 
 // SessionStore is the bounded LRU of uploaded topologies keyed by their
 // content hash (see TopologyRef). It is the daemon's amortization of the
 // per-request topology parse: POST /v1/topology pays the JSON decode,
 // validation, and canonicalization once, and every later request that sends
-// topology_ref skips all three.
+// topology_ref skips all three — and, from its second compute on, the gain
+// matrix build too, which the entry memoizes.
 //
 // The store is deliberately an LRU rather than a TTL map: refs are
 // content-derived, so eviction is always recoverable (the client re-uploads
 // and gets the same handle back), and a bounded entry count — not wall-clock
 // age — is what protects the daemon's memory against ref churn.
 type SessionStore struct {
-	*lru[string, sessionEntry]
+	*lru[string, *topology]
 }
 
 // NewSessionStore returns a store holding at most capacity topologies.
 // capacity <= 0 disables the store: Put fails with ErrSessionsDisabled and
-// every Get misses.
+// every lookup misses. Lookups by ref go through the embedded lru's get, which
+// misses for refs never uploaded or evicted.
 func NewSessionStore(capacity int) *SessionStore {
-	return &SessionStore{newLRU[string, sessionEntry](capacity)}
+	return &SessionStore{newLRU[string, *topology](capacity)}
 }
 
 // Put registers a topology (its canonical serialization plus the parsed
 // network) and returns its ref. created reports whether the upload inserted
 // a new entry; re-uploading a registered topology just refreshes its
-// recency. The caller must not mutate canon or net afterwards.
+// recency and keeps the entry, memo included. The caller must not mutate
+// net afterwards.
 func (s *SessionStore) Put(canon []byte, net *network.Network) (ref string, created bool, err error) {
 	if s.cap <= 0 {
 		return "", false, ErrSessionsDisabled
 	}
-	ref = TopologyRef(canon)
-	_, created = s.add(ref, func() sessionEntry { return sessionEntry{net: net, canon: canon} })
+	t := newTopology(net, canon)
+	ref = refOf(t.digest)
+	_, created = s.add(ref, func() *topology { return t })
 	return ref, created, nil
-}
-
-// Get resolves a ref to its parsed network and canonical bytes. ok is false
-// for refs never uploaded, evicted, or when the store is disabled.
-func (s *SessionStore) Get(ref string) (net *network.Network, canon []byte, ok bool) {
-	e, ok := s.get(ref)
-	return e.net, e.canon, ok
 }

@@ -57,11 +57,11 @@ func TestSessionStoreLRUAndStats(t *testing.T) {
 	// 0 is refreshed again, so inserting a third evicts 1 — the true LRU.
 	store.Put(canon(0), nil)
 	ref2, _, _ := store.Put(canon(2), nil)
-	if _, _, ok := store.Get(ref1); ok {
+	if _, ok := store.get(ref1); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
 	for _, ref := range []string{ref0, ref2} {
-		if _, _, ok := store.Get(ref); !ok {
+		if _, ok := store.get(ref); !ok {
 			t.Fatalf("recent entry %s evicted", ref)
 		}
 	}
@@ -76,7 +76,7 @@ func TestSessionStoreDisabled(t *testing.T) {
 	if _, _, err := store.Put([]byte("x"), nil); err != ErrSessionsDisabled {
 		t.Fatalf("Put on disabled store: %v, want ErrSessionsDisabled", err)
 	}
-	if _, _, ok := store.Get(TopologyRef([]byte("x"))); ok {
+	if _, ok := store.get(TopologyRef([]byte("x"))); ok {
 		t.Fatal("Get on disabled store returned ok")
 	}
 }
@@ -107,7 +107,7 @@ func TestSessionStoreConcurrent(t *testing.T) {
 						panic(err)
 					}
 				default:
-					store.Get(TopologyRef(canon))
+					store.get(TopologyRef(canon))
 				}
 				if n := store.len(); n > capacity {
 					panic(fmt.Sprintf("store grew to %d, cap %d", n, capacity))
