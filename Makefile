@@ -118,8 +118,9 @@ serve: build
 
 # Fuzz the topology reader, the shared compute-request decode, the shard
 # decoder, the journal directory loader and the trace header (the daemon's
-# and the coordinator's hostile-input surface) and the Rayleigh counting
-# kernels against their full-draw reference.
+# and the coordinator's hostile-input surface) and the Rayleigh success
+# counter (count, per-link flags, counterfactual) against its full-draw
+# references.
 fuzz:
 	$(GO) test ./internal/netio/ -fuzz FuzzReadNetwork -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeComputeRequest -fuzztime 30s

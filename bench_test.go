@@ -191,12 +191,13 @@ func BenchmarkLatencyRepeatedCapacity(b *testing.B) {
 func BenchmarkLatencyAlohaRayleigh(b *testing.B) {
 	m := benchMatrix(b, 8, 100)
 	src := rng.New(9)
+	model := latency.NewRayleigh(fading.NewCounter(m), src)
 	var slots float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := latency.Aloha(m, 2.5,
 			latency.AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats},
-			src, latency.Rayleigh{Src: src})
+			src, model)
 		if !res.Done {
 			b.Fatal("ALOHA run incomplete")
 		}
@@ -374,11 +375,12 @@ func BenchmarkAblationAlohaRepeats(b *testing.B) {
 		name := map[int]string{1: "repeats=1", 2: "repeats=2", 4: "repeats=4", 8: "repeats=8"}[repeats]
 		b.Run(name, func(b *testing.B) {
 			src := rng.New(16)
+			model := latency.NewRayleigh(fading.NewCounter(m), src)
 			var slots float64
 			for i := 0; i < b.N; i++ {
 				res := latency.Aloha(m, 2.5,
 					latency.AlohaConfig{Prob: 0.1, Repeats: repeats, MaxSlots: 100000},
-					src, latency.Rayleigh{Src: src})
+					src, model)
 				if res.Done {
 					slots = float64(res.Slots)
 				}

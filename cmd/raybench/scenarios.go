@@ -549,5 +549,5 @@ func countOp(density float64) (func(), func(), error) {
 	for i := range active {
 		active[i] = src.Bernoulli(density)
 	}
-	return func() { c.Count(active, 2.5, src) }, noCleanup, nil
+	return func() { c.Count(active, 2.5, src, nil) }, noCleanup, nil
 }

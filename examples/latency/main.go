@@ -10,6 +10,7 @@ import (
 
 	"rayfade"
 	"rayfade/internal/capacity"
+	"rayfade/internal/fading"
 	"rayfade/internal/latency"
 	"rayfade/internal/rng"
 	"rayfade/internal/stats"
@@ -66,6 +67,6 @@ func main() {
 	slotsMH, done := latency.MultiHop(m, beta, paths, capFn, 0, latency.NonFading{})
 	fmt.Printf("multi-hop (non-fading): 2 packets delivered in %d slots (done=%v)\n", slotsMH, done)
 	src := rng.New(99)
-	slotsMHR, doneR := latency.MultiHop(m, beta, paths, capFn, 100000, latency.Rayleigh{Src: src})
+	slotsMHR, doneR := latency.MultiHop(m, beta, paths, capFn, 100000, latency.NewRayleigh(fading.NewCounter(m), src))
 	fmt.Printf("multi-hop (rayleigh):   2 packets delivered in %d slots (done=%v)\n", slotsMHR, doneR)
 }

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"rayfade/internal/capacity"
+	"rayfade/internal/fading"
 	"rayfade/internal/geom"
 	"rayfade/internal/latency"
 	"rayfade/internal/multihop"
@@ -56,8 +57,9 @@ func main() {
 	fmt.Printf("non-fading delivery: %d slots (done=%v)\n", slots, done)
 
 	var rl stats.Running
+	counter := fading.NewCounter(m)
 	for trial := 0; trial < 10; trial++ {
-		s, ok := latency.MultiHop(m, beta, paths, capFn, 1000000, latency.Rayleigh{Src: src.Split()})
+		s, ok := latency.MultiHop(m, beta, paths, capFn, 1000000, latency.NewRayleigh(counter, src.Split()))
 		if !ok {
 			log.Fatal("rayleigh delivery incomplete")
 		}

@@ -56,12 +56,13 @@ func (p *Plan) Counter() *Counter {
 	}
 }
 
-// Counter counts Rayleigh successes on one gain matrix. It is the counting
-// kernel of the Monte-Carlo experiments: build it once per matrix with
-// NewCounter, or once per goroutine with Plan.Counter, then call Count once
-// per realization. It reads its Plan's order and flags, shared and never
-// written, and owns its scratch, so Count does not allocate; a Counter is
-// not safe for concurrent use, but Counters of one Plan are independent.
+// Counter decides Rayleigh successes on one gain matrix. It is the one
+// success kernel of the Monte-Carlo experiments: build it once per matrix
+// with NewCounter, or once per goroutine with Plan.Counter, then call Count
+// once per realization, or Counterfactual once per link asked what it would
+// have got. It reads its Plan's order and flags, shared and never written,
+// and owns its scratch, so neither allocates; a Counter is not safe for
+// concurrent use, but Counters of one Plan are independent.
 //
 // Count returns exactly what the canonical computation returns — draw every
 // exponential S(j,i) = −S̄(j,i)·ln u in increasing (receiver, sender) order,
@@ -121,6 +122,9 @@ type Counter struct {
 // that counts on m from one goroutine.
 func NewCounter(m *network.Matrix) *Counter { return NewPlan(m).Counter() }
 
+// Matrix returns the gain matrix the Plan or Counter decides on.
+func (p *plan) Matrix() *network.Matrix { return p.m }
+
 // orderBuckets is how many binary orders of magnitude below a row's
 // strongest gain sortRows tells apart; weaker and zero gains share the last
 // bucket.
@@ -179,17 +183,52 @@ const minNormal = 0x1p-1022
 func inDomain(x float64) bool { return x >= minNormal && x <= math.MaxFloat64/2 }
 
 // Count draws one Rayleigh realization for the links with active[i] set and
-// returns how many of them reach SINR β. It consumes the stream exactly as
-// SampleSINRsInto does; a zero gain draws nothing and a negative one panics.
-func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
+// returns how many of them reach SINR β. If ok is not nil (length m.N), it
+// also reports each link's decision: ok[i] is set when link i is active and
+// reaches β. It consumes the stream exactly as SampleSINRsInto does; a zero
+// gain draws nothing and a negative one panics.
+func (c *Counter) Count(active []bool, beta float64, src *rng.Source, ok []bool) int {
+	if ok != nil && len(ok) != c.m.N {
+		panic(fmt.Sprintf("fading: %d success flags for %d links", len(ok), c.m.N))
+	}
+	clear(ok)
+	return c.decide(active, -1, beta, src, ok)
+}
+
+// Counterfactual draws one Rayleigh realization at receiver i and reports
+// whether link i would reach SINR β if it transmitted alongside the links
+// with active[j] set. It draws as the canonical loop would for i alone:
+// i's own signal first, then each active sender j ≠ i in increasing index
+// order, a zero gain drawing nothing and a negative one panicking. It
+// decides as Count does, through the same tiers.
+func (c *Counter) Counterfactual(active []bool, i int, beta float64, src *rng.Source) bool {
+	if i < 0 || i >= c.m.N {
+		panic(fmt.Sprintf("fading: link %d of %d", i, c.m.N))
+	}
+	return c.decide(active, i, beta, src, nil) == 1
+}
+
+// decide draws and decides one realization: every link of active, or only
+// link with when with is not negative, as a receiver of the senders of
+// active and with. A receiver's uniforms are drawn in index order, or its
+// own first when it is with. Each receiver runs through the tiers; decide
+// sets ok for those that reach β, when ok is not nil, and returns how many
+// did.
+func (c *Counter) decide(active []bool, with int, beta float64, src *rng.Source, ok []bool) int {
 	m := c.m
 	if len(active) != m.N {
 		panic(fmt.Sprintf("fading: %d activity flags for %d links", len(active), m.N))
 	}
-	idx := activeIndices(active, c.idx)
+	idx := c.idx[:0]
+	for j, a := range active {
+		if a || j == with {
+			idx = append(idx, j)
+		}
+	}
 	u := c.u[:len(idx)]
-	var order []int32
-	if c.order != nil && 4*len(idx) >= m.N {
+	filter := inDomain(beta) && inDomain(m.Noise)
+	var order []int32 // the strongest-first walk's; only the coarse tier reads it
+	if filter && c.order != nil && 4*len(idx) >= m.N {
 		order = c.order
 		sentinel := int32(len(idx))
 		c.u[sentinel] = 0.5 // a typical uniform: only the mask keeps inactive senders out
@@ -200,33 +239,30 @@ func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
 			c.pos[j], c.mask[j] = int32(k), 1
 		}
 	}
-	filter := inDomain(beta) && inDomain(m.Noise)
 	delta := float64(len(idx)+8) * 0x1p-50
 	count := 0
 	for k, i := range idx {
+		if with >= 0 && i != with {
+			continue
+		}
 		row := m.Incoming(i)
-		if c.positive != nil && c.positive[i] {
-			src.FillOpen(u)
+		if with >= 0 {
+			c.draw(row, i, idx[k:k+1], u[k:k+1], src)
+			c.draw(row, i, idx[:k], u[:k], src)
+			c.draw(row, i, idx[k+1:], u[k+1:], src)
 		} else {
-			for kj, j := range idx {
-				if g := row[j]; g != 0 {
-					if g < 0 {
-						panic(fmt.Sprintf("fading: negative mean gain %g from sender %d at receiver %d", g, j, i))
-					}
-					u[kj] = src.Float64Open()
-				}
-			}
+			c.draw(row, i, idx, u, src)
 		}
 		g := row[i]
-		ok, decided := false, false
+		reached, decided := false, false
 		if filter {
 			l := negLogCoarse(u[k])
 			lo, hi := g*(l-coarseErr)/beta, g*(l+coarseErr)/beta
 			if inDomain(lo) && inDomain(hi) {
 				if order != nil {
-					ok, decided = c.coarseOrdered(row, order[i*(m.N-1):(i+1)*(m.N-1)], lo, hi, delta)
+					reached, decided = c.coarseOrdered(row, order[i*(m.N-1):(i+1)*(m.N-1)], lo, hi, delta)
 				} else {
-					ok, decided = c.coarseIndexed(row, i, idx, u, lo, hi, delta)
+					reached, decided = c.coarseIndexed(row, i, idx, u, lo, hi, delta)
 				}
 			}
 		}
@@ -237,18 +273,39 @@ func (c *Counter) Count(active []bool, beta float64, src *rng.Source) int {
 				own = -g * math.Log(u[k])
 			}
 			if target := own / beta; filter && inDomain(target) {
-				ok, decided = c.precise(row, i, idx, u, target, delta)
+				reached, decided = c.precise(row, i, idx, u, target, delta)
 			}
 			if !decided {
 				c.fallbacks++
-				ok = c.exact(row, i, idx, u, own, beta)
+				reached = c.exact(row, i, idx, u, own, beta)
 			}
 		}
-		if ok {
+		if reached {
+			if ok != nil {
+				ok[i] = true
+			}
 			count++
 		}
 	}
 	return count
+}
+
+// draw fills u[k] with the uniform of sender idx[k] at receiver i for every
+// k the canonical loop draws one: all of them as one batch when i's row is
+// all positive, otherwise those with a nonzero gain, in order.
+func (c *Counter) draw(row []float64, i int, idx []int, u []float64, src *rng.Source) {
+	if c.positive != nil && c.positive[i] {
+		src.FillOpen(u)
+		return
+	}
+	for k, j := range idx {
+		if g := row[j]; g != 0 {
+			if g < 0 {
+				panic(fmt.Sprintf("fading: negative mean gain %g from sender %d at receiver %d", g, j, i))
+			}
+			u[k] = src.Float64Open()
+		}
+	}
 }
 
 // coarseOrdered runs the coarse tier for one receiver over the senders of

@@ -25,6 +25,7 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 	"rayfade/internal/utility"
 )
 
@@ -212,18 +213,6 @@ func ExpectedBinaryValueOfSet(m *network.Matrix, set []int, beta float64) float6
 	return total
 }
 
-// SampleSINRs draws one Rayleigh realization: for each transmitting link i
-// (active[i] == true), every transmitting sender's strength at receiver i is
-// drawn as an independent exponential with mean S̄(j,i), and the realized
-// SINR is returned. Inactive links report 0. Cost is O(a²) for a active
-// links.
-//
-// This convenience form allocates its result and scratch; hot loops should
-// hold buffers and call SampleSINRsInto, which draws the identical stream.
-func SampleSINRs(m *network.Matrix, active []bool, src *rng.Source) []float64 {
-	return SampleSINRsInto(m, active, src, make([]float64, m.N), make([]int, 0, m.N))
-}
-
 // checkScratch panics unless out and idx can serve as kernel scratch for an
 // n-link matrix without growing.
 func checkScratch(n int, out []float64, idx []int) {
@@ -247,17 +236,15 @@ func activeIndices(active []bool, idx []int) []int {
 	return idx
 }
 
-// SampleSINRsInto is the allocation-free kernel behind SampleSINRs: it draws
-// one Rayleigh realization into out and returns out. The caller owns the
+// SampleSINRsInto draws one Rayleigh realization into out and returns it:
+// for each active link i, every active sender's strength at receiver i is an
+// independent exponential with mean S̄(j,i), drawn in increasing (receiver,
+// sender) order, and out[i] is the realized SINR; inactive links report 0.
+// It serves utilities of the SINR itself; a success test against β belongs
+// to a Counter, which draws the identical stream. The caller owns the
 // scratch: out must have length m.N and idx capacity at least m.N; both may
-// be reused across calls. Only active senders and receivers are visited, so
-// one realization costs O(a²) exponential draws plus an O(n) clear of out —
-// not an O(n²) pass over the full gain matrix.
-//
-// The exponential draws happen in increasing (receiver, sender) index order
-// over the active links — exactly the order SampleSINRs has always consumed
-// its stream — so fixed-seed experiment outputs are byte-identical whichever
-// entry point is used.
+// be reused across calls. One realization costs O(a²) draws for a active
+// links plus an O(n) clear of out.
 func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []float64, idx []int) []float64 {
 	checkScratch(m.N, out, idx)
 	idx = activeIndices(active, idx)
@@ -291,17 +278,14 @@ func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []fl
 }
 
 // SampleSuccesses draws one Rayleigh realization and returns the indices of
-// active links whose realized SINR reaches β. Like SampleSINRs it allocates;
-// counting loops should use a Counter.
+// active links whose realized SINR reaches β. It decides with a Counter in
+// index order, which needs no per-matrix set-up but allocates O(n) scratch
+// per call; code that samples one matrix many times should hold a Counter.
 func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source) []int {
-	var ok []int
-	vals := SampleSINRs(m, active, src)
-	for i, a := range active {
-		if a && vals[i] >= beta {
-			ok = append(ok, i)
-		}
-	}
-	return ok
+	c := Counter{plan: plan{m: m}, u: make([]float64, m.N), idx: make([]int, 0, m.N)}
+	ok := make([]bool, m.N)
+	c.Count(active, beta, src, ok)
+	return sinr.ActiveToSet(ok)
 }
 
 // CountSuccesses is Counter.Count over the caller's scratch and without a
@@ -314,7 +298,7 @@ func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.So
 func CountSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int) int {
 	checkScratch(m.N, out, idx)
 	c := Counter{plan: plan{m: m}, u: out, idx: idx}
-	return c.Count(active, beta, src)
+	return c.Count(active, beta, src, nil)
 }
 
 // MCResult is a Monte-Carlo estimate with its standard error.
@@ -371,9 +355,8 @@ func SuccessProbabilityMC(m *network.Matrix, q []float64, beta float64, i int, s
 		panic(fmt.Sprintf("fading: %d samples", samples))
 	}
 	hits := 0
-	active := make([]bool, m.N)
-	vals := make([]float64, m.N)
-	idx := make([]int, 0, m.N)
+	active, ok := make([]bool, m.N), make([]bool, m.N)
+	c := NewCounter(m)
 	for s := 0; s < samples; s++ {
 		for k := range active {
 			active[k] = src.Bernoulli(q[k])
@@ -381,8 +364,8 @@ func SuccessProbabilityMC(m *network.Matrix, q []float64, beta float64, i int, s
 		if !active[i] {
 			continue
 		}
-		SampleSINRsInto(m, active, src, vals, idx)
-		if vals[i] >= beta {
+		c.Count(active, beta, src, ok)
+		if ok[i] {
 			hits++
 		}
 	}

@@ -386,7 +386,7 @@ func TestSampleSINRsRespectsActivity(t *testing.T) {
 	src := rng.New(14)
 	active := make([]bool, m.N)
 	active[2], active[5] = true, true
-	vals := SampleSINRs(m, active, src)
+	vals := SampleSINRsInto(m, active, src, make([]float64, m.N), make([]int, 0, m.N))
 	for i, v := range vals {
 		if !active[i] && v != 0 {
 			t.Fatalf("inactive link %d has SINR %g", i, v)
@@ -405,9 +405,10 @@ func TestSampleSINRsMarginalDistribution(t *testing.T) {
 	beta := 3.0
 	want := math.Exp(-beta * 0.5 / 2)
 	hits := 0
+	vals, idx := make([]float64, 1), make([]int, 0, 1)
 	const n = 200000
 	for s := 0; s < n; s++ {
-		if SampleSINRs(m, active, src)[0] >= beta {
+		if SampleSINRsInto(m, active, src, vals, idx)[0] >= beta {
 			hits++
 		}
 	}
@@ -486,10 +487,10 @@ func TestSuccessCountersForProbs(t *testing.T) {
 				tx++
 			}
 		}
-		if nf := sinr.CountSuccesses(m, active, 2.5); nf < 0 || nf > tx {
+		if nf := len(sinr.Successes(m, active, 2.5)); nf < 0 || nf > tx {
 			t.Fatalf("non-fading successes %d of %d transmitters", nf, tx)
 		}
-		if rl := counter.Count(active, 2.5, src); rl < 0 || rl > tx {
+		if rl := counter.Count(active, 2.5, src, nil); rl < 0 || rl > tx {
 			t.Fatalf("Rayleigh successes %d of %d transmitters", rl, tx)
 		}
 	}
@@ -549,9 +550,10 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 	for i := range active {
 		active[i] = i%2 == 0
 	}
+	vals, idx := make([]float64, 100), make([]int, 0, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleSINRs(m, active, src)
+		SampleSINRsInto(m, active, src, vals, idx)
 	}
 }
 
@@ -567,7 +569,7 @@ func BenchmarkCountSuccesses100(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Count(active, 2.5, src)
+				c.Count(active, 2.5, src, nil)
 			}
 		})
 	}

@@ -51,10 +51,11 @@ func FuzzExactSuccessInvariants(f *testing.F) {
 }
 
 // FuzzCountSuccessesMatchesReference checks the counting kernels against
-// the kept full-draw reference for arbitrary seeds, thresholds, transmitter
+// the kept full-draw references for arbitrary seeds, thresholds, transmitter
 // densities, noise levels and one planted gain, on the generated network
-// and on a copy with zero-gain entries: the count and the final stream
-// position must agree exactly. One Counter per matrix is reused for the
+// and on a copy with zero-gain entries: the count, every per-link flag,
+// every link's counterfactual decision and the final stream positions must
+// agree exactly (checkCountSuccesses). One Counter per matrix is reused for the
 // drawn set, the full set (visited strongest first) and a single link (in
 // index order once n > 4). The noise is set on the matrix directly, so
 // negative, infinite and NaN levels are exercised too. A positive gain is

@@ -2,6 +2,7 @@ package fading
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,6 +44,28 @@ func referenceSampleSINRs(m *network.Matrix, active []bool, src *rng.Source) []f
 	return out
 }
 
+// referenceCounterfactual is the realized SINR link i would have had had it
+// transmitted alongside the links of active, drawn as the regret game's
+// counterfactual loop drew it before it moved onto the Counter: i's own
+// signal first, then each active sender j ≠ i in index order, through
+// rng.Exp, which draws nothing for a zero gain.
+func referenceCounterfactual(m *network.Matrix, active []bool, i int, src *rng.Source) float64 {
+	own := src.Exp(m.At(i, i))
+	interf := m.Noise
+	for j := 0; j < m.N; j++ {
+		if active[j] && j != i {
+			interf += src.Exp(m.At(j, i))
+		}
+	}
+	if interf == 0 {
+		if own > 0 {
+			return math.Inf(1)
+		}
+		return 0
+	}
+	return own / interf
+}
+
 // randomActive draws an activity vector with density p.
 func randomActive(src *rng.Source, n int, p float64) []bool {
 	active := make([]bool, n)
@@ -79,19 +102,9 @@ func TestSampleSINRsIntoMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSampleSINRsWrapperMatchesKernel(t *testing.T) {
-	m := randomMatrix(t, 3, 50)
-	active := randomActive(rng.New(4), 50, 0.6)
-	src := rng.New(5)
-	a := SampleSINRs(m, active, src.Clone())
-	b := SampleSINRsInto(m, active, src.Clone(), make([]float64, 50), make([]int, 0, 50))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("link %d: wrapper %g, kernel %g", i, a[i], b[i])
-		}
-	}
-}
-
+// TestCountSuccessesMatchesSampleSuccesses pins SampleSuccesses, the
+// allocating index-order form, to the reference's success set and stream
+// position, and Counter.Count to its size.
 func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 	m := randomMatrix(t, 6, 80)
 	c := NewCounter(m)
@@ -99,10 +112,19 @@ func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		active := randomActive(setup, 80, setup.Float64())
 		src := rng.New(uint64(1000 + trial))
-		want := len(SampleSuccesses(m, active, 2.5, src.Clone()))
-		got := c.Count(active, 2.5, src.Clone())
-		if want != got {
-			t.Fatalf("trial %d: Counter.Count %d, SampleSuccesses %d", trial, got, want)
+		ref := src.Clone()
+		var want []int
+		for i, v := range referenceSampleSINRs(m, active, ref) {
+			if active[i] && v >= 2.5 {
+				want = append(want, i)
+			}
+		}
+		sampled := src.Clone()
+		if got := SampleSuccesses(m, active, 2.5, sampled); !slices.Equal(got, want) || sampled.Uint64() != ref.Uint64() {
+			t.Fatalf("trial %d: SampleSuccesses %v, reference %v (or a different stream position)", trial, got, want)
+		}
+		if got := c.Count(active, 2.5, src.Clone(), nil); got != len(want) {
+			t.Fatalf("trial %d: Counter.Count %d, reference %d", trial, got, len(want))
 		}
 	}
 }
@@ -123,27 +145,38 @@ func zeroSomeGains(m *network.Matrix, phase int) *network.Matrix {
 // checkCountSuccesses asserts that c.Count and CountSuccesses, each starting
 // from a stream seeded with seed, return the success count of
 // referenceSampleSINRs on c's matrix and leave the stream at the same
-// position. c is reused from call to call and visits dense active sets
-// strongest first and sparse ones in index order; CountSuccesses visits
-// every set in index order. The scratch of both starts out NaN-filled, so a
-// read of a slot the kernel did not write shows up as a mismatch.
+// position, and that c.Count's per-link flags are the reference's
+// decisions. It then asserts that c.Counterfactual, asked about every link,
+// active or not, decides as referenceCounterfactual's SINR does and leaves
+// the stream where it does. c is reused from call to call and visits dense
+// sets strongest first and sparse ones in index order; CountSuccesses visits
+// every set in index order. The scratch of both starts out NaN-filled, and
+// the flags true, so a read of a slot the kernel did not write, or a flag it
+// did not clear, shows up as a mismatch. The counterfactual calls leave c's
+// tallies as they found them: callers read those of the one Count call.
 func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, seed uint64) {
 	t.Helper()
 	m := c.m
 	ref := rng.New(seed)
 	want := 0
+	reached := make([]bool, m.N)
 	for i, v := range referenceSampleSINRs(m, active, ref) {
 		if active[i] && v >= beta {
+			reached[i] = true
 			want++
 		}
 	}
 	next := ref.Uint64()
 	scratch := make([]float64, m.N)
+	ok := make([]bool, m.N)
+	for i := range ok {
+		ok[i] = true
+	}
 	for _, kernel := range []struct {
 		name  string
 		count func(*rng.Source) int
 	}{
-		{"Counter.Count", func(src *rng.Source) int { return c.Count(active, beta, src) }},
+		{"Counter.Count", func(src *rng.Source) int { return c.Count(active, beta, src, ok) }},
 		{"CountSuccesses", func(src *rng.Source) int {
 			return CountSuccesses(m, active, beta, src, scratch, make([]int, 0, m.N))
 		}},
@@ -159,6 +192,25 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 			t.Fatalf("n=%d β=%g ν=%g seed=%d: %s consumed a different number of draws", m.N, beta, m.Noise, seed, kernel.name)
 		}
 	}
+	if !slices.Equal(ok, reached) {
+		t.Fatalf("n=%d β=%g ν=%g seed=%d: Counter.Count flags %v, reference %v", m.N, beta, m.Noise, seed, ok, reached)
+	}
+	refined, fallbacks := c.refined, c.fallbacks
+	for i := 0; i < m.N; i++ {
+		ref := rng.New(seed)
+		want := referenceCounterfactual(m, active, i, ref) >= beta
+		for k := range scratch {
+			c.u[k] = math.NaN()
+		}
+		src := rng.New(seed)
+		if got := c.Counterfactual(active, i, beta, src); got != want {
+			t.Fatalf("n=%d β=%g ν=%g seed=%d: Counterfactual(link %d, active %v) = %v, reference %v", m.N, beta, m.Noise, seed, i, active[i], got, want)
+		}
+		if src.Uint64() != ref.Uint64() {
+			t.Fatalf("n=%d β=%g ν=%g seed=%d: Counterfactual(link %d) consumed a different number of draws", m.N, beta, m.Noise, seed, i)
+		}
+	}
+	c.refined, c.fallbacks = refined, fallbacks
 }
 
 // TestCountSuccessesMatchesReference covers both visit orders, zero gains,
@@ -207,7 +259,7 @@ func TestCountSuccessesNoiselessEdges(t *testing.T) {
 		{[]bool{false, true, false}, 0, 1},
 		{[]bool{true, true, true}, 1e300, 0},
 	} {
-		got := c.Count(tc.active, tc.beta, rng.New(1))
+		got := c.Count(tc.active, tc.beta, rng.New(1), nil)
 		if got != tc.want {
 			t.Errorf("active=%v β=%g: %d successes, want %d", tc.active, tc.beta, got, tc.want)
 		}
@@ -438,12 +490,15 @@ func TestKernelsAllocationFree(t *testing.T) {
 		t.Errorf("CountSuccesses allocates %.1f objects per run", allocs)
 	}
 	c := NewCounter(m)
+	ok := make([]bool, 100)
 	for _, density := range []float64{0.1, 0.5, 1} {
 		active := randomActive(rng.New(17), 100, density)
 		if allocs := testing.AllocsPerRun(50, func() {
-			c.Count(active, 2.5, src)
+			c.Count(active, 2.5, src, nil)
+			c.Count(active, 2.5, src, ok)
+			c.Counterfactual(active, 7, 2.5, src)
 		}); allocs != 0 {
-			t.Errorf("Counter.Count at density %.1f allocates %.1f objects per run", density, allocs)
+			t.Errorf("Counter.Count and Counterfactual at density %.1f allocate %.1f objects per run", density, allocs)
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {

@@ -66,7 +66,7 @@ func (NonFadingGains) Name() string { return "non-fading" }
 
 // SampleSINRsWith draws one fading realization under an arbitrary fading
 // model and returns per-link SINRs; inactive links report 0. With
-// RayleighGains it matches SampleSINRs draw-for-draw. It allocates; hot
+// RayleighGains it matches SampleSINRsInto draw-for-draw. It allocates; hot
 // loops should hold buffers and call SampleSINRsWithInto.
 func SampleSINRsWith(m *network.Matrix, active []bool, sampler GainSampler, src *rng.Source) []float64 {
 	return SampleSINRsWithInto(m, active, sampler, src, make([]float64, m.N), make([]int, 0, m.N))

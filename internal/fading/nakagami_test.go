@@ -126,7 +126,7 @@ func TestSampleSINRsWithRayleighMatchesNative(t *testing.T) {
 		active[i] = true
 	}
 	// Identical seeds must produce identical draws through both paths.
-	a := SampleSINRs(m, active, rng.New(9))
+	a := SampleSINRsInto(m, active, rng.New(9), make([]float64, m.N), make([]int, 0, m.N))
 	b := SampleSINRsWith(m, active, RayleighGains{}, rng.New(9))
 	for i := range a {
 		if a[i] != b[i] {

@@ -26,7 +26,7 @@ func TestPlanCountersConcurrent(t *testing.T) {
 		var r run
 		for k := 0; k < trials; k++ {
 			active := randomActive(setup, m.N, setup.Float64())
-			r.counts = append(r.counts, c.Count(active, 2.5, src))
+			r.counts = append(r.counts, c.Count(active, 2.5, src, nil))
 		}
 		r.next = src.Uint64()
 		return r

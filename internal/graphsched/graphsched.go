@@ -145,7 +145,7 @@ func EvaluateSchedule(m *network.Matrix, classes [][]int, beta float64) Evaluati
 	for _, slot := range classes {
 		ev.Scheduled += len(slot)
 		active := sinr.SetToActive(m.N, slot)
-		ok := sinr.CountSuccesses(m, active, beta)
+		ok := len(sinr.Successes(m, active, beta))
 		ev.SINRSuccesses += ok
 		ev.Violations += len(slot) - ok
 	}

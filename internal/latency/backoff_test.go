@@ -3,6 +3,7 @@ package latency
 import (
 	"testing"
 
+	"rayfade/internal/fading"
 	"rayfade/internal/rng"
 	"rayfade/internal/stats"
 	"rayfade/internal/transform"
@@ -18,7 +19,7 @@ func TestBackoffAlohaCompletesBothModels(t *testing.T) {
 	}
 	cfg := DefaultBackoff
 	cfg.Repeats = transform.AlohaRepeats
-	rl := BackoffAloha(m, 2.5, cfg, src, Rayleigh{Src: src})
+	rl := BackoffAloha(m, 2.5, cfg, src, NewRayleigh(fading.NewCounter(m), src))
 	if !rl.Done {
 		t.Fatalf("rayleigh backoff incomplete after %d slots", rl.Slots)
 	}

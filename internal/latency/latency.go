@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rayfade/internal/capacity"
 	"rayfade/internal/fading"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
@@ -54,50 +55,43 @@ func (NonFading) Successes(m *network.Matrix, active []bool, beta float64) []int
 // Name implements SuccessModel.
 func (NonFading) Name() string { return "non-fading" }
 
-// Rayleigh draws an exponential fading realization per slot. The zero-ish
-// literal form Rayleigh{Src: src} works everywhere but allocates per slot;
-// NewRayleigh attaches reusable kernel scratch for allocation-free slots.
+// Rayleigh draws an exponential fading realization per slot and decides it
+// with a fading.Counter on one gain matrix, so its slots allocate nothing.
+// It answers only for its counter's matrix and panics on any other.
 type Rayleigh struct {
-	Src *rng.Source
-	s   *rayleighScratch
-}
-
-type rayleighScratch struct {
-	vals []float64
-	idx  []int
+	c    *fading.Counter
+	src  *rng.Source
+	ok   []bool
 	succ []int
 }
 
-// NewRayleigh returns a Rayleigh model with preallocated scratch for n-link
-// matrices, making every Successes call allocation-free. The returned
-// success slice is only valid until the next call on the same model — the
-// schedulers in this package all consume it immediately.
-func NewRayleigh(src *rng.Source, n int) Rayleigh {
-	return Rayleigh{Src: src, s: &rayleighScratch{
-		vals: make([]float64, n),
-		idx:  make([]int, 0, n),
-		succ: make([]int, 0, n),
-	}}
+// NewRayleigh returns a Rayleigh model deciding with c on c's matrix and
+// drawing from src. The success slice Successes returns is only valid until
+// the next call on the same model — the schedulers in this package all
+// consume it immediately.
+func NewRayleigh(c *fading.Counter, src *rng.Source) *Rayleigh {
+	n := c.Matrix().N
+	return &Rayleigh{c: c, src: src, ok: make([]bool, n), succ: make([]int, 0, n)}
 }
 
 // Successes implements SuccessModel.
-func (r Rayleigh) Successes(m *network.Matrix, active []bool, beta float64) []int {
-	if r.s == nil || len(r.s.vals) != m.N {
-		return fading.SampleSuccesses(m, active, beta, r.Src)
+func (r *Rayleigh) Successes(m *network.Matrix, active []bool, beta float64) []int {
+	if m != r.c.Matrix() {
+		panic("latency: Rayleigh model asked about a matrix other than its counter's")
 	}
-	vals := fading.SampleSINRsInto(m, active, r.Src, r.s.vals, r.s.idx)
-	succ := r.s.succ[:0]
-	for i, a := range active {
-		if a && vals[i] >= beta {
+	r.c.Count(active, beta, r.src, r.ok)
+	succ := r.succ[:0]
+	for i, ok := range r.ok {
+		if ok {
 			succ = append(succ, i)
 		}
 	}
-	r.s.succ = succ
+	r.succ = succ
 	return succ
 }
 
 // Name implements SuccessModel.
-func (Rayleigh) Name() string { return "rayleigh" }
+func (*Rayleigh) Name() string { return "rayleigh" }
 
 // ErrUnschedulable reports links that can never succeed (their own signal
 // cannot beat the noise at the threshold), making full-coverage latency
@@ -122,44 +116,8 @@ func GreedyCapacity(order []int, tau float64) CapacityFunc {
 				scan = append(scan, i)
 			}
 		}
-		return greedyRestricted(m, beta, tau, scan)
+		return capacity.GreedyAffectance(m, beta, tau, scan)
 	}
-}
-
-// greedyRestricted is the affectance greedy over an explicit scan order,
-// duplicated here (rather than importing internal/capacity) to keep the
-// package dependency graph acyclic: capacity evaluation belongs to the
-// capacity package, slot construction to this one.
-func greedyRestricted(m *network.Matrix, beta, tau float64, scan []int) []int {
-	var selected []int
-	load := map[int]float64{}
-	for _, cand := range scan {
-		if m.Own(cand) <= beta*m.Noise || m.Own(cand) == 0 {
-			continue
-		}
-		inbound := 0.0
-		ok := true
-		for _, s := range selected {
-			inbound += sinr.AffectanceUncapped(m, beta, s, cand)
-			if inbound > tau {
-				ok = false
-				break
-			}
-			if load[s]+sinr.AffectanceUncapped(m, beta, cand, s) > tau {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, s := range selected {
-			load[s] += sinr.AffectanceUncapped(m, beta, cand, s)
-		}
-		load[cand] = inbound
-		selected = append(selected, cand)
-	}
-	return selected
 }
 
 // RepeatedCapacity builds a non-fading schedule by repeatedly maximizing

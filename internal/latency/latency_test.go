@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rayfade/internal/capacity"
+	"rayfade/internal/fading"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
 	"rayfade/internal/sinr"
@@ -130,7 +131,7 @@ func TestRepeatUntilDoneRayleigh(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(123)
-	slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 200, Rayleigh{Src: src})
+	slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 200, NewRayleigh(fading.NewCounter(m), src))
 	if !done {
 		t.Fatalf("Rayleigh replay did not finish in %d slots", slots)
 	}
@@ -153,7 +154,7 @@ func TestRepeatUntilDoneOverheadBounded(t *testing.T) {
 	totalSlots := 0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 500, Rayleigh{Src: src})
+		slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 500, NewRayleigh(fading.NewCounter(m), src))
 		if !done {
 			t.Fatal("run did not complete")
 		}
@@ -207,7 +208,7 @@ func TestAlohaRayleighWithRepeats(t *testing.T) {
 	net := fig1Net(t, 12, 40)
 	m := net.Gains()
 	src := rng.New(6)
-	res := Aloha(m, 2.5, AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats}, src, Rayleigh{Src: src})
+	res := Aloha(m, 2.5, AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats}, src, NewRayleigh(fading.NewCounter(m), src))
 	if !res.Done {
 		t.Fatalf("Rayleigh ALOHA did not complete in %d slots", res.Slots)
 	}
@@ -282,7 +283,7 @@ func TestMultiHopRayleigh(t *testing.T) {
 	m := net.Gains()
 	src := rng.New(10)
 	paths := []Path{{0, 5}, {3, 7, 11}}
-	slots, done := MultiHop(m, 2.5, paths, defaultCapFn(net), 10000, Rayleigh{Src: src})
+	slots, done := MultiHop(m, 2.5, paths, defaultCapFn(net), 10000, NewRayleigh(fading.NewCounter(m), src))
 	if !done {
 		t.Fatalf("Rayleigh multi-hop did not deliver in %d slots", slots)
 	}
@@ -310,9 +311,26 @@ func TestMultiHopPanicsOnBadPath(t *testing.T) {
 }
 
 func TestModelNames(t *testing.T) {
-	if (NonFading{}).Name() == "" || (Rayleigh{}).Name() == "" {
+	if (NonFading{}).Name() == "" || (&Rayleigh{}).Name() == "" {
 		t.Fatal("model names empty")
 	}
+}
+
+// TestRayleighPanicsOnForeignMatrix pins that a Rayleigh model answers only
+// for its counter's matrix: an equal copy is still another matrix.
+func TestRayleighPanicsOnForeignMatrix(t *testing.T) {
+	net := fig1Net(t, 3, 10)
+	m := net.Gains()
+	model := NewRayleigh(fading.NewCounter(m), rng.New(1))
+	active := make([]bool, m.N)
+	active[0] = true
+	model.Successes(m, active, 2.5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Successes on another matrix did not panic")
+		}
+	}()
+	model.Successes(net.Gains(), active, 2.5)
 }
 
 func BenchmarkRepeatedCapacity60(b *testing.B) {

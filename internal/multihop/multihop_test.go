@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"rayfade/internal/capacity"
+	"rayfade/internal/fading"
 	"rayfade/internal/geom"
 	"rayfade/internal/latency"
 	"rayfade/internal/network"
@@ -190,7 +191,7 @@ func TestRandomWorkloadEndToEnd(t *testing.T) {
 	if !done {
 		t.Fatalf("non-fading multihop incomplete after %d slots", slots)
 	}
-	slotsR, doneR := latency.MultiHop(m, 2.5, paths, capFn, 200000, latency.Rayleigh{Src: src})
+	slotsR, doneR := latency.MultiHop(m, 2.5, paths, capFn, 200000, latency.NewRayleigh(fading.NewCounter(m), src))
 	if !doneR {
 		t.Fatalf("rayleigh multihop incomplete after %d slots", slotsR)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rayfade/internal/network"
 	"rayfade/internal/rng"
 )
 
@@ -95,17 +94,3 @@ func (e *Exp3) Observe(chosen int, losses [2]float64) {
 }
 
 var _ Learner = (*Exp3)(nil)
-
-// NewGameWithLearners creates a game where each link runs the provided
-// learner (one per link). It generalizes NewGame, which equips every link
-// with the paper's RWM variant.
-func NewGameWithLearners(m *network.Matrix, beta float64, model Model, learners []Learner, src *rng.Source) *Game {
-	if beta <= 0 {
-		panic(fmt.Sprintf("regret: threshold β = %g must be positive", beta))
-	}
-	if len(learners) != m.N {
-		panic(fmt.Sprintf("regret: %d learners for %d links", len(learners), m.N))
-	}
-	return &Game{m: m, beta: beta, model: model, learners: learners, src: src,
-		sinrBuf: make([]float64, m.N), idxBuf: make([]int, 0, m.N)}
-}

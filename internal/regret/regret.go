@@ -157,11 +157,11 @@ type Game struct {
 	model    Model
 	learners []Learner
 	src      *rng.Source
-	// sinrBuf/idxBuf are per-game kernel scratch: step evaluates one SINR
-	// realization per round into them instead of allocating, which is what
+	// counter decides every Rayleigh success, realized and counterfactual;
+	// sinrBuf holds the non-fading SINRs. Both are per-game scratch, which
 	// keeps long Figure-2 runs off the garbage collector.
+	counter *fading.Counter
 	sinrBuf []float64
-	idxBuf  []int
 }
 
 // NewGame creates a game over the matrix at threshold beta, equipping every
@@ -169,15 +169,30 @@ type Game struct {
 // fading draws) comes from src. Use NewGameWithLearners for other
 // algorithms (e.g. Exp3 bandit feedback).
 func NewGame(m *network.Matrix, beta float64, model Model, src *rng.Source) *Game {
-	if beta <= 0 {
-		panic(fmt.Sprintf("regret: threshold β = %g must be positive", beta))
-	}
 	learners := make([]Learner, m.N)
 	for i := range learners {
 		learners[i] = NewRWM()
 	}
-	return &Game{m: m, beta: beta, model: model, learners: learners, src: src,
-		sinrBuf: make([]float64, m.N), idxBuf: make([]int, 0, m.N)}
+	return NewGameWithLearners(m, beta, model, learners, src)
+}
+
+// NewGameWithLearners creates a game where each link runs the provided
+// learner (one per link). It generalizes NewGame, which equips every link
+// with the paper's RWM variant.
+func NewGameWithLearners(m *network.Matrix, beta float64, model Model, learners []Learner, src *rng.Source) *Game {
+	if !(beta > 0) {
+		panic(fmt.Sprintf("regret: threshold β = %g must be positive", beta))
+	}
+	if len(learners) != m.N {
+		panic(fmt.Sprintf("regret: %d learners for %d links", len(learners), m.N))
+	}
+	g := &Game{m: m, beta: beta, model: model, learners: learners, src: src}
+	if model == Rayleigh {
+		g.counter = fading.NewCounter(m)
+	} else {
+		g.sinrBuf = make([]float64, m.N)
+	}
+	return g
 }
 
 // step plays one round and returns its record.
@@ -192,30 +207,24 @@ func (g *Game) step() Round {
 		sent[i] = chosen[i] == Send
 	}
 	avgProb /= float64(n)
-	// Realized SINRs of the transmitting set, into the per-game scratch.
-	var vals []float64
-	if g.model == Rayleigh {
-		vals = fading.SampleSINRsInto(g.m, sent, g.src, g.sinrBuf, g.idxBuf)
-	} else {
-		vals = sinr.ValuesInto(g.m, sent, g.sinrBuf)
-	}
 	succeeded := make([]bool, n)
 	successes := 0
-	rewardSend := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if sent[i] {
-			if vals[i] >= g.beta {
+	if g.model == Rayleigh {
+		successes = g.counter.Count(sent, g.beta, g.src, succeeded)
+	} else {
+		vals := sinr.ValuesInto(g.m, sent, g.sinrBuf)
+		for i, s := range sent {
+			if s && vals[i] >= g.beta {
 				succeeded[i] = true
 				successes++
-				rewardSend[i] = 1
-			} else {
-				rewardSend[i] = -1
 			}
-			continue
 		}
-		// Counterfactual: would i have succeeded had it also transmitted?
-		// Only i's own success matters for i's reward.
-		if g.counterfactualSuccess(sent, i) {
+	}
+	rewardSend := make([]float64, n)
+	for i, s := range sent {
+		// An idle link's reward is the counterfactual: would i have
+		// succeeded had it also transmitted? Only i's own success matters.
+		if succeeded[i] || !s && g.counterfactualSuccess(sent, i) {
 			rewardSend[i] = 1
 		} else {
 			rewardSend[i] = -1
@@ -245,28 +254,20 @@ func (g *Game) step() Round {
 // counterfactualSuccess evaluates whether idle link i would have reached β
 // had it transmitted alongside the realized set.
 func (g *Game) counterfactualSuccess(sent []bool, i int) bool {
-	interf := g.m.Noise
-	var own float64
-	row := g.m.Incoming(i)
 	if g.model == Rayleigh {
-		own = g.src.Exp(row[i])
-		for j, s := range sent {
-			if s && j != i {
-				interf += g.src.Exp(row[j])
-			}
-		}
-	} else {
-		own = row[i]
-		for j, s := range sent {
-			if s && j != i {
-				interf += row[j]
-			}
+		return g.counter.Counterfactual(sent, i, g.beta, g.src)
+	}
+	row := g.m.Incoming(i)
+	interf := g.m.Noise
+	for j, s := range sent {
+		if s && j != i {
+			interf += row[j]
 		}
 	}
 	if interf == 0 {
-		return own > 0
+		return row[i] > 0
 	}
-	return own/interf >= g.beta
+	return row[i]/interf >= g.beta
 }
 
 // Run plays T rounds and returns the trajectory.

@@ -2,6 +2,8 @@ package regret
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rayfade/internal/capacity"
@@ -365,9 +367,10 @@ func TestExpectedRewardMatchesEmpirical(t *testing.T) {
 	for k := range active {
 		active[k] = true
 	}
+	counter, ok := fading.NewCounter(m), make([]bool, m.N)
 	for trial := 0; trial < trials; trial++ {
-		vals := fading.SampleSINRs(m, active, src)
-		if vals[i] >= 0.5 {
+		counter.Count(active, 0.5, src, ok)
+		if ok[i] {
 			sum++
 		} else {
 			sum--
@@ -382,6 +385,103 @@ func TestExpectedRewardMatchesEmpirical(t *testing.T) {
 	qSilent[i] = 0
 	if r := ExpectedReward(m, qSilent, 0.5, i); r != 0 {
 		t.Fatalf("silent reward %g", r)
+	}
+}
+
+// referenceStep is Game.step as it was before the Rayleigh decisions moved
+// onto fading.Counter: every realized SINR from the sampling kernel, then a
+// threshold; every counterfactual from its own loop of rng.Exp draws, own
+// signal first. It plays g's learners and draws from g's source.
+func referenceStep(g *Game) Round {
+	n := g.m.N
+	sent := make([]bool, n)
+	chosen := make([]int, n)
+	avgProb := 0.0
+	for i, p := range g.learners {
+		avgProb += p.SendProbability()
+		chosen[i] = p.Choose(g.src)
+		sent[i] = chosen[i] == Send
+	}
+	avgProb /= float64(n)
+	vals := fading.SampleSINRsInto(g.m, sent, g.src, make([]float64, n), make([]int, 0, n))
+	r := Round{Sent: sent, Succeeded: make([]bool, n), RewardSend: make([]float64, n), AvgSendProb: avgProb}
+	for i := 0; i < n; i++ {
+		var reached bool
+		if sent[i] {
+			reached = vals[i] >= g.beta
+			if reached {
+				r.Succeeded[i] = true
+				r.Successes++
+			}
+		} else {
+			row := g.m.Incoming(i)
+			own := g.src.Exp(row[i])
+			interf := g.m.Noise
+			for j, s := range sent {
+				if s && j != i {
+					interf += g.src.Exp(row[j])
+				}
+			}
+			if interf == 0 {
+				reached = own > 0
+			} else {
+				reached = own/interf >= g.beta
+			}
+		}
+		r.RewardSend[i] = -1
+		if reached {
+			r.RewardSend[i] = 1
+		}
+	}
+	for i, p := range g.learners {
+		losses := [2]float64{Idle: LossIdle, Send: LossOther}
+		if r.RewardSend[i] < 0 {
+			losses[Send] = LossSendFail
+		}
+		p.Observe(chosen[i], losses)
+	}
+	return r
+}
+
+// TestGameMatchesReferenceAtPositiveNoise pins the Rayleigh game to
+// referenceStep at positive noise, where the Counter's bounded tiers decide
+// most receivers (Figure 2 runs at ν = 0, which only its canonical tier
+// sees), on a matrix with some zero gains: every round, and the stream
+// position after the last, must agree.
+func TestGameMatchesReferenceAtPositiveNoise(t *testing.T) {
+	net := fig2Net(t, 41, 60)
+	m := net.Gains()
+	for i := 0; i < m.N; i += 7 {
+		m.SetGain((i+3)%m.N, i, 0)
+	}
+	own := make([]float64, m.N)
+	for i := range own {
+		own[i] = m.Own(i)
+	}
+	slices.Sort(own)
+	for _, scale := range []float64{1e-6, 0.01, 0.2} {
+		m.Noise = scale * own[m.N/2]
+		got := NewGame(m, 0.5, Rayleigh, rng.New(43))
+		want := NewGame(m, 0.5, Rayleigh, rng.New(43))
+		successes, failures := 0, 0
+		for round := 0; round < 200; round++ {
+			a, b := got.step(), referenceStep(want)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("ν=%g round %d: game %+v, reference %+v", m.Noise, round, a, b)
+			}
+			for i, s := range a.Sent {
+				if s && !a.Succeeded[i] {
+					failures++
+				}
+			}
+			successes += a.Successes
+		}
+		if got.src.Uint64() != want.src.Uint64() {
+			t.Fatalf("ν=%g: the game consumed a different number of draws", m.Noise)
+		}
+		if successes == 0 || failures == 0 {
+			t.Fatalf("ν=%g: %d successes and %d failures; the comparison needs both", m.Noise, successes, failures)
+		}
 	}
 }
 

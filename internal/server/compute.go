@@ -95,7 +95,7 @@ func computeLatency(ctx context.Context, p latencyParams, t *compiled) (*latency
 				maxRounds = 10000
 			}
 			slots, done, err := latency.RepeatUntilDoneCtx(ctx, m, sched, p.Beta,
-				transform.AlohaRepeats, maxRounds, latency.NewRayleigh(src, m.N))
+				transform.AlohaRepeats, maxRounds, latency.NewRayleigh(t.counter(), src))
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +105,7 @@ func computeLatency(ctx context.Context, p latencyParams, t *compiled) (*latency
 		cfg := latency.AlohaConfig{Prob: p.Prob, MaxSlots: p.MaxSlots, Repeats: resp.Repeats}
 		var model latency.SuccessModel = latency.NonFading{}
 		if p.Model == "rayleigh" {
-			model = latency.NewRayleigh(src.Split(), m.N)
+			model = latency.NewRayleigh(t.counter(), src.Split())
 		}
 		res, err := latency.AlohaCtx(ctx, m, p.Beta, cfg, src, model)
 		if err != nil {
@@ -172,7 +172,7 @@ func computeEstimate(ctx context.Context, p mcParams, t *compiled) (*estimateRes
 		for i := range active {
 			active[i] = src.Bernoulli(q[i])
 		}
-		c := float64(counter.Count(active, p.Beta, src))
+		c := float64(counter.Count(active, p.Beta, src, nil))
 		sum += c
 		sumSq += c * c
 	}

@@ -114,7 +114,7 @@ func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, e
 		}
 		out.sSlots = float64(len(sched))
 		slots, done := latency.RepeatUntilDone(m, sched, cfg.Beta,
-			transform.AlohaRepeats, 10000, latency.Rayleigh{Src: src.Split()})
+			transform.AlohaRepeats, 10000, latency.NewRayleigh(fading.NewCounter(m), src.Split()))
 		if done {
 			out.sRaySlots = float64(slots)
 		}

@@ -238,7 +238,7 @@ func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netRes
 					nf := countNonFadingInto(m, active, cfg.Beta, vals)
 					out.curves[nfKey].Observe(pi, float64(nf))
 					for fs := 0; fs < cfg.FadingSeeds; fs++ {
-						rl := counter.Count(active, cfg.Beta, src)
+						rl := counter.Count(active, cfg.Beta, src, nil)
 						out.curves[rlKey].Observe(pi, float64(rl))
 					}
 					tickRealizations(cfg.FadingSeeds)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rayfade/internal/capacity"
+	"rayfade/internal/fading"
 	"rayfade/internal/latency"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
@@ -87,6 +88,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 			panic(fmt.Sprintf("sim: latency network generation: %v", err))
 		}
 		m := net.Gains()
+		plan := fading.NewPlan(m)
 		capFn := latency.GreedyCapacity(capacity.LengthOrder(net), capacity.DefaultTau)
 		var out netResult
 		sched, err := latency.RepeatedCapacity(m, cfg.Beta, capFn)
@@ -96,11 +98,11 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 		out.schedLen.Add(float64(len(sched)))
 		maxSlots := 4096 * cfg.Links
 		for trial := 0; trial < cfg.Trials; trial++ {
-			// NewRayleigh carries per-model scratch so the per-slot fading
-			// draws allocate nothing; the Split() call sites keep their
-			// seed-era positions so fixed-seed outputs are unchanged.
+			// Each Rayleigh model decides with its own Counter of the network's
+			// Plan; the Split() call sites keep their seed-era positions so
+			// fixed-seed outputs are unchanged.
 			slots, done := latency.RepeatUntilDone(m, sched, cfg.Beta,
-				transform.AlohaRepeats, 10000, latency.NewRayleigh(src.Split(), m.N))
+				transform.AlohaRepeats, 10000, latency.NewRayleigh(plan.Counter(), src.Split()))
 			if done {
 				out.schedRL.Add(float64(slots))
 			} else {
@@ -113,7 +115,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 			fadeSrc := src.Split()
 			b := latency.Aloha(m, cfg.Beta,
 				latency.AlohaConfig{Prob: cfg.AlohaProb, Repeats: transform.AlohaRepeats, MaxSlots: maxSlots},
-				src.Split(), latency.NewRayleigh(fadeSrc, m.N))
+				src.Split(), latency.NewRayleigh(plan.Counter(), fadeSrc))
 			record(&out.alohaRL, &out.incomplete, b)
 			bo := latency.DefaultBackoff
 			bo.MaxSlots = maxSlots
@@ -121,7 +123,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 			record(&out.backoffNF, &out.incomplete, c)
 			bo.Repeats = transform.AlohaRepeats
 			fadeSrc2 := src.Split()
-			d := latency.BackoffAloha(m, cfg.Beta, bo, src.Split(), latency.NewRayleigh(fadeSrc2, m.N))
+			d := latency.BackoffAloha(m, cfg.Beta, bo, src.Split(), latency.NewRayleigh(plan.Counter(), fadeSrc2))
 			record(&out.backoffRL, &out.incomplete, d)
 		}
 		return out

@@ -166,7 +166,7 @@ func observeCurves(nf, rl *stats.Series, m *network.Matrix, cfg TopologyConfig, 
 			}
 			nf.Observe(pi, float64(countNonFadingInto(m, active, cfg.Beta, vals)))
 			for fs := 0; fs < cfg.FadingSeeds; fs++ {
-				rl.Observe(pi, float64(counter.Count(active, cfg.Beta, src)))
+				rl.Observe(pi, float64(counter.Count(active, cfg.Beta, src, nil)))
 			}
 			tickRealizations(cfg.FadingSeeds)
 		}

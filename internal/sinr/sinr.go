@@ -121,18 +121,6 @@ func Successes(m *network.Matrix, active []bool, beta float64) []int {
 	return ok
 }
 
-// CountSuccesses returns the number of active links whose SINR reaches β.
-func CountSuccesses(m *network.Matrix, active []bool, beta float64) int {
-	count := 0
-	vals := Values(m, active)
-	for i, a := range active {
-		if a && vals[i] >= beta {
-			count++
-		}
-	}
-	return count
-}
-
 // Feasible reports whether the set of links is simultaneously successful at
 // threshold β: every link in the set reaches SINR ≥ β when exactly the set
 // transmits. The empty set is feasible.

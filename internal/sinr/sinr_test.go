@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,17 +122,17 @@ func TestSuccessesAndCount(t *testing.T) {
 	m := mat2(t)
 	active := []bool{true, true}
 	// γ_0 = 4, γ_1 ≈ 13.3.
-	if got := Successes(m, active, 5); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Successes(β=5) = %v", got)
-	}
-	if got := CountSuccesses(m, active, 5); got != 1 {
-		t.Fatalf("CountSuccesses(β=5) = %d", got)
-	}
-	if got := CountSuccesses(m, active, 3); got != 2 {
-		t.Fatalf("CountSuccesses(β=3) = %d", got)
-	}
-	if got := CountSuccesses(m, active, 100); got != 0 {
-		t.Fatalf("CountSuccesses(β=100) = %d", got)
+	for _, tc := range []struct {
+		beta float64
+		want []int
+	}{
+		{5, []int{1}},
+		{3, []int{0, 1}},
+		{100, nil},
+	} {
+		if got := Successes(m, active, tc.beta); !slices.Equal(got, tc.want) {
+			t.Fatalf("Successes(β=%g) = %v, want %v", tc.beta, got, tc.want)
+		}
 	}
 }
 

@@ -269,7 +269,7 @@ func (s *Scenario) RepeatedCapacitySchedule() ([][]int, error) {
 // replays are exhausted). It returns the slots consumed.
 func (s *Scenario) PlayScheduleRayleigh(slots [][]int, maxRounds int) (int, bool) {
 	return latency.RepeatUntilDone(s.m, slots, s.beta, transform.AlohaRepeats, maxRounds,
-		latency.Rayleigh{Src: s.rngOrPanic()})
+		latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic()))
 }
 
 // Aloha runs the distributed contention protocol with per-slot transmission
@@ -280,7 +280,7 @@ func (s *Scenario) Aloha(p float64, rayleigh bool) latency.AlohaResult {
 	var model latency.SuccessModel = latency.NonFading{}
 	if rayleigh {
 		cfg.Repeats = transform.AlohaRepeats
-		model = latency.Rayleigh{Src: s.rngOrPanic()}
+		model = latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic())
 	}
 	return latency.Aloha(s.m, s.beta, cfg, s.rngOrPanic(), model)
 }
