@@ -43,7 +43,10 @@ func BenchmarkFigure1(b *testing.B) {
 	var lastAtFull float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sim.RunFigure1(cfg)
+		res, err := sim.RunFigure1Ctx(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		means := res.Curves[sim.CurveUniformRayleigh].Means()
 		lastAtFull = means[len(means)-1]
 	}
@@ -140,7 +143,10 @@ func BenchmarkLemma2Transfer(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := net.Gains()
-	set := capacity.GreedyUniform(net, 2.5)
+	set, err := capacity.GreedyUniform(context.Background(), net, 2.5)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var retention float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,7 +182,7 @@ func BenchmarkLatencyRepeatedCapacity(b *testing.B) {
 	var slots int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched, err := latency.RepeatedCapacity(m, 2.5, capFn)
+		sched, err := latency.RepeatedCapacityCtx(context.Background(), m, 2.5, capFn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,9 +201,12 @@ func BenchmarkLatencyAlohaRayleigh(b *testing.B) {
 	var slots float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := latency.Aloha(m, 2.5,
+		res, err := latency.AlohaCtx(context.Background(), m, 2.5,
 			latency.AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats},
 			src, model)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Done {
 			b.Fatal("ALOHA run incomplete")
 		}
@@ -378,9 +387,12 @@ func BenchmarkAblationAlohaRepeats(b *testing.B) {
 			model := latency.NewRayleigh(fading.NewCounter(m), src)
 			var slots float64
 			for i := 0; i < b.N; i++ {
-				res := latency.Aloha(m, 2.5,
+				res, err := latency.AlohaCtx(context.Background(), m, 2.5,
 					latency.AlohaConfig{Prob: 0.1, Repeats: repeats, MaxSlots: 100000},
 					src, model)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if res.Done {
 					slots = float64(res.Slots)
 				}
@@ -427,14 +439,18 @@ func BenchmarkAblationParallel(b *testing.B) {
 		c := cfg
 		c.Workers = 1
 		for i := 0; i < b.N; i++ {
-			sim.RunFigure1(c)
+			if _, err := sim.RunFigure1Ctx(context.Background(), c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("workers=all", func(b *testing.B) {
 		c := cfg
 		c.Workers = 0
 		for i := 0; i < b.N; i++ {
-			sim.RunFigure1(c)
+			if _, err := sim.RunFigure1Ctx(context.Background(), c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -122,7 +122,7 @@ func scenarios() []scenario {
 			m := net.Gains()
 			capFn := latency.GreedyCapacity(capacity.LengthOrder(net), capacity.DefaultTau)
 			return func() {
-				if _, err := latency.RepeatedCapacity(m, 2.5, capFn); err != nil {
+				if _, err := latency.RepeatedCapacityCtx(context.Background(), m, 2.5, capFn); err != nil {
 					panic(fmt.Sprintf("raybench: latency scenario: %v", err))
 				}
 			}, noCleanup, nil
@@ -133,7 +133,10 @@ func scenarios() []scenario {
 				return nil, nil, err
 			}
 			m := net.Gains()
-			set := capacity.GreedyUniform(net, 2.5)
+			set, err := capacity.GreedyUniform(context.Background(), net, 2.5)
+			if err != nil {
+				return nil, nil, err
+			}
 			us := utility.Uniform(utility.Binary{Beta: 2.5})
 			return func() { transform.Transfer(m, set, us) }, noCleanup, nil
 		}},
@@ -153,7 +156,7 @@ func scenarios() []scenario {
 					Seed:          19,
 					Workers:       w,
 				}
-				return func() { sim.RunFigure1(cfg) }, noCleanup, nil
+				return func() { sim.RunFigure1Ctx(context.Background(), cfg) }, noCleanup, nil
 			},
 		})
 	}

@@ -102,11 +102,11 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 // 40-network Figure-1 run before the trace is written.
 const traceRingCapacity = 1 << 17
 
-// start installs the requested tracer, logger, and profiler, and returns
-// the ctx to run the experiment under plus a finish function that writes
-// the trace file and uninstalls the process globals. Call finish exactly
-// once, after the experiment returns (on error too — a partial trace of a
-// cancelled run is still worth keeping).
+// start attaches the requested tracer to ctx, installs the logger and
+// profiler, and returns the ctx to run the experiment under plus a finish
+// function that writes the trace file and uninstalls the process globals.
+// Call finish exactly once, after the experiment returns (on error too — a
+// partial trace of a cancelled run is still worth keeping).
 func (o *obsFlags) start(ctx context.Context) (context.Context, func() error, error) {
 	ctx = obs.WithRunID(ctx, obs.NewRunID())
 	if o.logLevel != "" {
@@ -120,7 +120,6 @@ func (o *obsFlags) start(ctx context.Context) (context.Context, func() error, er
 	var tr *obs.Tracer
 	if o.trace != "" {
 		tr = obs.NewTracer(traceRingCapacity)
-		obs.SetDefault(tr) // non-ctx library paths trace too
 		ctx = obs.WithTracer(ctx, tr)
 	}
 	if o.pprofAddr != "" {
@@ -143,7 +142,6 @@ func (o *obsFlags) start(ctx context.Context) (context.Context, func() error, er
 	}
 	finish := func() error {
 		sim.SetLogger(nil)
-		obs.SetDefault(nil)
 		if inj != nil {
 			faults.SetDefault(nil)
 			if s := inj.Summary(); s != "" {

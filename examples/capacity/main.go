@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,12 +41,19 @@ func main() {
 
 	// Square-root power assignment (the second curve family of Figure 1).
 	sqrtNet := net.Clone().ApplyPower(rayfade.SquareRootPower{Scale: 2, Alpha: net.Alpha})
-	sqrtSet := capacity.GreedyMonotone(sqrtNet, beta)
+	// The length-ordered greedy also serves monotone power assignments.
+	sqrtSet, err := capacity.GreedyUniform(context.Background(), sqrtNet, beta)
+	if err != nil {
+		log.Fatal(err)
+	}
 	show("greedy (sqrt power)", sqrtSet, fading.ExpectedBinaryValueOfSet(sqrtNet.Gains(), sqrtSet, beta))
 
 	// Flexible data rates: maximize total Shannon capacity by picking the
 	// best SINR threshold class (Kesselheim's rate decomposition).
-	best, classes := capacity.FlexibleRates(net, utility.Uniform(utility.Shannon{}), 0.25, 32)
+	best, classes, err := capacity.FlexibleRates(context.Background(), net, utility.Uniform(utility.Shannon{}), 0.25, 32)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nflexible rates (Shannon): best class β=%.2f, %d links, value %.2f nats\n",
 		best.Beta, len(best.Set), best.Value)
 	for _, c := range classes {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,9 +65,15 @@ func main() {
 	m := scn.Network().Gains()
 	capFn := latency.GreedyCapacity(capacity.LengthOrder(scn.Network()), capacity.DefaultTau)
 	paths := []latency.Path{{0, 7, 19}, {3, 12}}
-	slotsMH, done := latency.MultiHop(m, beta, paths, capFn, 0, latency.NonFading{})
+	slotsMH, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, latency.NonFading{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("multi-hop (non-fading): 2 packets delivered in %d slots (done=%v)\n", slotsMH, done)
 	src := rng.New(99)
-	slotsMHR, doneR := latency.MultiHop(m, beta, paths, capFn, 100000, latency.NewRayleigh(fading.NewCounter(m), src))
+	slotsMHR, doneR, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 100000, latency.NewRayleigh(fading.NewCounter(m), src))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("multi-hop (rayleigh):   2 packets delivered in %d slots (done=%v)\n", slotsMHR, doneR)
 }

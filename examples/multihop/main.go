@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,13 +54,19 @@ func main() {
 		paths[k] = r
 	}
 
-	slots, done := latency.MultiHop(m, beta, paths, capFn, 0, latency.NonFading{})
+	slots, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, latency.NonFading{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("non-fading delivery: %d slots (done=%v)\n", slots, done)
 
 	var rl stats.Running
 	counter := fading.NewCounter(m)
 	for trial := 0; trial < 10; trial++ {
-		s, ok := latency.MultiHop(m, beta, paths, capFn, 1000000, latency.NewRayleigh(counter, src.Split()))
+		s, ok, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 1000000, latency.NewRayleigh(counter, src.Split()))
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !ok {
 			log.Fatal("rayleigh delivery incomplete")
 		}

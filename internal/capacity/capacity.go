@@ -9,10 +9,10 @@
 //
 //   - GreedyUniform — length-ordered affectance greedy for uniform powers,
 //     in the style of Goussevskaia–Wattenhofer–Halldórsson–Welzl [8] and
-//     Halldórsson–Wattenhofer [25];
-//   - GreedyMonotone — the same scan for monotone (e.g. square-root) power
-//     assignments, in the style of Halldórsson–Mitra [7];
-//   - PowerControlGreedy — greedy selection with exact power-control
+//     Halldórsson–Wattenhofer [25]; the same scan serves monotone (e.g.
+//     square-root) power assignments, the regime of Halldórsson–Mitra [7],
+//     where the distinction matters for the guarantee, not the code path;
+//   - PowerControlGreedyCtx — greedy selection with exact power-control
 //     feasibility via the Foschini–Miljanic fixed point, the natural
 //     executable counterpart of Kesselheim's power-control algorithm [6]
 //     (see DESIGN.md for the substitution note);
@@ -35,7 +35,7 @@ import (
 	"rayfade/internal/utility"
 )
 
-// ctxCheckStride is how many scan iterations the Ctx variants run between
+// ctxCheckStride is how many scan iterations the greedy scans run between
 // context polls: frequent enough that cancellation lands within microseconds
 // on realistic instances, rare enough that the atomic load in ctx.Err never
 // shows up in profiles.
@@ -58,6 +58,10 @@ const DefaultTau = 0.5
 //
 // Links whose own signal cannot reach β even alone (noise-dominated) are
 // never accepted.
+//
+// GreedyAffectance is the context-free form of GreedyAffectanceCtx, kept
+// because the benchmark suite calls it by name; code with a ctx calls
+// GreedyAffectanceCtx.
 func GreedyAffectance(m *network.Matrix, beta, tau float64, order []int) []int {
 	set, _ := GreedyAffectanceCtx(context.Background(), m, beta, tau, order)
 	return set
@@ -139,18 +143,12 @@ func LengthOrder(net *network.Network) []int {
 // GreedyUniform runs the length-ordered affectance greedy with the default
 // budget on a network, assuming its links carry a uniform power assignment
 // (the algorithm itself never changes powers). This is the executable form
-// of the constant-factor uniform-power capacity algorithms [8], [25].
-func GreedyUniform(net *network.Network, beta float64) []int {
-	return GreedyAffectance(net.Gains(), beta, DefaultTau, LengthOrder(net))
-}
-
-// GreedyMonotone runs the same length-ordered scan for networks whose power
-// assignment is monotone in link length (square-root powers in the paper's
-// Figure 1), the regime of Halldórsson–Mitra [7]. Operationally it is the
-// same certified-feasible greedy; the distinction matters for the
-// approximation guarantee, not the code path.
-func GreedyMonotone(net *network.Network, beta float64) []int {
-	return GreedyUniform(net, beta)
+// of the constant-factor uniform-power capacity algorithms [8], [25]. For a
+// power assignment monotone in link length (square-root powers in the
+// paper's Figure 1) it is the same scan, in the regime of
+// Halldórsson–Mitra [7]. Cancellation behaves as in GreedyAffectanceCtx.
+func GreedyUniform(ctx context.Context, net *network.Network, beta float64) ([]int, error) {
+	return GreedyAffectanceCtx(ctx, net.Gains(), beta, DefaultTau, LengthOrder(net))
 }
 
 // FeasiblePowers decides power-control feasibility of a link set and, when
@@ -282,21 +280,17 @@ type PowerControlResult struct {
 	Powers []float64
 }
 
-// PowerControlGreedy selects links in non-decreasing length order, keeping a
-// link whenever the grown set remains power-control feasible at threshold
-// beta (exact Foschini–Miljanic check). It is the executable counterpart of
-// the constant-factor power-control algorithm of Kesselheim [6]: the same
-// increasing-length scan, with the analytic acceptance rule replaced by the
-// exact feasibility oracle (a strictly more permissive test, so the output
-// is never smaller on instances where the rule would fire). The returned
-// powers give every selected link SINR exactly beta.
-func PowerControlGreedy(net *network.Network, beta float64) PowerControlResult {
-	res, _ := PowerControlGreedyCtx(context.Background(), net, beta)
-	return res
-}
-
-// PowerControlGreedyCtx is PowerControlGreedy with cooperative cancellation:
-// the scan polls ctx before every feasibility check (each check is a full
+// PowerControlGreedyCtx selects links in non-decreasing length order,
+// keeping a link whenever the grown set remains power-control feasible at
+// threshold beta (exact Foschini–Miljanic check). It is the executable
+// counterpart of the constant-factor power-control algorithm of
+// Kesselheim [6]: the same increasing-length scan, with the analytic
+// acceptance rule replaced by the exact feasibility oracle (a strictly more
+// permissive test, so the output is never smaller on instances where the
+// rule would fire). The returned powers give every selected link SINR
+// exactly beta.
+//
+// The scan polls ctx before every feasibility check (each check is a full
 // power-iteration fixed point, the expensive unit of work here) and returns
 // the solution so far together with ctx.Err() when cancelled.
 func PowerControlGreedyCtx(ctx context.Context, net *network.Network, beta float64) (PowerControlResult, error) {
@@ -350,12 +344,14 @@ func WeightOrder(m *network.Matrix) []int {
 // the executable form of link-weighted capacity maximization (the paper's
 // second valid-utility example, u_i(x) = w_i for x ≥ β). The returned set
 // is feasibility-certified; its value is the sum of the selected weights.
-func GreedyWeighted(m *network.Matrix, beta float64) (set []int, value float64) {
-	set = GreedyAffectance(m, beta, DefaultTau, WeightOrder(m))
+// On cancellation it returns the set selected so far, its value and
+// ctx.Err().
+func GreedyWeighted(ctx context.Context, m *network.Matrix, beta float64) (set []int, value float64, err error) {
+	set, err = GreedyAffectanceCtx(ctx, m, beta, DefaultTau, WeightOrder(m))
 	for _, i := range set {
 		value += m.Weights[i]
 	}
-	return set, value
+	return set, value, err
 }
 
 // RateClass is one threshold class of the flexible-data-rate decomposition.
@@ -373,15 +369,19 @@ type RateClass struct {
 // is guaranteed SINR ≥ β_t), and the best class wins. This yields an
 // O(log n)-style guarantee relative to the fractional optimum for valid
 // utility functions, and — through the paper's reduction — the same up to
-// O(log* n) under Rayleigh fading.
-func FlexibleRates(net *network.Network, us []utility.Func, betaMin, betaMax float64) (best RateClass, classes []RateClass) {
+// O(log* n) under Rayleigh fading. A cancelled ctx returns ctx.Err() and no
+// classes.
+func FlexibleRates(ctx context.Context, net *network.Network, us []utility.Func, betaMin, betaMax float64) (best RateClass, classes []RateClass, err error) {
 	if betaMin <= 0 || betaMax < betaMin {
 		panic(fmt.Sprintf("capacity: invalid threshold range [%g,%g]", betaMin, betaMax))
 	}
 	m := net.Gains()
 	order := LengthOrder(net)
 	for beta := betaMin; beta <= betaMax*(1+1e-12); beta *= 2 {
-		set := GreedyAffectance(m, beta, DefaultTau, order)
+		set, err := GreedyAffectanceCtx(ctx, m, beta, DefaultTau, order)
+		if err != nil {
+			return RateClass{}, nil, err
+		}
 		value := 0.0
 		for _, i := range set {
 			u := us[0]
@@ -398,5 +398,5 @@ func FlexibleRates(net *network.Network, us []utility.Func, betaMin, betaMax flo
 			best = c
 		}
 	}
-	return best, classes
+	return best, classes, nil
 }

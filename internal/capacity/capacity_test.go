@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func fig1Net(t testing.TB, seed uint64, n int) *network.Network {
 func TestGreedyUniformFeasible(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		net := fig1Net(t, seed, 100)
-		set := GreedyUniform(net, 2.5)
+		set, _ := GreedyUniform(context.Background(), net, 2.5)
 		if len(set) == 0 {
 			t.Fatalf("seed %d: empty greedy set", seed)
 		}
@@ -43,7 +44,8 @@ func TestGreedyUniformNontrivialSize(t *testing.T) {
 	const trials = 10
 	for seed := uint64(0); seed < trials; seed++ {
 		net := fig1Net(t, seed+100, 100)
-		total += len(GreedyUniform(net, 2.5))
+		set, _ := GreedyUniform(context.Background(), net, 2.5)
+		total += len(set)
 	}
 	avg := float64(total) / trials
 	if avg < 20 {
@@ -95,7 +97,7 @@ func TestGreedyAffectanceSkipsNoiseDominated(t *testing.T) {
 	// A network whose links cannot reach β even alone must yield an empty set.
 	net := fig1Net(t, 9, 20)
 	net.Noise = 1e9
-	set := GreedyUniform(net, 2.5)
+	set, _ := GreedyUniform(context.Background(), net, 2.5)
 	if len(set) != 0 {
 		t.Fatalf("noise-dominated network produced set %v", set)
 	}
@@ -146,7 +148,7 @@ func TestGreedyMonotoneWithSquareRootPowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := GreedyMonotone(net, 2.5)
+	set, _ := GreedyUniform(context.Background(), net, 2.5)
 	if len(set) == 0 {
 		t.Fatal("empty set under square-root powers")
 	}
@@ -208,7 +210,7 @@ func TestFeasiblePowersGeometry(t *testing.T) {
 func TestFeasiblePowersCertify(t *testing.T) {
 	f := func(seed uint64) bool {
 		net := fig1Net(t, seed, 12)
-		set := GreedyUniform(net, 2.5) // some feasible starting set
+		set, _ := GreedyUniform(context.Background(), net, 2.5) // some feasible starting set
 		p, ok := FeasiblePowers(net, set, 2.5, 0, 0)
 		if !ok {
 			// Uniform-power feasible implies power-control feasible.
@@ -228,7 +230,7 @@ func TestFeasiblePowersCertify(t *testing.T) {
 func TestFeasiblePowersZeroNoise(t *testing.T) {
 	net := fig1Net(t, 17, 10)
 	net.Noise = 0
-	set := GreedyUniform(net, 2.5)
+	set, _ := GreedyUniform(context.Background(), net, 2.5)
 	if len(set) < 2 {
 		t.Skip("need at least two links for a meaningful zero-noise test")
 	}
@@ -247,7 +249,10 @@ func TestFeasiblePowersZeroNoise(t *testing.T) {
 
 func TestPowerControlGreedy(t *testing.T) {
 	net := fig1Net(t, 19, 50)
-	res := PowerControlGreedy(net, 2.5)
+	res, err := PowerControlGreedyCtx(context.Background(), net, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Set) == 0 {
 		t.Fatal("power-control greedy selected nothing")
 	}
@@ -261,7 +266,7 @@ func TestPowerControlGreedy(t *testing.T) {
 	// Power control dominates uniform power: it can only select more links
 	// than a fixed assignment's greedy (both scan in the same order and the
 	// feasibility test is strictly more permissive).
-	uniform := GreedyUniform(net, 2.5)
+	uniform, _ := GreedyUniform(context.Background(), net, 2.5)
 	if len(res.Set) < len(uniform) {
 		t.Fatalf("power control found %d < uniform greedy %d", len(res.Set), len(uniform))
 	}
@@ -270,7 +275,10 @@ func TestPowerControlGreedy(t *testing.T) {
 func TestFlexibleRates(t *testing.T) {
 	net := fig1Net(t, 21, 60)
 	us := utility.Uniform(utility.Shannon{})
-	best, classes := FlexibleRates(net, us, 0.25, 16)
+	best, classes, err := FlexibleRates(context.Background(), net, us, 0.25, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(classes) != 7 { // 0.25,0.5,1,2,4,8,16
 		t.Fatalf("%d classes", len(classes))
 	}
@@ -300,7 +308,10 @@ func TestFlexibleRatesTradeoff(t *testing.T) {
 	// link can admit several later ones), so compare the extremes, where
 	// the β ratio is 64 and the effect dominates.
 	net := fig1Net(t, 23, 80)
-	_, classes := FlexibleRates(net, utility.Uniform(utility.Shannon{}), 0.5, 32)
+	_, classes, err := FlexibleRates(context.Background(), net, utility.Uniform(utility.Shannon{}), 0.5, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, last := classes[0], classes[len(classes)-1]
 	if len(last.Set) >= len(first.Set) {
 		t.Fatalf("set size did not shrink from β=%g (%d links) to β=%g (%d links)",
@@ -312,8 +323,8 @@ func TestFlexibleRatesPanics(t *testing.T) {
 	net := fig1Net(t, 1, 5)
 	us := utility.Uniform(utility.Shannon{})
 	for _, fn := range []func(){
-		func() { FlexibleRates(net, us, 0, 4) },
-		func() { FlexibleRates(net, us, 4, 2) },
+		func() { FlexibleRates(context.Background(), net, us, 0, 4) },
+		func() { FlexibleRates(context.Background(), net, us, 4, 2) },
 	} {
 		func() {
 			defer func() {
@@ -348,7 +359,10 @@ func TestGreedyWeightedFeasibleAndValued(t *testing.T) {
 	for i := range m.Weights {
 		m.Weights[i] = 1 + 9*src.Float64()
 	}
-	set, value := GreedyWeighted(m, 2.5)
+	set, value, err := GreedyWeighted(context.Background(), m, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set) == 0 {
 		t.Fatal("empty weighted set")
 	}
@@ -382,7 +396,7 @@ func TestGreedyWeightedPrefersHeavy(t *testing.T) {
 		m.Weights[i] = 1
 	}
 	m.Weights[7] = 1000
-	set, _ := GreedyWeighted(m, 2.5)
+	set, _, _ := GreedyWeighted(context.Background(), m, 2.5)
 	found := false
 	for _, i := range set {
 		if i == 7 {
@@ -401,7 +415,7 @@ func TestQuickGreedyAlwaysFeasible(t *testing.T) {
 		n := int(nRaw%60) + 2
 		beta := 0.5 + float64(betaRaw%8)
 		net := fig1Net(t, seed, n)
-		set := GreedyUniform(net, beta)
+		set, _ := GreedyUniform(context.Background(), net, beta)
 		return sinr.Feasible(net.Gains(), set, beta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -423,6 +437,6 @@ func BenchmarkPowerControlGreedy50(b *testing.B) {
 	net := fig1Net(b, 1, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PowerControlGreedy(net, 2.5)
+		PowerControlGreedyCtx(context.Background(), net, 2.5)
 	}
 }

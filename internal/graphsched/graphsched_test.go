@@ -1,6 +1,7 @@
 package graphsched
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -159,7 +160,7 @@ func TestSINRGreedyAlwaysSurvivesEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := net.Gains()
-	set := capacity.GreedyUniform(net, 2.5)
+	set, _ := capacity.GreedyUniform(context.Background(), net, 2.5)
 	ev := EvaluateSchedule(m, [][]int{set}, 2.5)
 	if ev.Violations != 0 {
 		t.Fatalf("SINR-aware set had %d violations under its own evaluation", ev.Violations)

@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"context"
 	"fmt"
 
 	"rayfade/internal/network"
@@ -35,7 +36,10 @@ var DefaultBackoff = BackoffConfig{Start: 0.5, Min: 0.01, Factor: 0.5}
 // with its own current probability; a transmitting link that fails scales
 // its probability by Factor (floored at Min); a link that succeeds drops
 // out. The same code serves both interference models via the SuccessModel.
-func BackoffAloha(m *network.Matrix, beta float64, cfg BackoffConfig, src *rng.Source, model SuccessModel) AlohaResult {
+//
+// ctx is polled once per randomized step, and the partial result
+// (Done == false) is returned with ctx.Err() when cancelled.
+func BackoffAloha(ctx context.Context, m *network.Matrix, beta float64, cfg BackoffConfig, src *rng.Source, model SuccessModel) (AlohaResult, error) {
 	if cfg.Start <= 0 || cfg.Start > 1 {
 		panic(fmt.Sprintf("latency: backoff start probability %g outside (0,1]", cfg.Start))
 	}
@@ -45,10 +49,6 @@ func BackoffAloha(m *network.Matrix, beta float64, cfg BackoffConfig, src *rng.S
 	if cfg.Factor <= 0 || cfg.Factor >= 1 {
 		panic(fmt.Sprintf("latency: backoff factor %g outside (0,1)", cfg.Factor))
 	}
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = 256 * m.N
@@ -57,52 +57,14 @@ func BackoffAloha(m *network.Matrix, beta float64, cfg BackoffConfig, src *rng.S
 	for i := range probs {
 		probs[i] = cfg.Start
 	}
-	served := make([]bool, m.N)
-	needed := m.N
-	res := AlohaResult{}
-	active := make([]bool, m.N)
-	for res.Slots < maxSlots && needed > 0 {
-		any := false
-		for i := range active {
-			active[i] = !served[i] && src.Bernoulli(probs[i])
-			any = any || active[i]
-		}
-		succeededThisStep := make(map[int]bool)
-		for r := 0; r < repeats && res.Slots < maxSlots; r++ {
-			res.Slots++
-			if !any {
-				res.PerSlotSuccesses = append(res.PerSlotSuccesses, 0)
-				continue
-			}
-			newly := 0
-			for _, i := range model.Successes(m, active, beta) {
-				if !served[i] {
-					served[i] = true
-					active[i] = false
-					succeededThisStep[i] = true
-					newly++
-					needed--
-				}
-			}
-			res.PerSlotSuccesses = append(res.PerSlotSuccesses, newly)
-			if needed == 0 {
-				break
-			}
-		}
-		// Backoff: links that attempted this step and did not get through
-		// scale down.
-		for i := range probs {
-			if served[i] || succeededThisStep[i] {
-				continue
-			}
-			if active[i] { // still marked active ⇒ transmitted and failed
+	return contend(ctx, "latency.backoff_aloha", m, beta, probs, cfg.Repeats, maxSlots, src, model, func(active []bool) {
+		for i, failed := range active {
+			if failed {
 				probs[i] *= cfg.Factor
 				if probs[i] < cfg.Min {
 					probs[i] = cfg.Min
 				}
 			}
 		}
-	}
-	res.Done = needed == 0
-	return res
+	})
 }

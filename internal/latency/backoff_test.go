@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"context"
 	"testing"
 
 	"rayfade/internal/fading"
@@ -13,13 +14,13 @@ func TestBackoffAlohaCompletesBothModels(t *testing.T) {
 	net := fig1Net(t, 41, 60)
 	m := net.Gains()
 	src := rng.New(42)
-	nf := BackoffAloha(m, 2.5, DefaultBackoff, src, NonFading{})
+	nf, _ := BackoffAloha(context.Background(), m, 2.5, DefaultBackoff, src, NonFading{})
 	if !nf.Done {
 		t.Fatalf("non-fading backoff incomplete after %d slots", nf.Slots)
 	}
 	cfg := DefaultBackoff
 	cfg.Repeats = transform.AlohaRepeats
-	rl := BackoffAloha(m, 2.5, cfg, src, NewRayleigh(fading.NewCounter(m), src))
+	rl, _ := BackoffAloha(context.Background(), m, 2.5, cfg, src, NewRayleigh(fading.NewCounter(m), src))
 	if !rl.Done {
 		t.Fatalf("rayleigh backoff incomplete after %d slots", rl.Slots)
 	}
@@ -38,11 +39,11 @@ func TestBackoffRescuesFullProbabilityStart(t *testing.T) {
 	net := fig1Net(t, 43, 80)
 	m := net.Gains()
 	cfg := BackoffConfig{Start: 1, Min: 0.02, Factor: 0.5, MaxSlots: 50000}
-	res := BackoffAloha(m, 2.5, cfg, rng.New(44), NonFading{})
+	res, _ := BackoffAloha(context.Background(), m, 2.5, cfg, rng.New(44), NonFading{})
 	if !res.Done {
 		t.Fatalf("backoff from p=1 incomplete after %d slots", res.Slots)
 	}
-	fixed := Aloha(m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 50000}, rng.New(44), NonFading{})
+	fixed, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 50000}, rng.New(44), NonFading{})
 	if fixed.Done && fixed.Slots <= res.Slots {
 		t.Fatal("fixed p=1 unexpectedly matched backoff on a dense instance")
 	}
@@ -54,7 +55,7 @@ func TestBackoffRespectsMaxSlots(t *testing.T) {
 	m := net.Gains()
 	cfg := DefaultBackoff
 	cfg.MaxSlots = 64
-	res := BackoffAloha(m, 2.5, cfg, rng.New(46), NonFading{})
+	res, _ := BackoffAloha(context.Background(), m, 2.5, cfg, rng.New(46), NonFading{})
 	if res.Done || res.Slots != 64 {
 		t.Fatalf("done=%v slots=%d", res.Done, res.Slots)
 	}
@@ -78,7 +79,7 @@ func TestBackoffPanicsOnBadConfig(t *testing.T) {
 					t.Errorf("config %d did not panic", i)
 				}
 			}()
-			BackoffAloha(m, 2.5, cfg, rng.New(1), NonFading{})
+			BackoffAloha(context.Background(), m, 2.5, cfg, rng.New(1), NonFading{})
 		}()
 	}
 }
@@ -90,8 +91,8 @@ func TestBackoffCompetitiveWithTunedFixed(t *testing.T) {
 	m := net.Gains()
 	var fixed, backoff stats.Running
 	for trial := uint64(0); trial < 8; trial++ {
-		f := Aloha(m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 50000}, rng.New(100+trial), NonFading{})
-		b := BackoffAloha(m, 2.5, DefaultBackoff, rng.New(200+trial), NonFading{})
+		f, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 50000}, rng.New(100+trial), NonFading{})
+		b, _ := BackoffAloha(context.Background(), m, 2.5, DefaultBackoff, rng.New(200+trial), NonFading{})
 		if !f.Done || !b.Done {
 			t.Fatal("a run did not complete")
 		}
@@ -110,6 +111,6 @@ func BenchmarkBackoffAloha60(b *testing.B) {
 	src := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BackoffAloha(m, 2.5, DefaultBackoff, src, NonFading{})
+		BackoffAloha(context.Background(), m, 2.5, DefaultBackoff, src, NonFading{})
 	}
 }

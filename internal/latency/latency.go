@@ -4,13 +4,13 @@
 // Two algorithm families from the literature are provided, matching the two
 // classes the paper's Section 4 transforms:
 //
-//   - RepeatedCapacity — maximize the utilization of the first slot with a
+//   - RepeatedCapacityCtx — maximize the utilization of the first slot with a
 //     capacity algorithm, remove the successful links, recurse [8]. Under
 //     Rayleigh fading the same schedule is replayed with each slot repeated
 //     transform.AlohaRepeats times (ExpandSchedule), preserving per-slot
 //     success probabilities by the Section-4 argument.
 //
-//   - Aloha — the distributed, ALOHA-style contention scheme in the spirit
+//   - AlohaCtx — the distributed, ALOHA-style contention scheme in the spirit
 //     of Kesselheim–Vöcking [9]: every still-unserved link transmits with a
 //     (small) probability each slot and drops out on success. The fading
 //     variant executes every randomized step AlohaRepeats times.
@@ -99,13 +99,14 @@ func (*Rayleigh) Name() string { return "rayleigh" }
 var ErrUnschedulable = errors.New("latency: some links can never reach the threshold")
 
 // CapacityFunc is any single-slot capacity maximizer over a restricted
-// candidate set: it returns a feasible subset of the candidates.
-type CapacityFunc func(m *network.Matrix, beta float64, candidates []int) []int
+// candidate set: it returns a feasible subset of the candidates. A function
+// cut short by cancellation returns ctx.Err().
+type CapacityFunc func(ctx context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error)
 
 // GreedyCapacity adapts the affectance greedy of internal/capacity into a
 // CapacityFunc, scanning candidates in the given global order.
 func GreedyCapacity(order []int, tau float64) CapacityFunc {
-	return func(m *network.Matrix, beta float64, candidates []int) []int {
+	return func(ctx context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
 		inCand := make(map[int]bool, len(candidates))
 		for _, c := range candidates {
 			inCand[c] = true
@@ -116,23 +117,20 @@ func GreedyCapacity(order []int, tau float64) CapacityFunc {
 				scan = append(scan, i)
 			}
 		}
-		return capacity.GreedyAffectance(m, beta, tau, scan)
+		return capacity.GreedyAffectanceCtx(ctx, m, beta, tau, scan)
 	}
 }
 
-// RepeatedCapacity builds a non-fading schedule by repeatedly maximizing
+// RepeatedCapacityCtx builds a non-fading schedule by repeatedly maximizing
 // single-slot capacity among the still-unscheduled links. It returns the
 // slots (each a feasible set). Links that cannot succeed even alone trigger
 // ErrUnschedulable.
-func RepeatedCapacity(m *network.Matrix, beta float64, capFn CapacityFunc) ([][]int, error) {
-	return RepeatedCapacityCtx(context.Background(), m, beta, capFn)
-}
-
-// RepeatedCapacityCtx is RepeatedCapacity with cooperative cancellation: ctx
-// is polled before every slot construction (each slot is one capacity-
-// maximization pass, the expensive unit of work), and ctx.Err() is returned
-// when cancelled — no partial schedule, since a truncated schedule would
-// violate the serve-every-link contract.
+//
+// ctx is polled before every slot construction (each slot is one capacity-
+// maximization pass, the expensive unit of work) and handed to capFn. A
+// cancellation, whether seen here or by capFn, returns ctx.Err() and no
+// partial schedule, since a truncated schedule would violate the
+// serve-every-link contract.
 func RepeatedCapacityCtx(ctx context.Context, m *network.Matrix, beta float64, capFn CapacityFunc) ([][]int, error) {
 	ctx, sp := obs.StartDetached(ctx, "latency.repeated_capacity")
 	sp.SetAttr("links", m.N)
@@ -152,7 +150,10 @@ func RepeatedCapacityCtx(ctx context.Context, m *network.Matrix, beta float64, c
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		slot := capFn(m, beta, remaining)
+		slot, err := capFn(ctx, m, beta, remaining)
+		if err != nil {
+			return nil, err
+		}
 		if len(slot) == 0 {
 			// A correct capacity function can always schedule a lone
 			// viable link; an empty slot means the function is broken.
@@ -177,19 +178,15 @@ func RepeatedCapacityCtx(ctx context.Context, m *network.Matrix, beta float64, c
 	return slots, nil
 }
 
-// RepeatUntilDone replays a base schedule (expanded by `repeats` per slot,
-// the Section-4 transformation) in rounds under a stochastic model until
-// every link has succeeded or maxRounds is exhausted. It returns the total
-// number of slots consumed. This is how a non-fading schedule is deployed
-// under Rayleigh fading: each round every link keeps an independent chance,
-// so the expected number of rounds is O(1) per link and O(log n) for all.
-func RepeatUntilDone(m *network.Matrix, base [][]int, beta float64, repeats, maxRounds int, model SuccessModel) (totalSlots int, done bool) {
-	totalSlots, done, _ = RepeatUntilDoneCtx(context.Background(), m, base, beta, repeats, maxRounds, model)
-	return totalSlots, done
-}
-
-// RepeatUntilDoneCtx is RepeatUntilDone with cooperative cancellation: ctx
-// is polled once per replay round, and the slots consumed so far are
+// RepeatUntilDoneCtx replays a base schedule (expanded by `repeats` per
+// slot, the Section-4 transformation) in rounds under a stochastic model
+// until every link has succeeded or maxRounds is exhausted. It returns the
+// total number of slots consumed. This is how a non-fading schedule is
+// deployed under Rayleigh fading: each round every link keeps an
+// independent chance, so the expected number of rounds is O(1) per link and
+// O(log n) for all.
+//
+// ctx is polled once per replay round, and the slots consumed so far are
 // returned with done == false and ctx.Err() when cancelled.
 func RepeatUntilDoneCtx(ctx context.Context, m *network.Matrix, base [][]int, beta float64, repeats, maxRounds int, model SuccessModel) (totalSlots int, done bool, err error) {
 	if repeats <= 0 {
@@ -263,34 +260,43 @@ type AlohaResult struct {
 	PerSlotSuccesses []int
 }
 
-// Aloha runs the distributed protocol: in every slot, each unserved link
+// AlohaCtx runs the distributed protocol: in every slot, each unserved link
 // transmits independently with cfg.Prob (its random draw held fixed across
 // the cfg.Repeats executions of the step, which re-randomize only the
 // fading); links that succeed stop transmitting. The same code serves both
 // models through the SuccessModel interface.
-func Aloha(m *network.Matrix, beta float64, cfg AlohaConfig, src *rng.Source, model SuccessModel) AlohaResult {
-	res, _ := AlohaCtx(context.Background(), m, beta, cfg, src, model)
-	return res
-}
-
-// AlohaCtx is Aloha with cooperative cancellation: ctx is polled once per
-// randomized step, and the partial result (Done == false) is returned with
-// ctx.Err() when cancelled.
+//
+// ctx is polled once per randomized step, and the partial result
+// (Done == false) is returned with ctx.Err() when cancelled.
 func AlohaCtx(ctx context.Context, m *network.Matrix, beta float64, cfg AlohaConfig, src *rng.Source, model SuccessModel) (AlohaResult, error) {
 	if cfg.Prob <= 0 || cfg.Prob > 1 {
 		panic(fmt.Sprintf("latency: transmission probability %g outside (0,1]", cfg.Prob))
-	}
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 1
 	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = 64 * m.N
 	}
-	ctx, sp := obs.StartDetached(ctx, "latency.aloha")
+	probs := make([]float64, m.N)
+	for i := range probs {
+		probs[i] = cfg.Prob
+	}
+	return contend(ctx, "latency.aloha", m, beta, probs, cfg.Repeats, maxSlots, src, model, nil)
+}
+
+// contend is the randomized-step loop of AlohaCtx and BackoffAloha. Each
+// step, every unserved link i transmits with probability probs[i], its draw
+// held fixed across the step's repeats (at least one), which re-randomize
+// only the fading; links that succeed stop transmitting. After each step a
+// non-nil afterStep sees the links that transmitted and failed, which are
+// the ones still marked active. ctx is polled once per step, and the
+// partial result is returned with ctx.Err() when cancelled.
+func contend(ctx context.Context, span string, m *network.Matrix, beta float64, probs []float64, repeats, maxSlots int,
+	src *rng.Source, model SuccessModel, afterStep func(active []bool)) (res AlohaResult, err error) {
+	if repeats <= 0 {
+		repeats = 1
+	}
+	ctx, sp := obs.StartDetached(ctx, span)
 	sp.SetAttr("model", model.Name())
-	res := AlohaResult{}
 	defer func() {
 		sp.SetAttr("slots", res.Slots)
 		sp.SetAttr("done", res.Done)
@@ -306,7 +312,7 @@ func AlohaCtx(ctx context.Context, m *network.Matrix, beta float64, cfg AlohaCon
 		// One randomized step: draw the transmitting set among unserved.
 		any := false
 		for i := range active {
-			active[i] = !served[i] && src.Bernoulli(cfg.Prob)
+			active[i] = !served[i] && src.Bernoulli(probs[i])
 			any = any || active[i]
 		}
 		for r := 0; r < repeats && res.Slots < maxSlots; r++ {
@@ -329,6 +335,9 @@ func AlohaCtx(ctx context.Context, m *network.Matrix, beta float64, cfg AlohaCon
 				break
 			}
 		}
+		if afterStep != nil {
+			afterStep(active)
+		}
 	}
 	res.Done = needed == 0
 	return res, nil
@@ -338,21 +347,17 @@ func AlohaCtx(ctx context.Context, m *network.Matrix, beta float64, cfg AlohaCon
 // only be scheduled after hop h has succeeded (store-and-forward).
 type Path []int
 
-// MultiHop schedules a set of packets along their paths: in every slot the
-// set of "ready" links (each packet's next un-traversed hop) contends via
-// the given capacity function, the chosen feasible subset transmits, and
-// successes advance their packets. It returns the number of slots until all
-// packets arrive, or done=false when maxSlots runs out. This is the
+// MultiHopCtx schedules a set of packets along their paths: in every slot
+// the set of "ready" links (each packet's next un-traversed hop) contends
+// via the given capacity function, the chosen feasible subset transmits,
+// and successes advance their packets. It returns the number of slots until
+// all packets arrive, or done=false when maxSlots runs out. This is the
 // concatenation-of-single-hop-schedules construction the paper's Section 4
 // extends to multi-hop scheduling.
-func MultiHop(m *network.Matrix, beta float64, paths []Path, capFn CapacityFunc, maxSlots int, model SuccessModel) (slots int, done bool) {
-	slots, done, _ = MultiHopCtx(context.Background(), m, beta, paths, capFn, maxSlots, model)
-	return slots, done
-}
-
-// MultiHopCtx is MultiHop with cooperative cancellation: ctx is polled once
-// per slot, and the slots consumed so far are returned with done == false
-// and ctx.Err() when cancelled.
+//
+// ctx is polled once per slot and handed to capFn. On cancellation, or any
+// other capFn error, the slots consumed so far are returned with
+// done == false and the error.
 func MultiHopCtx(ctx context.Context, m *network.Matrix, beta float64, paths []Path, capFn CapacityFunc, maxSlots int, model SuccessModel) (slots int, done bool, err error) {
 	if maxSlots <= 0 {
 		maxSlots = 64 * m.N * (len(paths) + 1)
@@ -385,7 +390,10 @@ func MultiHopCtx(ctx context.Context, m *network.Matrix, beta float64, paths []P
 			ready = append(ready, i)
 		}
 		sort.Ints(ready) // deterministic candidate order for any capFn
-		slot := capFn(m, beta, ready)
+		slot, err := capFn(ctx, m, beta, ready)
+		if err != nil {
+			return slots, false, err
+		}
 		if len(slot) == 0 {
 			continue
 		}

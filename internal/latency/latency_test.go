@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestRepeatedCapacityCoversAllLinks(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		net := fig1Net(t, seed, 60)
 		m := net.Gains()
-		slots, err := RepeatedCapacity(m, 2.5, defaultCapFn(net))
+		slots, err := RepeatedCapacityCtx(context.Background(), m, 2.5, defaultCapFn(net))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestRepeatedCapacityCoversAllLinks(t *testing.T) {
 func TestRepeatedCapacityUnschedulable(t *testing.T) {
 	net := fig1Net(t, 5, 10)
 	net.Noise = 1e9
-	_, err := RepeatedCapacity(net.Gains(), 2.5, defaultCapFn(net))
+	_, err := RepeatedCapacityCtx(context.Background(), net.Gains(), 2.5, defaultCapFn(net))
 	if !errors.Is(err, ErrUnschedulable) {
 		t.Fatalf("err = %v, want ErrUnschedulable", err)
 	}
@@ -69,8 +70,10 @@ func TestRepeatedCapacityUnschedulable(t *testing.T) {
 
 func TestRepeatedCapacityDetectsBrokenCapacityFunc(t *testing.T) {
 	net := fig1Net(t, 6, 10)
-	broken := func(m *network.Matrix, beta float64, candidates []int) []int { return nil }
-	if _, err := RepeatedCapacity(net.Gains(), 2.5, broken); err == nil {
+	broken := func(ctx context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
+		return nil, nil
+	}
+	if _, err := RepeatedCapacityCtx(context.Background(), net.Gains(), 2.5, broken); err == nil {
 		t.Fatal("empty-slot capacity function not rejected")
 	}
 	dense := fig1Net(t, 6, 100)
@@ -78,11 +81,55 @@ func TestRepeatedCapacityDetectsBrokenCapacityFunc(t *testing.T) {
 	if sinr.Feasible(m, allLinks(m.N), 2.5) {
 		t.Fatal("test premise broken: 100 simultaneous links should be infeasible")
 	}
-	infeasible := func(m *network.Matrix, beta float64, candidates []int) []int {
-		return candidates // everything at once: infeasible on this workload
+	infeasible := func(ctx context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
+		return candidates, nil // everything at once: infeasible on this workload
 	}
-	if _, err := RepeatedCapacity(m, 2.5, infeasible); err == nil {
+	if _, err := RepeatedCapacityCtx(context.Background(), m, 2.5, infeasible); err == nil {
 		t.Fatal("infeasible-slot capacity function not rejected")
+	}
+}
+
+// TestCapacityFuncCancellationSurfaces: a capacity function cut short by
+// cancellation must surface as ctx.Err(), not as an empty or infeasible
+// slot, and must stop the multi-hop loop at once.
+func TestCapacityFuncCancellationSurfaces(t *testing.T) {
+	net := fig1Net(t, 6, 30)
+	m := net.Gains()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	cancelling := func(ctx context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
+		calls++
+		cancel()
+		return defaultCapFn(net)(ctx, m, beta, candidates)
+	}
+	if _, err := RepeatedCapacityCtx(ctx, m, 2.5, cancelling); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RepeatedCapacityCtx err = %v, want context.Canceled", err)
+	}
+	calls = 0
+	slots, done, err := MultiHopCtx(context.Background(), m, 2.5, []Path{{0, 5}}, func(_ context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
+		return cancelling(ctx, m, beta, candidates)
+	}, 0, NonFading{})
+	if !errors.Is(err, context.Canceled) || done || slots != 0 || calls != 1 {
+		t.Fatalf("MultiHopCtx = (%d, %v, %v) after %d capacity calls, want (0, false, context.Canceled) after 1", slots, done, err, calls)
+	}
+}
+
+// TestContentionHonorsCancellation: both contention protocols stop before
+// their first step on a cancelled ctx and report ctx.Err().
+func TestContentionHonorsCancellation(t *testing.T) {
+	m := fig1Net(t, 7, 20).Gains()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	aloha, aerr := AlohaCtx(ctx, m, 2.5, AlohaConfig{Prob: 0.1}, rng.New(1), NonFading{})
+	backoff, berr := BackoffAloha(ctx, m, 2.5, DefaultBackoff, rng.New(1), NonFading{})
+	for _, r := range []struct {
+		res AlohaResult
+		err error
+	}{{aloha, aerr}, {backoff, berr}} {
+		if !errors.Is(r.err, context.Canceled) || r.res.Slots != 0 || r.res.Done {
+			t.Fatalf("cancelled run = %+v, %v; want no slots and context.Canceled", r.res, r.err)
+		}
 	}
 }
 
@@ -97,11 +144,11 @@ func allLinks(n int) []int {
 func TestPlayScheduleNonFadingCompletes(t *testing.T) {
 	net := fig1Net(t, 7, 50)
 	m := net.Gains()
-	slots, err := RepeatedCapacity(m, 2.5, defaultCapFn(net))
+	slots, err := RepeatedCapacityCtx(context.Background(), m, 2.5, defaultCapFn(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	used, done := RepeatUntilDone(m, slots, 2.5, 1, 1, NonFading{})
+	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, slots, 2.5, 1, 1, NonFading{})
 	if !done {
 		t.Fatal("non-fading replay of a non-fading schedule must complete")
 	}
@@ -114,7 +161,7 @@ func TestPlayScheduleIncomplete(t *testing.T) {
 	net := fig1Net(t, 8, 20)
 	m := net.Gains()
 	// A schedule covering only link 0 cannot serve everyone.
-	used, done := RepeatUntilDone(m, [][]int{{0}}, 2.5, 1, 1, NonFading{})
+	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 1, 1, NonFading{})
 	if done {
 		t.Fatal("partial schedule reported done")
 	}
@@ -126,12 +173,12 @@ func TestPlayScheduleIncomplete(t *testing.T) {
 func TestRepeatUntilDoneRayleigh(t *testing.T) {
 	net := fig1Net(t, 9, 40)
 	m := net.Gains()
-	base, err := RepeatedCapacity(m, 2.5, defaultCapFn(net))
+	base, err := RepeatedCapacityCtx(context.Background(), m, 2.5, defaultCapFn(net))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := rng.New(123)
-	slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 200, NewRayleigh(fading.NewCounter(m), src))
+	slots, done, _ := RepeatUntilDoneCtx(context.Background(), m, base, 2.5, transform.AlohaRepeats, 200, NewRayleigh(fading.NewCounter(m), src))
 	if !done {
 		t.Fatalf("Rayleigh replay did not finish in %d slots", slots)
 	}
@@ -146,7 +193,7 @@ func TestRepeatUntilDoneRayleigh(t *testing.T) {
 func TestRepeatUntilDoneOverheadBounded(t *testing.T) {
 	net := fig1Net(t, 10, 50)
 	m := net.Gains()
-	base, err := RepeatedCapacity(m, 2.5, defaultCapFn(net))
+	base, err := RepeatedCapacityCtx(context.Background(), m, 2.5, defaultCapFn(net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +201,7 @@ func TestRepeatUntilDoneOverheadBounded(t *testing.T) {
 	totalSlots := 0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		slots, done := RepeatUntilDone(m, base, 2.5, transform.AlohaRepeats, 500, NewRayleigh(fading.NewCounter(m), src))
+		slots, done, _ := RepeatUntilDoneCtx(context.Background(), m, base, 2.5, transform.AlohaRepeats, 500, NewRayleigh(fading.NewCounter(m), src))
 		if !done {
 			t.Fatal("run did not complete")
 		}
@@ -170,8 +217,8 @@ func TestRepeatUntilDonePanics(t *testing.T) {
 	net := fig1Net(t, 1, 5)
 	m := net.Gains()
 	for _, fn := range []func(){
-		func() { RepeatUntilDone(m, [][]int{{0}}, 2.5, 0, 10, NonFading{}) },
-		func() { RepeatUntilDone(m, [][]int{{0}}, 2.5, 4, 0, NonFading{}) },
+		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 0, 10, NonFading{}) },
+		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 4, 0, NonFading{}) },
 	} {
 		func() {
 			defer func() {
@@ -188,7 +235,7 @@ func TestAlohaNonFadingCompletes(t *testing.T) {
 	net := fig1Net(t, 11, 40)
 	m := net.Gains()
 	src := rng.New(5)
-	res := Aloha(m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
+	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
 	if !res.Done {
 		t.Fatalf("ALOHA did not complete in %d slots", res.Slots)
 	}
@@ -208,7 +255,7 @@ func TestAlohaRayleighWithRepeats(t *testing.T) {
 	net := fig1Net(t, 12, 40)
 	m := net.Gains()
 	src := rng.New(6)
-	res := Aloha(m, 2.5, AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats}, src, NewRayleigh(fading.NewCounter(m), src))
+	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1, Repeats: transform.AlohaRepeats}, src, NewRayleigh(fading.NewCounter(m), src))
 	if !res.Done {
 		t.Fatalf("Rayleigh ALOHA did not complete in %d slots", res.Slots)
 	}
@@ -218,7 +265,7 @@ func TestAlohaRespectsMaxSlots(t *testing.T) {
 	net := fig1Net(t, 13, 30)
 	net.Noise = 1e9 // nobody can ever succeed
 	m := net.Gains()
-	res := Aloha(m, 2.5, AlohaConfig{Prob: 0.2, MaxSlots: 100}, rng.New(7), NonFading{})
+	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.2, MaxSlots: 100}, rng.New(7), NonFading{})
 	if res.Done {
 		t.Fatal("impossible instance reported done")
 	}
@@ -236,7 +283,7 @@ func TestAlohaPanicsOnBadProb(t *testing.T) {
 					t.Errorf("Prob=%g did not panic", p)
 				}
 			}()
-			Aloha(net.Gains(), 2.5, AlohaConfig{Prob: p}, rng.New(1), NonFading{})
+			AlohaCtx(context.Background(), net.Gains(), 2.5, AlohaConfig{Prob: p}, rng.New(1), NonFading{})
 		}()
 	}
 }
@@ -246,8 +293,8 @@ func TestAlohaPanicsOnBadProb(t *testing.T) {
 func TestAlohaCollapseAtHighProbability(t *testing.T) {
 	net := fig1Net(t, 14, 60)
 	m := net.Gains()
-	low := Aloha(m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 20000}, rng.New(8), NonFading{})
-	high := Aloha(m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 20000}, rng.New(9), NonFading{})
+	low, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 20000}, rng.New(8), NonFading{})
+	high, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 20000}, rng.New(9), NonFading{})
 	if !low.Done {
 		t.Fatal("p=0.1 did not complete")
 	}
@@ -268,7 +315,7 @@ func TestMultiHopDelivers(t *testing.T) {
 		{12},
 		{},
 	}
-	slots, done := MultiHop(m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
+	slots, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
 	if !done {
 		t.Fatalf("multi-hop did not deliver in %d slots", slots)
 	}
@@ -283,7 +330,7 @@ func TestMultiHopRayleigh(t *testing.T) {
 	m := net.Gains()
 	src := rng.New(10)
 	paths := []Path{{0, 5}, {3, 7, 11}}
-	slots, done := MultiHop(m, 2.5, paths, defaultCapFn(net), 10000, NewRayleigh(fading.NewCounter(m), src))
+	slots, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 10000, NewRayleigh(fading.NewCounter(m), src))
 	if !done {
 		t.Fatalf("Rayleigh multi-hop did not deliver in %d slots", slots)
 	}
@@ -294,7 +341,7 @@ func TestMultiHopSharedHop(t *testing.T) {
 	m := net.Gains()
 	// Two packets sharing the same next hop: one success advances both.
 	paths := []Path{{4, 8}, {4, 9}}
-	_, done := MultiHop(m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
+	_, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
 	if !done {
 		t.Fatal("shared-hop instance did not deliver")
 	}
@@ -307,7 +354,7 @@ func TestMultiHopPanicsOnBadPath(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MultiHop(net.Gains(), 2.5, []Path{{99}}, defaultCapFn(net), 0, NonFading{})
+	MultiHopCtx(context.Background(), net.Gains(), 2.5, []Path{{99}}, defaultCapFn(net), 0, NonFading{})
 }
 
 func TestModelNames(t *testing.T) {
@@ -339,7 +386,7 @@ func BenchmarkRepeatedCapacity60(b *testing.B) {
 	fn := defaultCapFn(net)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RepeatedCapacity(m, 2.5, fn); err != nil {
+		if _, err := RepeatedCapacityCtx(context.Background(), m, 2.5, fn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,6 +398,6 @@ func BenchmarkAlohaNonFading60(b *testing.B) {
 	src := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Aloha(m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
+		AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
 	}
 }

@@ -1,6 +1,7 @@
 package multihop
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -187,11 +188,17 @@ func TestRandomWorkloadEndToEnd(t *testing.T) {
 	for k, r := range w.Routes {
 		paths[k] = r
 	}
-	slots, done := latency.MultiHop(m, 2.5, paths, capFn, 0, latency.NonFading{})
+	slots, done, err := latency.MultiHopCtx(context.Background(), m, 2.5, paths, capFn, 0, latency.NonFading{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !done {
 		t.Fatalf("non-fading multihop incomplete after %d slots", slots)
 	}
-	slotsR, doneR := latency.MultiHop(m, 2.5, paths, capFn, 200000, latency.NewRayleigh(fading.NewCounter(m), src))
+	slotsR, doneR, err := latency.MultiHopCtx(context.Background(), m, 2.5, paths, capFn, 200000, latency.NewRayleigh(fading.NewCounter(m), src))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !doneR {
 		t.Fatalf("rayleigh multihop incomplete after %d slots", slotsR)
 	}

@@ -245,8 +245,9 @@ type tracerKey struct{}
 type spanKey struct{}
 
 // defaultTracer is the process-wide fallback observed when ctx carries no
-// tracer — what lets non-context call paths (RunFigure1 from raybench, the
-// library's Background()-based convenience wrappers) still trace.
+// tracer. Its users are callers that run work under context.Background():
+// raybench's scenario ops and `golden -trace`, and the benchmark suite. The
+// raysched CLI and rayschedd carry their tracer in ctx instead.
 var defaultTracer atomic.Pointer[Tracer]
 
 // SetDefault installs (or, with nil, removes) the process-default tracer.

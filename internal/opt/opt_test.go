@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +64,7 @@ func TestBruteForceDominatesGreedy(t *testing.T) {
 		}
 		m := net.Gains()
 		bf := BruteForce(m, 2.5)
-		greedy := capacity.GreedyUniform(net, 2.5)
+		greedy, _ := capacity.GreedyUniform(context.Background(), net, 2.5)
 		if len(bf) < len(greedy) {
 			t.Fatalf("seed %d: optimum %d below greedy %d", seed, len(bf), len(greedy))
 		}
@@ -142,7 +143,7 @@ func TestGreedyWeightedAgainstExact(t *testing.T) {
 		for i := range m.Weights {
 			m.Weights[i] = 1 + 9*src.Float64()
 		}
-		_, gw := capacity.GreedyWeighted(m, 2.5)
+		_, gw, _ := capacity.GreedyWeighted(context.Background(), m, 2.5)
 		_, ow := BruteForceWeighted(m, 2.5)
 		if gw > ow+1e-9 {
 			t.Fatalf("seed %d: greedy weight %g beats optimum %g", seed, gw, ow)
@@ -175,7 +176,7 @@ func TestLocalSearchFeasibleAndDominatesGreedy(t *testing.T) {
 		if !sinr.Feasible(m, ls, 2.5) {
 			t.Fatalf("seed %d: local-search set infeasible", seed)
 		}
-		greedy := capacity.GreedyUniform(net, 2.5)
+		greedy, _ := capacity.GreedyUniform(context.Background(), net, 2.5)
 		if len(ls) < len(greedy) {
 			t.Fatalf("seed %d: local search %d below greedy %d", seed, len(ls), len(greedy))
 		}

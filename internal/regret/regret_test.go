@@ -1,6 +1,7 @@
 package regret
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"slices"
@@ -242,7 +243,8 @@ func TestLemma5Relation(t *testing.T) {
 func TestConvergedThroughputNearCapacity(t *testing.T) {
 	net := fig2Net(t, 7, 60)
 	m := net.Gains()
-	greedySize := float64(len(capacity.GreedyUniform(net, 0.5)))
+	greedy, _ := capacity.GreedyUniform(context.Background(), net, 0.5)
+	greedySize := float64(len(greedy))
 	for _, model := range []Model{NonFading, Rayleigh} {
 		g := NewGame(m, 0.5, model, rng.New(19))
 		h := g.Run(300)

@@ -17,9 +17,10 @@ import (
 // The compute functions below are the service's business logic: pure,
 // deterministic functions from (parsed request, compiled topology) to a
 // response struct. The compiled topology may be shared with concurrent
-// requests, so they only read it. They run on pool workers with the request's deadline-carrying
-// context and poll it through the Ctx variants of the compute layers, so a
-// deadline or client disconnect stops the work instead of burning a worker.
+// requests, so they only read it. They run on pool workers with the
+// request's context and hand it to every algorithm they call. The
+// algorithms poll it, so a deadline or client disconnect stops the work
+// instead of burning a worker, and their spans nest under the request span.
 
 func computeSchedule(ctx context.Context, p scheduleParams, t *compiled) (*scheduleResponse, error) {
 	net, m := t.net, t.m
@@ -34,14 +35,11 @@ func computeSchedule(ctx context.Context, p scheduleParams, t *compiled) (*sched
 		resp.Value = float64(len(set))
 		resp.ExpectedRayleigh = fading.ExpectedBinaryValueOfSet(m, set, p.Beta)
 	case "weighted":
-		set, err := capacity.GreedyAffectanceCtx(ctx, m, p.Beta, capacity.DefaultTau, capacity.WeightOrder(m))
+		set, value, err := capacity.GreedyWeighted(ctx, m, p.Beta)
 		if err != nil {
 			return nil, err
 		}
-		resp.Set = set
-		for _, i := range set {
-			resp.Value += m.Weights[i]
-		}
+		resp.Set, resp.Value = set, value
 		resp.ExpectedRayleigh = fading.ExpectedBinaryValueOfSet(m, set, p.Beta)
 	case "powercontrol":
 		pc, err := capacity.PowerControlGreedyCtx(ctx, net, p.Beta)

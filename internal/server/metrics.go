@@ -314,24 +314,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	for _, ep := range eps {
 		es := m.endpoints[ep]
-		h := es.latency
-		width := (latLogHi - latLogLo) / float64(latBuckets)
-		cum := uint64(h.Under) // sub-1µs observations fold into the first bucket
-		for i, c := range h.Counts {
-			cum += uint64(c)
-			le := math.Pow(10, latLogLo+float64(i+1)*width)
-			if err := p("rayschedd_request_duration_seconds_bucket{endpoint=%q,le=\"%.3g\"} %d\n", ep, le, cum); err != nil {
-				return n, err
-			}
-		}
-		cum += uint64(h.Over)
-		if err := p("rayschedd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum); err != nil {
-			return n, err
-		}
-		if err := p("rayschedd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, es.seconds); err != nil {
-			return n, err
-		}
-		if err := p("rayschedd_request_duration_seconds_count{endpoint=%q} %d\n", ep, es.count); err != nil {
+		if err := writeHistogram(p, "rayschedd_request_duration_seconds", ep, es.latency, es.seconds, es.count); err != nil {
 			return n, err
 		}
 	}
@@ -405,24 +388,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			}
 			headerDone = true
 		}
-		h := es.queueWait
-		width := (latLogHi - latLogLo) / float64(latBuckets)
-		cum := uint64(h.Under)
-		for i, c := range h.Counts {
-			cum += uint64(c)
-			le := math.Pow(10, latLogLo+float64(i+1)*width)
-			if err := p("rayschedd_queue_wait_seconds_bucket{endpoint=%q,le=\"%.3g\"} %d\n", ep, le, cum); err != nil {
-				return n, err
-			}
-		}
-		cum += uint64(h.Over)
-		if err := p("rayschedd_queue_wait_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum); err != nil {
-			return n, err
-		}
-		if err := p("rayschedd_queue_wait_seconds_sum{endpoint=%q} %g\n", ep, es.waitSec); err != nil {
-			return n, err
-		}
-		if err := p("rayschedd_queue_wait_seconds_count{endpoint=%q} %d\n", ep, es.waitCount); err != nil {
+		if err := writeHistogram(p, "rayschedd_queue_wait_seconds", ep, es.queueWait, es.waitSec, es.waitCount); err != nil {
 			return n, err
 		}
 	}
@@ -449,4 +415,27 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, nil
+}
+
+// writeHistogram renders one endpoint's log-spaced histogram h as the
+// Prometheus series name_bucket (cumulative, ending at +Inf), name_sum and
+// name_count, printing through p.
+func writeHistogram(p func(format string, args ...any) error, name, ep string, h *stats.Histogram, sum float64, count uint64) error {
+	width := (latLogHi - latLogLo) / float64(latBuckets)
+	cum := uint64(h.Under) // sub-1µs observations fold into the first bucket
+	for i, c := range h.Counts {
+		cum += uint64(c)
+		le := math.Pow(10, latLogLo+float64(i+1)*width)
+		if err := p("%s_bucket{endpoint=%q,le=\"%.3g\"} %d\n", name, ep, le, cum); err != nil {
+			return err
+		}
+	}
+	cum += uint64(h.Over)
+	if err := p("%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, ep, cum); err != nil {
+		return err
+	}
+	if err := p("%s_sum{endpoint=%q} %g\n", name, ep, sum); err != nil {
+		return err
+	}
+	return p("%s_count{endpoint=%q} %d\n", name, ep, count)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -135,5 +136,38 @@ func TestMetricsDeterministicOrder(t *testing.T) {
 	}
 	if strings.Index(s1.String(), `endpoint="/a"`) > strings.Index(s1.String(), `endpoint="/b"`) {
 		t.Fatal("endpoints not sorted")
+	}
+}
+
+// TestMetricsTextPinned pins the whole Prometheus page for a fixed sequence
+// of observations: both histograms (request duration and queue wait) with
+// clamped, zero and in-range values, the quantile gauges and the shed
+// counter. Scrapers parse this text, so testdata/metrics.golden.txt changes
+// only with an intended format change.
+func TestMetricsTextPinned(t *testing.T) {
+	m := NewMetrics()
+	m.Observe("/v1/schedule", 200, 0.0123)
+	m.Observe("/v1/schedule", 200, 0.25)
+	m.Observe("/v1/schedule", 400, 0)
+	m.Observe("/v1/estimate", 200, 3e-7)
+	m.Observe("/v1/estimate", 504, 250)
+	m.ObserveQueueWait("/v1/estimate", 0.004)
+	m.ObserveQueueWait("/v1/estimate", 0)
+	m.ObserveShed("/v1/schedule")
+	m.ObserveShed("/v1/schedule")
+	want, err := os.ReadFile("testdata/metrics.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	n, err := m.WriteTo(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("/metrics text changed:\n%s\nwant:\n%s", got.String(), want)
+	}
+	if n != int64(len(want)) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(want))
 	}
 }

@@ -121,6 +121,49 @@ func TestTraceCollectionAndFetch(t *testing.T) {
 	}
 }
 
+// TestTraceLatencyCollectsCapacitySpans: a traced /v1/latency request
+// collects the capacity greedy spans of every schedule slot, each linked
+// through its parents to the request span.
+func TestTraceLatencyCollectsCapacitySpans(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	topo := testTopology(t, 20, 2)
+	const traceID = "9a0c4e5f6b7d8e21"
+	resp, body := postTraced(t, ts, "/v1/latency",
+		reqBody(t, topo, map[string]any{"scheduler": "repeated", "model": "nonfading"}), traceID, 5)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced request status %d: %s", resp.StatusCode, body)
+	}
+	var sched struct{ Schedule [][]int }
+	if err := json.Unmarshal(body, &sched); err != nil || len(sched.Schedule) == 0 {
+		t.Fatalf("no schedule in response (%v): %s", err, body)
+	}
+	status, b := fetchTrace(t, ts, traceID)
+	if status != http.StatusOK {
+		t.Fatalf("trace fetch status %d", status)
+	}
+	byID := map[uint64]obs.SpanRecord{}
+	for _, sp := range b.Spans {
+		byID[sp.ID] = sp
+	}
+	greedy := 0
+	for _, sp := range b.Spans {
+		if sp.Name != "capacity.greedy_affectance" {
+			continue
+		}
+		greedy++
+		p, ok := byID[sp.Parent]
+		for ok && p.Name != "http./v1/latency" {
+			p, ok = byID[p.Parent]
+		}
+		if !ok {
+			t.Errorf("greedy span %d (parent %d) does not reach the request span", sp.ID, sp.Parent)
+		}
+	}
+	if greedy != len(sched.Schedule) {
+		t.Fatalf("%d greedy spans for a %d-slot schedule", greedy, len(sched.Schedule))
+	}
+}
+
 // TestTraceStoreEviction: the per-trace store is a bounded LRU over trace
 // IDs and exports its occupancy as a gauge.
 func TestTraceStoreEviction(t *testing.T) {

@@ -81,7 +81,7 @@ func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, e
 		sRaySlots             float64
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(ctx context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Figure1Config()
 		netCfg.N = cfg.Links
 		net, err := network.Random(netCfg, src)
@@ -99,7 +99,7 @@ func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, e
 		out.gValid = float64(ev.SINRSuccesses)
 		out.gRay = fading.ExpectedBinaryValueOfSet(m, gSet, cfg.Beta)
 
-		sSet := capacity.GreedyUniform(net, cfg.Beta)
+		sSet, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
 		out.sSize = float64(len(sSet))
 		out.sRay = fading.ExpectedBinaryValueOfSet(m, sSet, cfg.Beta)
 
@@ -108,12 +108,15 @@ func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, e
 		out.gSlots = float64(len(classes))
 		out.gViol = float64(graphsched.EvaluateSchedule(m, classes, cfg.Beta).Violations)
 		capFn := latency.GreedyCapacity(capacity.LengthOrder(net), capacity.DefaultTau)
-		sched, err := latency.RepeatedCapacity(m, cfg.Beta, capFn)
+		sched, err := latency.RepeatedCapacityCtx(ctx, m, cfg.Beta, capFn)
 		if err != nil {
+			if ctx.Err() != nil {
+				return out // the fan-out reports the cancellation
+			}
 			panic(fmt.Sprintf("sim: baseline scheduling: %v", err))
 		}
 		out.sSlots = float64(len(sched))
-		slots, done := latency.RepeatUntilDone(m, sched, cfg.Beta,
+		slots, done, _ := latency.RepeatUntilDoneCtx(ctx, m, sched, cfg.Beta,
 			transform.AlohaRepeats, 10000, latency.NewRayleigh(fading.NewCounter(m), src.Split()))
 		if done {
 			out.sRaySlots = float64(slots)

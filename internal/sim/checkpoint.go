@@ -250,9 +250,14 @@ func (ck *Checkpoint) Flush() error {
 // the missing indices yields bit-identical results to an uninterrupted run
 // — provided encode/decode round-trip T exactly (JSON does for float64).
 // A nil ck degrades to plain ParallelCtx.
+//
+// Contract: every result fn returns is recorded as complete, so fn must not
+// return early when its ctx is done. It may read ctx for spans; a body that
+// stops on cancellation would persist its partial result, and a resumed run
+// would replay it.
 func ParallelCheckpointCtx[T any](ctx context.Context, reps, workers int, base *rng.Source, ck *Checkpoint,
 	encode func(T) ([]byte, error), decode func([]byte) (T, error),
-	fn func(rep int, src *rng.Source) T) ([]T, error) {
+	fn func(ctx context.Context, rep int, src *rng.Source) T) ([]T, error) {
 	if ck == nil {
 		return ParallelCtx(ctx, reps, workers, base, fn)
 	}
@@ -266,7 +271,7 @@ func ParallelCheckpointCtx[T any](ctx context.Context, reps, workers int, base *
 		flushMu  sync.Mutex
 		flushErr error
 	)
-	results, err := ParallelCtx(ctx, reps, workers, base, func(rep int, src *rng.Source) T {
+	results, err := ParallelCtx(ctx, reps, workers, base, func(ctx context.Context, rep int, src *rng.Source) T {
 		if data, ok := ck.lookup(rep); ok {
 			out, derr := decode(data)
 			if derr != nil {
@@ -274,7 +279,7 @@ func ParallelCheckpointCtx[T any](ctx context.Context, reps, workers int, base *
 			}
 			return out
 		}
-		out := fn(rep, src)
+		out := fn(ctx, rep, src)
 		data, eerr := encode(out)
 		if eerr != nil {
 			panic(fmt.Sprintf("sim: encode replication %d for checkpoint: %v", rep, eerr))

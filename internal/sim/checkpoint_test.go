@@ -33,7 +33,7 @@ func TestParallelCheckpointCtxResumes(t *testing.T) {
 	cfg := struct{ Label string }{"resume-test"}
 	const reps = 8
 	enc, dec := intCodec()
-	fn := func(rep int, src *rng.Source) int { return rep*100 + int(src.Float64()*10) }
+	fn := func(_ context.Context, rep int, src *rng.Source) int { return rep*100 + int(src.Float64()*10) }
 
 	// Reference: uninterrupted, no checkpoint.
 	base := rng.New(3)
@@ -50,8 +50,8 @@ func TestParallelCheckpointCtxResumes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completions atomic.Int64
-	_, err = ParallelCheckpointCtx(ctx, reps, 1, rng.New(3), ck, enc, dec, func(rep int, src *rng.Source) int {
-		out := fn(rep, src)
+	_, err = ParallelCheckpointCtx(ctx, reps, 1, rng.New(3), ck, enc, dec, func(ctx context.Context, rep int, src *rng.Source) int {
+		out := fn(ctx, rep, src)
 		if completions.Add(1) == 3 {
 			cancel()
 		}
@@ -75,9 +75,9 @@ func TestParallelCheckpointCtxResumes(t *testing.T) {
 		t.Fatalf("Restored = %d, want %d", ck2.Restored(), done)
 	}
 	var recomputed atomic.Int64
-	got, err := ParallelCheckpointCtx(context.Background(), reps, 3, rng.New(3), ck2, enc, dec, func(rep int, src *rng.Source) int {
+	got, err := ParallelCheckpointCtx(context.Background(), reps, 3, rng.New(3), ck2, enc, dec, func(ctx context.Context, rep int, src *rng.Source) int {
 		recomputed.Add(1)
-		return fn(rep, src)
+		return fn(ctx, rep, src)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestParallelCheckpointCtxResumes(t *testing.T) {
 func TestParallelCheckpointCtxNilCheckpoint(t *testing.T) {
 	enc, dec := intCodec()
 	got, err := ParallelCheckpointCtx(context.Background(), 4, 2, rng.New(1), nil, enc, dec,
-		func(rep int, src *rng.Source) int { return rep })
+		func(_ context.Context, rep int, src *rng.Source) int { return rep })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestParallelCheckpointCtxRepsMismatch(t *testing.T) {
 	}
 	enc, dec := intCodec()
 	if _, err := ParallelCheckpointCtx(context.Background(), 5, 1, rng.New(1), ck, enc, dec,
-		func(rep int, src *rng.Source) int { return rep }); err == nil {
+		func(_ context.Context, rep int, src *rng.Source) int { return rep }); err == nil {
 		t.Fatal("want error for reps mismatch between Open and run")
 	}
 }
@@ -209,7 +209,7 @@ func TestCheckpointFlushFailureSurfacesButRunCompletes(t *testing.T) {
 	}
 	enc, dec := intCodec()
 	got, err := ParallelCheckpointCtx(context.Background(), 4, 1, rng.New(1), ck, enc, dec,
-		func(rep int, src *rng.Source) int { return rep + 10 })
+		func(_ context.Context, rep int, src *rng.Source) int { return rep + 10 })
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected write failure", err)
 	}
@@ -240,7 +240,7 @@ func TestFigure1KillResumeByteIdentical(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	want := render(RunFigure1(cfg))
+	want := render(run(t, RunFigure1Ctx, cfg))
 
 	// Interrupted run: every replication is slowed by an injected delay, and
 	// a watcher cancels the context as soon as the first checkpoint flush
@@ -317,7 +317,7 @@ func TestParallelCtxCancelMidReplication(t *testing.T) {
 	defer cancel()
 	var started atomic.Int64
 	release := make(chan struct{})
-	results, err := ParallelCtx(ctx, reps, workers, rng.New(1), func(rep int, src *rng.Source) string {
+	results, err := ParallelCtx(ctx, reps, workers, rng.New(1), func(_ context.Context, rep int, src *rng.Source) string {
 		if started.Add(1) == workers {
 			// All workers are now mid-replication; cancel and let them finish
 			// their current rep only.

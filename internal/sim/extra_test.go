@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"rayfade/internal/fading"
@@ -252,7 +253,7 @@ func TestFigure1ClusterTopology(t *testing.T) {
 		Seed:          43,
 		Topology:      "cluster",
 	}
-	res := RunFigure1(cfg)
+	res := run(t, RunFigure1Ctx, cfg)
 	nf := res.Curves[CurveUniformNonFading].Means()
 	rl := res.Curves[CurveUniformRayleigh].Means()
 	if rl[1] <= nf[1] {
@@ -273,7 +274,7 @@ func TestFigure1UnknownTopologyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RunFigure1(Figure1Config{Networks: 1, Links: 10, TransmitSeeds: 1, FadingSeeds: 1,
+	RunFigure1Ctx(context.Background(), Figure1Config{Networks: 1, Links: 10, TransmitSeeds: 1, FadingSeeds: 1,
 		Probs: []float64{0.5}, Topology: "hexagon"})
 }
 
@@ -290,7 +291,7 @@ func TestFigure1RayleighCurveMatchesClosedForm(t *testing.T) {
 		Seed:          41,
 		Workers:       1,
 	}
-	res := RunFigure1(cfg)
+	res := run(t, RunFigure1Ctx, cfg)
 	// Recompute the exact expectations over the same deterministic
 	// network sequence (ParallelCtx splits the master stream once per
 	// replication, and network generation is each stream's first use).

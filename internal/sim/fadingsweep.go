@@ -82,7 +82,7 @@ func RunFadingSweepCtx(ctx context.Context, cfg FadingSweepConfig) (*FadingSweep
 		rl       stats.Running
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(_ context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Figure1Config()
 		netCfg.N = cfg.Links
 		net, err := network.Random(netCfg, src)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rayfade/internal/fading"
 	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
@@ -198,8 +197,9 @@ func figure1Codec() (func(netResult) ([]byte, error), func([]byte) (netResult, e
 // replicationBody returns the Figure-1 per-network replication function,
 // shared verbatim by the full run, checkpoint resume, and shard execution —
 // one body, so the three paths cannot drift apart. The receiver must be
-// defaults-applied.
-func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netResult {
+// defaults-applied. The body never reads its ctx: the checkpointed run
+// records every result it returns as complete.
+func (cfg Figure1Config) replicationBody() func(ctx context.Context, rep int, src *rng.Source) netResult {
 	// Fixed order: iterating a map here would consume the replication's
 	// RNG stream in a map-iteration-dependent order and break determinism.
 	powers := []struct {
@@ -209,7 +209,7 @@ func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netRes
 		{"uniform", network.UniformPower{P: cfg.Power}},
 		{"sqrt", network.SquareRootPower{Scale: cfg.Power, Alpha: cfg.Alpha}},
 	}
-	return func(rep int, src *rng.Source) netResult {
+	return func(_ context.Context, rep int, src *rng.Source) netResult {
 		out := netResult{curves: map[string]*stats.Series{
 			CurveUniformNonFading: stats.NewSeries(cfg.Probs),
 			CurveUniformRayleigh:  stats.NewSeries(cfg.Probs),
@@ -220,42 +220,13 @@ func (cfg Figure1Config) replicationBody() func(rep int, src *rng.Source) netRes
 		if err != nil {
 			panic(fmt.Sprintf("sim: figure 1 network generation: %v", err))
 		}
-		// One set of scratch buffers per replication, and one Counter per
-		// gain matrix: the kernels below are allocation-free, so the inner
-		// loops touch the heap not at all.
-		active := make([]bool, cfg.Links)
-		vals := make([]float64, cfg.Links)
 		for _, pw := range powers {
 			m := net.Clone().ApplyPower(pw.pa).Gains()
-			counter := fading.NewCounter(m)
-			nfKey, rlKey := pw.name+"/non-fading", pw.name+"/rayleigh"
-			for pi, p := range cfg.Probs {
-				q := fading.UniformProbs(m.N, p)
-				for ts := 0; ts < cfg.TransmitSeeds; ts++ {
-					for i := range active {
-						active[i] = src.Bernoulli(q[i])
-					}
-					nf := countNonFadingInto(m, active, cfg.Beta, vals)
-					out.curves[nfKey].Observe(pi, float64(nf))
-					for fs := 0; fs < cfg.FadingSeeds; fs++ {
-						rl := counter.Count(active, cfg.Beta, src, nil)
-						out.curves[rlKey].Observe(pi, float64(rl))
-					}
-					tickRealizations(cfg.FadingSeeds)
-				}
-			}
+			observeCurves(out.curves[pw.name+"/non-fading"], out.curves[pw.name+"/rayleigh"],
+				m, cfg.Probs, cfg.TransmitSeeds, cfg.FadingSeeds, cfg.Beta, src)
 		}
 		return out
 	}
-}
-
-// RunFigure1 reproduces Figure 1: for each random network, each power
-// assignment, and each transmission probability, it draws transmit sets and
-// counts successes in the non-fading model (per transmit seed) and in the
-// Rayleigh model (per transmit seed × fading seed).
-func RunFigure1(cfg Figure1Config) *Figure1Result {
-	res, _ := RunFigure1Ctx(context.Background(), cfg)
-	return res
 }
 
 // RunFigure1ShardCtx computes only replications [lo, hi) of the Figure-1
@@ -301,8 +272,11 @@ func RunFigure1ShardCtx(ctx context.Context, cfg Figure1Config, lo, hi int) (*Sh
 	}, nil
 }
 
-// RunFigure1Ctx is RunFigure1 with cooperative cancellation; it returns nil
-// and ctx.Err() when the context is cancelled before the run completes.
+// RunFigure1Ctx reproduces Figure 1: for each random network, each power
+// assignment, and each transmission probability, it draws transmit sets and
+// counts successes in the non-fading model (per transmit seed) and in the
+// Rayleigh model (per transmit seed × fading seed). It returns nil and
+// ctx.Err() when the context is cancelled before the run completes.
 func RunFigure1Ctx(ctx context.Context, cfg Figure1Config) (*Figure1Result, error) {
 	cfg = cfg.withDefaults()
 	ctx, finish := beginExperiment(ctx, "sim.figure1",

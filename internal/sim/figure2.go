@@ -139,7 +139,7 @@ func RunFigure2Ctx(ctx context.Context, cfg Figure2Config) (*Figure2Result, erro
 		l5NF, l5RL regret.Lemma5Stats
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(ctx context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
 			Area:  geom.Square(cfg.Side),
@@ -154,10 +154,11 @@ func RunFigure2Ctx(ctx context.Context, cfg Figure2Config) (*Figure2Result, erro
 			panic(fmt.Sprintf("sim: figure 2 network generation: %v", err))
 		}
 		m := net.Gains()
+		greedy, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
 		out := netResult{
 			nf:     stats.NewSeries(rounds),
 			rl:     stats.NewSeries(rounds),
-			greedy: float64(len(capacity.GreedyUniform(net, cfg.Beta))),
+			greedy: float64(len(greedy)),
 		}
 		histNF := cfg.newGame(m, regret.NonFading, src.Split()).Run(cfg.Rounds)
 		histRL := cfg.newGame(m, regret.Rayleigh, src.Split()).Run(cfg.Rounds)

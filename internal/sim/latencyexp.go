@@ -80,7 +80,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 		incomplete           int
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(ctx context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Figure1Config()
 		netCfg.N = cfg.Links
 		net, err := network.Random(netCfg, src)
@@ -91,39 +91,44 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 		plan := fading.NewPlan(m)
 		capFn := latency.GreedyCapacity(capacity.LengthOrder(net), capacity.DefaultTau)
 		var out netResult
-		sched, err := latency.RepeatedCapacity(m, cfg.Beta, capFn)
+		sched, err := latency.RepeatedCapacityCtx(ctx, m, cfg.Beta, capFn)
 		if err != nil {
+			if ctx.Err() != nil {
+				return out // the fan-out reports the cancellation
+			}
 			panic(fmt.Sprintf("sim: latency scheduling: %v", err))
 		}
 		out.schedLen.Add(float64(len(sched)))
 		maxSlots := 4096 * cfg.Links
+		// The schedulers below fail only on cancellation, which the fan-out
+		// reports for the whole run, so their errors are not checked.
 		for trial := 0; trial < cfg.Trials; trial++ {
 			// Each Rayleigh model decides with its own Counter of the network's
 			// Plan; the Split() call sites keep their seed-era positions so
 			// fixed-seed outputs are unchanged.
-			slots, done := latency.RepeatUntilDone(m, sched, cfg.Beta,
+			slots, done, _ := latency.RepeatUntilDoneCtx(ctx, m, sched, cfg.Beta,
 				transform.AlohaRepeats, 10000, latency.NewRayleigh(plan.Counter(), src.Split()))
 			if done {
 				out.schedRL.Add(float64(slots))
 			} else {
 				out.incomplete++
 			}
-			a := latency.Aloha(m, cfg.Beta,
+			a, _ := latency.AlohaCtx(ctx, m, cfg.Beta,
 				latency.AlohaConfig{Prob: cfg.AlohaProb, MaxSlots: maxSlots},
 				src.Split(), latency.NonFading{})
 			record(&out.alohaNF, &out.incomplete, a)
 			fadeSrc := src.Split()
-			b := latency.Aloha(m, cfg.Beta,
+			b, _ := latency.AlohaCtx(ctx, m, cfg.Beta,
 				latency.AlohaConfig{Prob: cfg.AlohaProb, Repeats: transform.AlohaRepeats, MaxSlots: maxSlots},
 				src.Split(), latency.NewRayleigh(plan.Counter(), fadeSrc))
 			record(&out.alohaRL, &out.incomplete, b)
 			bo := latency.DefaultBackoff
 			bo.MaxSlots = maxSlots
-			c := latency.BackoffAloha(m, cfg.Beta, bo, src.Split(), latency.NonFading{})
+			c, _ := latency.BackoffAloha(ctx, m, cfg.Beta, bo, src.Split(), latency.NonFading{})
 			record(&out.backoffNF, &out.incomplete, c)
 			bo.Repeats = transform.AlohaRepeats
 			fadeSrc2 := src.Split()
-			d := latency.BackoffAloha(m, cfg.Beta, bo, src.Split(), latency.NewRayleigh(plan.Counter(), fadeSrc2))
+			d, _ := latency.BackoffAloha(ctx, m, cfg.Beta, bo, src.Split(), latency.NewRayleigh(plan.Counter(), fadeSrc2))
 			record(&out.backoffRL, &out.incomplete, d)
 		}
 		return out

@@ -3,11 +3,14 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rayfade/internal/obs"
+	"rayfade/internal/rng"
 )
 
 // smallFigure1 is a fast fixed-seed workload for instrumentation tests.
@@ -117,15 +120,112 @@ func TestExperimentSpanHierarchy(t *testing.T) {
 	}
 }
 
-// TestDefaultTracerCoversNonCtxEntrypoints: the Run* convenience wrappers go
-// through context.Background(), which must still pick up the process-default
-// tracer (raybench's -trace-dir depends on this).
+// TestDefaultTracerCoversNonCtxEntrypoints: a run under
+// context.Background() carries no tracer in ctx and must still pick up the
+// process-default tracer. raybench's -trace-dir and golden -trace, and the
+// benchmark suite, trace this way.
 func TestDefaultTracerCoversNonCtxEntrypoints(t *testing.T) {
 	tr := obs.NewTracer(0)
 	obs.SetDefault(tr)
 	defer obs.SetDefault(nil)
-	RunFigure1(smallFigure1())
+	if _, err := RunFigure1Ctx(context.Background(), smallFigure1()); err != nil {
+		t.Fatal(err)
+	}
 	if tr.Recorded() == 0 {
-		t.Fatal("default tracer saw no spans from non-ctx entrypoint")
+		t.Fatal("default tracer saw no spans from a context.Background() run")
+	}
+}
+
+// TestAlgorithmSpansNestUnderReplications: with the tracer carried only in
+// ctx (no process default), every capacity, latency and transform span an
+// experiment records must link, through its parents, to a replication span.
+// A span from an algorithm called without the replication's ctx would be
+// missing from the trace or have no parent.
+func TestAlgorithmSpansNestUnderReplications(t *testing.T) {
+	obs.SetDefault(nil)
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"latency", func(ctx context.Context) error {
+			_, err := RunLatencyCtx(ctx, LatencyConfig{Networks: 2, Links: 20, Trials: 1, Workers: 2, Seed: 3})
+			return err
+		}},
+		{"baseline", func(ctx context.Context) error {
+			_, err := RunBaselineCtx(ctx, BaselineConfig{Networks: 2, Links: 20, Workers: 2, Seed: 3})
+			return err
+		}},
+		{"reduction", func(ctx context.Context) error {
+			_, err := RunReductionCtx(ctx, ReductionConfig{Sizes: []int{10}, NetworksPer: 2, SamplesPerStp: 20, Workers: 2, Seed: 3})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer(0)
+			if err := tc.run(obs.WithTracer(context.Background(), tr)); err != nil {
+				t.Fatal(err)
+			}
+			spans := tr.Snapshot()
+			byID := make(map[uint64]obs.SpanRecord, len(spans))
+			for _, s := range spans {
+				byID[s.ID] = s
+			}
+			algorithm := 0
+			for _, s := range spans {
+				pkg, _, _ := strings.Cut(s.Name, ".")
+				if pkg != "capacity" && pkg != "latency" && pkg != "transform" {
+					continue
+				}
+				algorithm++
+				p, ok := byID[s.Parent]
+				for ok && p.Name != "replication" {
+					p, ok = byID[p.Parent]
+				}
+				if !ok {
+					t.Errorf("span %s (id %d, parent %d) does not reach a replication span", s.Name, s.ID, s.Parent)
+				}
+			}
+			if algorithm == 0 {
+				t.Fatalf("no algorithm spans among %d recorded", len(spans))
+			}
+		})
+	}
+}
+
+// TestParallelCtxBodyContext: each body's ctx carries its replication span
+// and is done once the run's ctx is cancelled.
+func TestParallelCtxBodyContext(t *testing.T) {
+	tr := obs.NewTracer(0)
+	ctx, cancel := context.WithCancel(obs.WithTracer(context.Background(), tr))
+	defer cancel()
+	type seen struct {
+		span     uint64
+		doneLive bool
+		doneEnd  bool
+	}
+	got, err := ParallelCtx(ctx, 1, 1, rng.New(1), func(ctx context.Context, rep int, _ *rng.Source) seen {
+		var s seen
+		if sp := obs.SpanFrom(ctx); sp != nil {
+			s.span = sp.ID()
+		}
+		s.doneLive = ctx.Err() != nil
+		cancel()
+		s.doneEnd = ctx.Err() != nil
+		return s
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var rep *obs.SpanRecord
+	for _, s := range tr.Snapshot() {
+		if s.Name == "replication" {
+			rep = &s
+		}
+	}
+	if rep == nil || got[0].span != rep.ID {
+		t.Fatalf("body ctx carried span %d, want the replication span %+v", got[0].span, rep)
+	}
+	if got[0].doneLive || !got[0].doneEnd {
+		t.Fatalf("body ctx done before cancel = %v, after cancel = %v; want false, true", got[0].doneLive, got[0].doneEnd)
 	}
 }

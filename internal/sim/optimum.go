@@ -95,7 +95,7 @@ func RunOptimumCtx(ctx context.Context, cfg OptimumConfig) (*OptimumResult, erro
 		greedy, local, rayleigh float64
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(ctx context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
 			Area:  geom.Square(cfg.Side),
@@ -111,8 +111,9 @@ func RunOptimumCtx(ctx context.Context, cfg OptimumConfig) (*OptimumResult, erro
 		}
 		m := net.Gains()
 		set := opt.LocalSearch(m, cfg.Beta, cfg.Search, src)
+		greedy, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
 		return netResult{
-			greedy:   float64(len(capacity.GreedyUniform(net, cfg.Beta))),
+			greedy:   float64(len(greedy)),
 			local:    float64(len(set)),
 			rayleigh: fading.ExpectedBinaryValueOfSet(m, set, cfg.Beta),
 		}

@@ -91,7 +91,7 @@ func RunReductionCtx(ctx context.Context, cfg ReductionConfig) (*ReductionResult
 			Levels:  stats.TowerLevels(n),
 			LogStar: stats.LogStar(float64(n)),
 		}
-		ratios, perErr := ParallelCtx(sizeCtx, cfg.NetworksPer, cfg.Workers, base, func(rep int, src *rng.Source) float64 {
+		ratios, perErr := ParallelCtx(sizeCtx, cfg.NetworksPer, cfg.Workers, base, func(ctx context.Context, rep int, src *rng.Source) float64 {
 			netCfg := network.Figure1Config()
 			netCfg.N = n
 			net, err := network.Random(netCfg, src)
@@ -102,7 +102,8 @@ func RunReductionCtx(ctx context.Context, cfg ReductionConfig) (*ReductionResult
 			q := fading.UniformProbs(n, cfg.Prob)
 			rayleigh := fading.ExpectedSuccessesExact(m, q, cfg.Beta)
 			steps := transform.Schedule(q, transform.ScheduleRepeats)
-			best, _ := transform.BestStep(m, steps,
+			// BestStepCtx fails only on cancellation, which the fan-out reports.
+			best, _, _ := transform.BestStepCtx(ctx, m, steps,
 				utility.Uniform(utility.Binary{Beta: cfg.Beta}), cfg.SamplesPerStp, src)
 			if best.Value.Mean <= 0 {
 				// Degenerate tiny instance; count as ratio 1 (the theorem

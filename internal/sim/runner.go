@@ -82,18 +82,17 @@ func activeLogger() *slog.Logger {
 // reps expected replications up front and reports each completion, giving
 // long runs an elapsed/ETA readout at no cost to the replication hot path.
 //
+// fn receives a ctx derived from the run's ctx that carries the
+// replication's "replication" span. A body hands it to the algorithms it
+// calls, so their spans nest under the replication and they see the run's
+// cancellation.
+//
 // Cancellation: when ctx is cancelled, no further replications are started
-// and ctx.Err() is returned alongside the partial results (already-running
-// replications finish — fn is never interrupted mid-flight, so each
-// results[r] is either complete or the zero value). A nil error means every
-// replication ran. Experiments whose single replications are long pass ctx
-// into their inner scheduler loops as well (see capacity and latency's Ctx
-// variants).
-func ParallelCtx[T any](ctx context.Context, reps, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) ([]T, error) {
-	if reps < 0 {
-		panic(fmt.Sprintf("sim: negative replication count %d", reps))
-	}
-	return parallelRange(ctx, 0, reps, workers, base.SplitN(reps), fn)
+// and ctx.Err() is returned alongside the partial results. A running body
+// may return early once its ctx is done, so the results of a cancelled run
+// must be discarded. A nil error means every replication ran to completion.
+func ParallelCtx[T any](ctx context.Context, reps, workers int, base *rng.Source, fn func(ctx context.Context, rep int, src *rng.Source) T) ([]T, error) {
+	return ParallelShardCtx(ctx, reps, 0, reps, workers, base, fn) // [0, reps) is always a valid range
 }
 
 // ParallelShardCtx runs only the replication indices [lo, hi) of a reps-wide
@@ -103,7 +102,7 @@ func ParallelCtx[T any](ctx context.Context, reps, workers int, base *rng.Source
 // bit-identical to what a full run computes for r — the property that lets a
 // cluster of workers each compute a shard and a coordinator merge the shards
 // into an artifact byte-identical to a single-node run.
-func ParallelShardCtx[T any](ctx context.Context, reps, lo, hi, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) ([]T, error) {
+func ParallelShardCtx[T any](ctx context.Context, reps, lo, hi, workers int, base *rng.Source, fn func(ctx context.Context, rep int, src *rng.Source) T) ([]T, error) {
 	if reps < 0 {
 		panic(fmt.Sprintf("sim: negative replication count %d", reps))
 	}
@@ -117,7 +116,7 @@ func ParallelShardCtx[T any](ctx context.Context, reps, lo, hi, workers int, bas
 // ParallelShardCtx: it runs the global replication indices [lo, hi) against
 // the pre-split per-replication streams srcs (indexed by global replication)
 // and stores results[r-lo].
-func parallelRange[T any](ctx context.Context, lo, hi, workers int, srcs []*rng.Source, fn func(rep int, src *rng.Source) T) ([]T, error) {
+func parallelRange[T any](ctx context.Context, lo, hi, workers int, srcs []*rng.Source, fn func(ctx context.Context, rep int, src *rng.Source) T) ([]T, error) {
 	n := hi - lo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -143,7 +142,7 @@ func parallelRange[T any](ctx context.Context, lo, hi, workers int, srcs []*rng.
 	}
 	defer fanSpan.End()
 	runOne := func(r int, src *rng.Source) T {
-		_, sp := obs.StartDetached(ctx, "replication")
+		repCtx, sp := obs.StartDetached(ctx, "replication")
 		sp.SetAttr("rep", r)
 		// Chaos hook: a replication body has no error channel, so an injected
 		// transient error escalates to a panic here, same as an injected
@@ -152,7 +151,7 @@ func parallelRange[T any](ctx context.Context, lo, hi, workers int, srcs []*rng.
 		if err := faults.Inject(faults.SiteReplication); err != nil {
 			panic(err)
 		}
-		out := fn(r, src)
+		out := fn(repCtx, r, src)
 		sp.End()
 		return out
 	}
@@ -164,7 +163,8 @@ func parallelRange[T any](ctx context.Context, lo, hi, workers int, srcs []*rng.
 			results[r-lo] = runOne(r, srcs[r])
 			t.ReplicationDone()
 		}
-		return results, nil
+		// A cancellation during the last replication may have cut it short.
+		return results, ctx.Err()
 	}
 	// Workers claim replication indices with a lock-free fetch-add instead of
 	// receiving them from a dispatcher goroutine. The previous unbuffered

@@ -25,7 +25,7 @@ func spin(iters int, src *rng.Source) float64 {
 // returns the wall-clock time.
 func timeParallel(reps, workers, iters int) time.Duration {
 	start := time.Now()
-	ParallelCtx(context.Background(), reps, workers, rng.New(99), func(rep int, src *rng.Source) float64 {
+	ParallelCtx(context.Background(), reps, workers, rng.New(99), func(_ context.Context, rep int, src *rng.Source) float64 {
 		return spin(iters, src)
 	})
 	return time.Since(start)
@@ -63,7 +63,7 @@ func TestParallelCtxSpeedup(t *testing.T) {
 // pre-split, so the result vector is bit-identical at every width, including
 // widths above both the replication count and the machine's core count.
 func TestParallelCtxWorkerInvariance(t *testing.T) {
-	body := func(rep int, src *rng.Source) float64 {
+	body := func(_ context.Context, rep int, src *rng.Source) float64 {
 		sum := 0.0
 		for k := 0; k < 100; k++ {
 			sum += src.Float64() * float64(rep+1)
@@ -92,7 +92,7 @@ func TestParallelCtxCancellationStopsClaims(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	results, err := ParallelCtx(ctx, 16, 4, rng.New(1), func(rep int, src *rng.Source) int {
+	results, err := ParallelCtx(ctx, 16, 4, rng.New(1), func(_ context.Context, rep int, src *rng.Source) int {
 		ran.Add(1)
 		return rep
 	})

@@ -102,7 +102,7 @@ func RunShannonCtx(ctx context.Context, cfg ShannonConfig) (*ShannonResult, erro
 		nf, rl, exact *stats.Series
 	}
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(rep int, src *rng.Source) netResult {
+	perNet, perErr := ParallelCtx(ctx, cfg.Networks, cfg.Workers, base, func(_ context.Context, rep int, src *rng.Source) netResult {
 		netCfg := network.Config{
 			N:     cfg.Links,
 			Area:  geom.Square(cfg.Side),

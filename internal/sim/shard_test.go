@@ -14,7 +14,7 @@ import (
 // property the distributed merge rests on.
 func TestParallelShardCtxMatchesFull(t *testing.T) {
 	const reps = 11
-	fn := func(rep int, src *rng.Source) float64 { return float64(rep) + src.Float64() }
+	fn := func(_ context.Context, rep int, src *rng.Source) float64 { return float64(rep) + src.Float64() }
 	full, err := ParallelCtx(context.Background(), reps, 4, rng.New(9), fn)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestParallelShardCtxMatchesFull(t *testing.T) {
 }
 
 func TestParallelShardCtxRejectsBadRange(t *testing.T) {
-	fn := func(rep int, src *rng.Source) int { return rep }
+	fn := func(_ context.Context, rep int, src *rng.Source) int { return rep }
 	for _, bad := range [][2]int{{-1, 2}, {0, 6}, {3, 2}} {
 		if _, err := ParallelShardCtx(context.Background(), 5, bad[0], bad[1], 1, rng.New(1), fn); err == nil {
 			t.Errorf("range [%d,%d) of 5: want error", bad[0], bad[1])

@@ -145,7 +145,7 @@ func TestResumeAfterMergeIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc, dec := intCodec()
-	fn := func(rep int, src *rng.Source) int { return rep*10 + int(src.Float64()*10) }
+	fn := func(_ context.Context, rep int, src *rng.Source) int { return rep*10 + int(src.Float64()*10) }
 
 	// Compute the full run as two shard-shaped halves.
 	want, err := ParallelCtx(context.Background(), reps, 1, rng.New(5), fn)
@@ -187,7 +187,7 @@ func TestResumeAfterMergeIdempotent(t *testing.T) {
 			t.Fatalf("round %d restored %d of %d", round, ck.Restored(), reps)
 		}
 		got, err := ParallelCheckpointCtx(context.Background(), reps, 2, rng.New(5), ck, enc, dec,
-			func(rep int, src *rng.Source) int {
+			func(_ context.Context, rep int, src *rng.Source) int {
 				// Runs on a worker goroutine — Error, not Fatal.
 				t.Errorf("round %d recomputed replication %d", round, rep)
 				return -1

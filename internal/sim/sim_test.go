@@ -24,7 +24,7 @@ func run[C, R any](t testing.TB, experiment func(context.Context, C) (R, error),
 
 // parallel is ParallelCtx with a background context; it fails the test if
 // the fan-out returns an error.
-func parallel[T any](t testing.TB, reps, workers int, base *rng.Source, fn func(rep int, src *rng.Source) T) []T {
+func parallel[T any](t testing.TB, reps, workers int, base *rng.Source, fn func(_ context.Context, rep int, src *rng.Source) T) []T {
 	t.Helper()
 	res, err := ParallelCtx(context.Background(), reps, workers, base, fn)
 	if err != nil {
@@ -34,7 +34,7 @@ func parallel[T any](t testing.TB, reps, workers int, base *rng.Source, fn func(
 }
 
 func TestParallelOrderAndDeterminism(t *testing.T) {
-	fn := func(rep int, src *rng.Source) float64 {
+	fn := func(_ context.Context, rep int, src *rng.Source) float64 {
 		return float64(rep) + src.Float64()
 	}
 	a := parallel(t, 50, 8, rng.New(9), fn)
@@ -51,10 +51,10 @@ func TestParallelOrderAndDeterminism(t *testing.T) {
 }
 
 func TestParallelEdgeCases(t *testing.T) {
-	if got := parallel(t, 0, 4, rng.New(1), func(int, *rng.Source) int { return 1 }); len(got) != 0 {
+	if got := parallel(t, 0, 4, rng.New(1), func(context.Context, int, *rng.Source) int { return 1 }); len(got) != 0 {
 		t.Fatalf("reps=0 returned %v", got)
 	}
-	got := parallel(t, 3, 100, rng.New(1), func(rep int, _ *rng.Source) int { return rep * 2 })
+	got := parallel(t, 3, 100, rng.New(1), func(_ context.Context, rep int, _ *rng.Source) int { return rep * 2 })
 	if got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("got %v", got)
 	}
@@ -64,7 +64,7 @@ func TestParallelEdgeCases(t *testing.T) {
 				t.Error("negative reps did not panic")
 			}
 		}()
-		parallel(t, -1, 1, rng.New(1), func(int, *rng.Source) int { return 0 })
+		parallel(t, -1, 1, rng.New(1), func(context.Context, int, *rng.Source) int { return 0 })
 	}()
 }
 
@@ -72,7 +72,7 @@ func TestParallelNotifiesTracker(t *testing.T) {
 	tr := progress.New("test", nil)
 	SetProgress(tr)
 	defer SetProgress(nil)
-	parallel(t, 12, 4, rng.New(3), func(rep int, _ *rng.Source) int { return rep })
+	parallel(t, 12, 4, rng.New(3), func(_ context.Context, rep int, _ *rng.Source) int { return rep })
 	if s := tr.Snapshot(); s.Total != 12 || s.Done != 12 {
 		t.Fatalf("tracker saw %d/%d replications, want 12/12", s.Done, s.Total)
 	}
@@ -84,7 +84,7 @@ func TestFigure1CountsRealizations(t *testing.T) {
 	defer SetProgress(nil)
 	cfg := smallFig1()
 	cfg.Workers = 2
-	RunFigure1(cfg)
+	run(t, RunFigure1Ctx, cfg)
 	// One batch of FadingSeeds realizations per (network, assignment, prob,
 	// transmit seed), with two probability assignments (uniform and sqrt).
 	want := int64(cfg.Networks * 2 * len(cfg.Probs) * cfg.TransmitSeeds * cfg.FadingSeeds)
@@ -107,7 +107,7 @@ func smallFig1() Figure1Config {
 }
 
 func TestRunFigure1Shapes(t *testing.T) {
-	res := RunFigure1(smallFig1())
+	res := run(t, RunFigure1Ctx, smallFig1())
 	if len(res.CurveNames()) != 4 {
 		t.Fatalf("curves: %v", res.CurveNames())
 	}
@@ -144,7 +144,7 @@ func TestRunFigure1Deterministic(t *testing.T) {
 	for _, workers := range []int{1, 4, 8, 0} {
 		cfg := base
 		cfg.Workers = workers
-		results = append(results, RunFigure1(cfg))
+		results = append(results, run(t, RunFigure1Ctx, cfg))
 	}
 	a := results[0]
 	for _, b := range results[1:] {
@@ -180,7 +180,7 @@ func TestRunFigure1QualitativeShape(t *testing.T) {
 		Probs:         []float64{0.05, 0.15, 0.3, 0.5, 0.75, 1.0},
 		Seed:          11,
 	}
-	res := RunFigure1(cfg)
+	res := run(t, RunFigure1Ctx, cfg)
 	nf := res.Curves[CurveUniformNonFading].Means()
 	rl := res.Curves[CurveUniformRayleigh].Means()
 	last := len(cfg.Probs) - 1
@@ -201,7 +201,7 @@ func TestRunFigure1QualitativeShape(t *testing.T) {
 }
 
 func TestFigure1PeakErrorsOnUnknownCurve(t *testing.T) {
-	res := RunFigure1(smallFig1())
+	res := run(t, RunFigure1Ctx, smallFig1())
 	if _, _, err := res.Peak("nope"); err == nil {
 		t.Fatal("expected error for unknown curve")
 	}
@@ -415,12 +415,12 @@ func BenchmarkFigure1Tiny(b *testing.B) {
 		Seed:          1,
 	}
 	for i := 0; i < b.N; i++ {
-		RunFigure1(cfg)
+		run(b, RunFigure1Ctx, cfg)
 	}
 }
 
 func BenchmarkParallelOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		parallel(b, 64, 0, rng.New(1), func(rep int, src *rng.Source) int { return rep })
+		parallel(b, 64, 0, rng.New(1), func(_ context.Context, rep int, src *rng.Source) int { return rep })
 	}
 }

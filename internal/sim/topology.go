@@ -115,7 +115,7 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 	gm := grid.Gains()
 	gridSrc := rng.New(cfg.Seed ^ 0x9e3779b9)
 	observeCurves(res.Curves[CurveGridNonFading], res.Curves[CurveGridRayleigh],
-		gm, cfg, gridSrc)
+		gm, cfg.Probs, cfg.TransmitSeeds, cfg.FadingSeeds, cfg.Beta, gridSrc)
 	gridSpan.End()
 
 	// Random: density-matched — same number of links on the same area.
@@ -125,7 +125,7 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 	area := float64(cfg.GridSide) * cfg.Spacing
 	type netSeries struct{ nf, rl *stats.Series }
 	base := rng.New(cfg.Seed)
-	perNet, perErr := ParallelCtx(ctx, cfg.RandomNets, cfg.Workers, base, func(rep int, src *rng.Source) netSeries {
+	perNet, perErr := ParallelCtx(ctx, cfg.RandomNets, cfg.Workers, base, func(_ context.Context, rep int, src *rng.Source) netSeries {
 		netCfg := network.Config{
 			N:     n,
 			Area:  geom.Square(area),
@@ -140,7 +140,7 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 			panic(fmt.Sprintf("sim: topology random network: %v", err))
 		}
 		out := netSeries{nf: stats.NewSeries(cfg.Probs), rl: stats.NewSeries(cfg.Probs)}
-		observeCurves(out.nf, out.rl, net.Gains(), cfg, src)
+		observeCurves(out.nf, out.rl, net.Gains(), cfg.Probs, cfg.TransmitSeeds, cfg.FadingSeeds, cfg.Beta, src)
 		return out
 	})
 	if perErr != nil {
@@ -153,22 +153,24 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 	return res, nil
 }
 
-// observeCurves fills a non-fading and a Rayleigh series for one matrix,
-// reusing one set of kernel scratch buffers and one Counter across all draws.
-func observeCurves(nf, rl *stats.Series, m *network.Matrix, cfg TopologyConfig, src *rng.Source) {
+// observeCurves fills a non-fading and a Rayleigh series for one matrix: per
+// probability p, transmitSeeds transmit sets of Bernoulli(p) senders, each
+// counted once without fading and fadingSeeds times with it, at threshold
+// beta. One set of scratch buffers and one Counter serve every draw.
+func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, transmitSeeds, fadingSeeds int, beta float64, src *rng.Source) {
 	active := make([]bool, m.N)
 	vals := make([]float64, m.N)
 	counter := fading.NewCounter(m)
-	for pi, p := range cfg.Probs {
-		for ts := 0; ts < cfg.TransmitSeeds; ts++ {
+	for pi, p := range probs {
+		for ts := 0; ts < transmitSeeds; ts++ {
 			for i := range active {
 				active[i] = src.Bernoulli(p)
 			}
-			nf.Observe(pi, float64(countNonFadingInto(m, active, cfg.Beta, vals)))
-			for fs := 0; fs < cfg.FadingSeeds; fs++ {
-				rl.Observe(pi, float64(counter.Count(active, cfg.Beta, src, nil)))
+			nf.Observe(pi, float64(countNonFadingInto(m, active, beta, vals)))
+			for fs := 0; fs < fadingSeeds; fs++ {
+				rl.Observe(pi, float64(counter.Count(active, beta, src, nil)))
 			}
-			tickRealizations(cfg.FadingSeeds)
+			tickRealizations(fadingSeeds)
 		}
 	}
 }

@@ -223,21 +223,16 @@ type StepValue struct {
 	Value fading.MCResult
 }
 
-// BestStep estimates, for each step of the schedule, the expected
-// non-fading utility of a single slot played with that step's probabilities,
-// and returns the best step. Theorem 2 concludes by picking exactly this
-// step: the best single non-fading probability assignment is within a
-// constant of the whole simulation, hence within O(log* n) of the Rayleigh
-// optimum.
-func BestStep(m *network.Matrix, steps []Step, us []utility.Func, samplesPerStep int, src *rng.Source) (best StepValue, all []StepValue) {
-	best, all, _ = BestStepCtx(context.Background(), m, steps, us, samplesPerStep, src)
-	return best, all
-}
-
-// BestStepCtx is BestStep with cooperative cancellation: ctx is polled once
-// per Monte-Carlo sample, and ctx.Err() is returned (with zero-valued best
-// and nil all) when cancelled — a partially sampled step comparison would
-// not be a meaningful estimate.
+// BestStepCtx estimates, for each step of the schedule, the expected
+// non-fading utility of a single slot played with that step's
+// probabilities, and returns the best step. Theorem 2 concludes by picking
+// exactly this step: the best single non-fading probability assignment is
+// within a constant of the whole simulation, hence within O(log* n) of the
+// Rayleigh optimum.
+//
+// ctx is polled once per Monte-Carlo sample, and ctx.Err() is returned
+// (with zero-valued best and nil all) when cancelled — a partially sampled
+// step comparison would not be a meaningful estimate.
 func BestStepCtx(ctx context.Context, m *network.Matrix, steps []Step, us []utility.Func, samplesPerStep int, src *rng.Source) (best StepValue, all []StepValue, err error) {
 	if len(steps) == 0 {
 		panic("transform: empty schedule")

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -315,20 +316,23 @@ func TestTheorem2PerLinkConstant(t *testing.T) {
 }
 
 // The best single step is within a constant-per-level factor of the whole
-// simulation, and BestStep picks the maximal estimate.
+// simulation, and BestStepCtx picks the maximal estimate.
 func TestBestStepSelection(t *testing.T) {
 	m := randomMatrix(t, 13, 30)
 	src := rng.New(77)
 	q := fading.UniformProbs(m.N, 0.8)
 	us := utility.Uniform(utility.Binary{Beta: 2.5})
 	steps := Schedule(q, ScheduleRepeats)
-	best, all := BestStep(m, steps, us, 400, src)
+	best, all, err := BestStepCtx(context.Background(), m, steps, us, 400, src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) != len(steps) {
 		t.Fatalf("got %d step values for %d steps", len(all), len(steps))
 	}
 	for _, sv := range all {
 		if sv.Value.Mean > best.Value.Mean {
-			t.Fatalf("BestStep missed a better step: %g > %g", sv.Value.Mean, best.Value.Mean)
+			t.Fatalf("BestStepCtx missed a better step: %g > %g", sv.Value.Mean, best.Value.Mean)
 		}
 	}
 	// The best step's single-slot value must be ≥ simulation value divided
@@ -344,8 +348,10 @@ func TestBestStepPanics(t *testing.T) {
 	m := randomMatrix(t, 13, 5)
 	us := utility.Uniform(utility.Binary{Beta: 2.5})
 	for _, fn := range []func(){
-		func() { BestStep(m, nil, us, 10, rng.New(1)) },
-		func() { BestStep(m, Schedule(fading.UniformProbs(5, 1), 19), us, 0, rng.New(1)) },
+		func() { BestStepCtx(context.Background(), m, nil, us, 10, rng.New(1)) },
+		func() {
+			BestStepCtx(context.Background(), m, Schedule(fading.UniformProbs(5, 1), 19), us, 0, rng.New(1))
+		},
 	} {
 		func() {
 			defer func() {

@@ -23,6 +23,7 @@
 package rayfade
 
 import (
+	"context"
 	"fmt"
 
 	"rayfade/internal/capacity"
@@ -175,13 +176,15 @@ func (s *Scenario) Feasible(set []int) bool {
 // GreedyCapacity runs the length-ordered affectance greedy (uniform /
 // monotone powers) and returns a feasibility-certified set.
 func (s *Scenario) GreedyCapacity() []int {
-	return capacity.GreedyUniform(s.net, s.beta)
+	set, _ := capacity.GreedyUniform(context.Background(), s.net, s.beta)
+	return set
 }
 
 // PowerControlCapacity runs the greedy power-control capacity algorithm and
 // returns the selected set with its certifying powers.
 func (s *Scenario) PowerControlCapacity() capacity.PowerControlResult {
-	return capacity.PowerControlGreedy(s.net, s.beta)
+	res, _ := capacity.PowerControlGreedyCtx(context.Background(), s.net, s.beta)
+	return res
 }
 
 // OptimumEstimate estimates the maximum feasible set by local search
@@ -250,7 +253,7 @@ func (s *Scenario) SimulationSchedule(q []float64) []SimulationStep {
 // probability assignment Theorem 2 guarantees is within O(log* n) of the
 // Rayleigh optimum.
 func (s *Scenario) BestSimulationStep(q []float64, samplesPerStep int) transform.StepValue {
-	best, _ := transform.BestStep(s.m, s.SimulationSchedule(q),
+	best, _, _ := transform.BestStepCtx(context.Background(), s.m, s.SimulationSchedule(q),
 		utility.Uniform(utility.Binary{Beta: s.beta}), samplesPerStep, s.rngOrPanic())
 	return best
 }
@@ -261,15 +264,16 @@ func (s *Scenario) BestSimulationStep(q []float64, samplesPerStep int) transform
 // succeeds once) by repeated single-slot maximization.
 func (s *Scenario) RepeatedCapacitySchedule() ([][]int, error) {
 	capFn := latency.GreedyCapacity(capacity.LengthOrder(s.net), capacity.DefaultTau)
-	return latency.RepeatedCapacity(s.m, s.beta, capFn)
+	return latency.RepeatedCapacityCtx(context.Background(), s.m, s.beta, capFn)
 }
 
 // PlayScheduleRayleigh replays a schedule under Rayleigh fading with the
 // Section-4 repetition factor until every link succeeds (or maxRounds
 // replays are exhausted). It returns the slots consumed.
 func (s *Scenario) PlayScheduleRayleigh(slots [][]int, maxRounds int) (int, bool) {
-	return latency.RepeatUntilDone(s.m, slots, s.beta, transform.AlohaRepeats, maxRounds,
+	slotsUsed, done, _ := latency.RepeatUntilDoneCtx(context.Background(), s.m, slots, s.beta, transform.AlohaRepeats, maxRounds,
 		latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic()))
+	return slotsUsed, done
 }
 
 // Aloha runs the distributed contention protocol with per-slot transmission
@@ -282,7 +286,8 @@ func (s *Scenario) Aloha(p float64, rayleigh bool) latency.AlohaResult {
 		cfg.Repeats = transform.AlohaRepeats
 		model = latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic())
 	}
-	return latency.Aloha(s.m, s.beta, cfg, s.rngOrPanic(), model)
+	res, _ := latency.AlohaCtx(context.Background(), s.m, s.beta, cfg, s.rngOrPanic(), model)
+	return res
 }
 
 // --- Regret learning ---------------------------------------------------
@@ -318,7 +323,8 @@ func (s *Scenario) RunBanditLearning(rounds int, rayleigh bool, gamma float64) *
 // second valid-utility family): weights are taken from the network's links,
 // the scan is heaviest-first, and the returned set is feasibility-certified.
 func (s *Scenario) WeightedCapacity() (set []int, value float64) {
-	return capacity.GreedyWeighted(s.m, s.beta)
+	set, value, _ = capacity.GreedyWeighted(context.Background(), s.m, s.beta)
+	return set, value
 }
 
 // SampleFadingSuccesses draws one realization under an arbitrary fading
