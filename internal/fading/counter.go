@@ -9,19 +9,23 @@ import (
 )
 
 // Plan is the part of a Counter that depends only on its gain matrix: each
-// receiver's senders in visit order and which rows are all positive. Build
-// it once per matrix with NewPlan; it is immutable, so one Plan may back any
-// number of Counters on any number of goroutines.
+// receiver's HeadSize strongest senders and which rows are all positive.
+// Build it once per matrix with NewPlan; it is immutable, so one Plan may
+// back any number of Counters on any number of goroutines.
 type Plan struct{ plan }
+
+// HeadSize is how many of each receiver's strongest senders a Plan keeps:
+// the senders the coarse tier tries first to reject the receiver.
+const HeadSize = 6
 
 // plan holds a Plan's fields; Counter embeds it by value, so a Counter reads
 // them without an indirection.
 type plan struct {
 	m *network.Matrix
-	// order holds, for each receiver i, the other senders strongest mean
-	// gain first: row i is order[i*(n-1) : (i+1)*(n-1)]. Nil means every
-	// set is visited in index order.
-	order []int32
+	// head holds, for each receiver i, its w = min(HeadSize, n−1) other
+	// senders of largest mean gain, strongest first: row i is
+	// head[i*w : (i+1)*w]. Nil means no set is tried on a head.
+	head []int32
 	// positive[i] reports that every gain into receiver i is positive, so
 	// its uniforms can be drawn as one batch. Nil means check every gain.
 	positive []bool
@@ -32,18 +36,18 @@ type plan struct {
 // every Count.
 func NewPlan(m *network.Matrix) *Plan {
 	n := m.N
-	ints := make([]int32, n*max(n-1, 0)+n)
+	w := min(HeadSize, max(n-1, 0))
 	p := &Plan{plan{
 		m:        m,
-		order:    ints[: len(ints)-n : len(ints)-n],
+		head:     make([]int32, n*w),
 		positive: make([]bool, n),
 	}}
-	p.sortRows(ints[len(ints)-n:])
+	p.sortRows(w)
 	return p
 }
 
 // Counter returns a fresh Counter on the Plan's matrix. It allocates only
-// the Counter's scratch, O(n), and shares the Plan's order and flags.
+// the Counter's scratch, O(n), and shares the Plan's head and flags.
 func (p *Plan) Counter() *Counter {
 	n := p.m.N
 	floats := make([]float64, 2*n+1)
@@ -60,7 +64,7 @@ func (p *Plan) Counter() *Counter {
 // success kernel of the Monte-Carlo experiments: build it once per matrix
 // with NewCounter, or once per goroutine with Plan.Counter, then call Count
 // once per realization, or Counterfactual once per link asked what it would
-// have got. It reads its Plan's order and flags, shared and never written,
+// have got. It reads its Plan's head and flags, shared and never written,
 // and owns its scratch, so neither allocates; a Counter is not safe for
 // concurrent use, but Counters of one Plan are independent.
 //
@@ -75,38 +79,39 @@ func (p *Plan) Counter() *Counter {
 //  1. Coarse. The interference is bounded by the sum ν + Σ g_j·ℓ̃(u_j),
 //     where ℓ̃ is negLogCoarse, one table lookup within err = coarseErr of
 //     −ln u, and own/β by [lo, hi] = g_ii·(ℓ̃(u_i) ∓ coarseErr)/β. On dense
-//     active sets the senders are visited strongest mean gain first, so a
-//     failing receiver is usually rejected after a few terms; on sparse
-//     ones, and for a Counter without an order, in index order.
+//     active sets the receiver's head, its HeadSize strongest senders, is
+//     tried first with the reject test after every term; a receiver it
+//     does not reject, or of a sparse set, gets one straight sum over its
+//     active senders in index order and both tests.
 //  2. Precise. The same bounds in index order with negLog, within
 //     err = logErr, against lo = hi = own/β, own from math.Log.
 //  3. Canonical. The index-order loop with math.Log.
 //
-// A bounded tier rejects the receiver as soon as a lower bound on the
-// canonical interference exceeds own/β, sum·(1−δ) − err·G > hi·(1+δ) with G
-// the gains visited, and accepts it when, after every term, an upper bound
-// is below it, sum·(1+δ) + err·G < lo·(1−δ). With a active links and unit
-// roundoff u = 2⁻⁵³, δ = (a+8)·2⁻⁵⁰ = 8(a+8)u. The canonical sum is within
-// (a+4)u (relative) of the exact real sum; the tier's sum within (2a+4)u of
-// its own exact value, which is within err·G of the real sum; err·G within
-// (a+2)u of itself, which is below (a+2)u of the sum whenever the lower
-// bound is positive; [lo, hi] and the canonical own/β each within 4u of
-// the exact bracket and own/β, the bracket holding −ln u_i within err; and
-// the bound arithmetic within 4u. δ is more than twice all of it, so a
-// decided receiver is decided as the canonical division would.
+// A bounded tier rejects the receiver when a lower bound on the canonical
+// interference, even a partial sum, exceeds own/β, sum·(1−δ) − err·G >
+// hi·(1+δ) with G the gains summed, and accepts it when, after every term,
+// an upper bound is below it, sum·(1+δ) + err·G < lo·(1−δ). With a active
+// links and unit roundoff u = 2⁻⁵³, δ = (a+8)·2⁻⁵⁰ = 8(a+8)u. The canonical
+// sum is within (a+4)u (relative) of the exact real sum; the tier's sum
+// within (2a+4)u of its own exact value, which is within err·G of the real
+// sum; err·G within (a+2)u of itself, which is below (a+2)u of the sum
+// whenever the lower bound is positive; [lo, hi] and the canonical own/β
+// each within 4u of the exact bracket and own/β, the bracket holding −ln u_i
+// within err; and the bound arithmetic within 4u. δ is more than twice all
+// of it, so a decided receiver is decided as the canonical division would.
 //
-// The strongest-first walk does not branch on activity: it visits every
-// other sender, multiplies its gain by mask (1 active, 0 not) and reads its
-// uniform at pos, the sentinel slot u[len(idx)] for an inactive one. A
-// zero or masked gain adds exactly 0, since negLogCoarse is finite for any
-// bits; an infinite gain masked to 0 gives NaN, which fails both tests.
+// The head does not branch on activity: it multiplies each sender's gain by
+// mask (1 active, 0 not) and reads its uniform at pos, the sentinel slot
+// u[len(idx)] for an inactive one. A zero or masked gain adds exactly 0,
+// since negLogCoarse is finite for any bits; an infinite gain masked to 0
+// gives NaN, which fails the reject test, and the straight sum decides.
 //
 // Both bounded tiers are skipped when β or ν is not a normal positive
 // number at most MaxFloat64/2, the coarse one when lo or hi is not and the
 // precise one when own/β is not: there the relative bounds above do not
 // hold, or a sum that overflows could reject wrongly. A bound that turns
-// NaN fails both tests and moves on too. The visit order changes only how
-// many terms are summed, never a result.
+// NaN fails both tests and moves on too. The head changes only how many
+// terms are summed, never a result.
 type Counter struct {
 	plan           // shared with every Counter of the same Plan; read only
 	pos  []int32   // pos[j] is link j's place in idx, or len(idx) if inactive
@@ -130,11 +135,10 @@ func (p *plan) Matrix() *network.Matrix { return p.m }
 // bucket.
 const orderBuckets = 64
 
-// sortRows fills order, each receiver's other senders by decreasing mean
-// gain up to a factor of two — a counting sort on the binary exponent below
-// the row's largest, stable in sender index — and positive. It keeps each
-// sender's bucket in keys, n entries of scratch.
-func (p *plan) sortRows(keys []int32) {
+// sortRows fills head, each receiver's first w other senders by decreasing
+// mean gain up to a factor of two — a counting sort on the binary exponent
+// below the row's largest, stable in sender index — and positive.
+func (p *plan) sortRows(w int) {
 	n := p.m.N
 	for i := 0; i < n; i++ {
 		row := p.m.Incoming(i)
@@ -149,8 +153,7 @@ func (p *plan) sortRows(keys []int32) {
 		var bucket [orderBuckets]int
 		for j, g := range row {
 			if j != i {
-				keys[j] = int32(min(top-exponent(g), orderBuckets-1))
-				bucket[keys[j]]++
+				bucket[min(top-exponent(g), orderBuckets-1)]++
 			}
 		}
 		start := 0
@@ -158,11 +161,14 @@ func (p *plan) sortRows(keys []int32) {
 			bucket[b] = start
 			start += size
 		}
-		dst := p.order[i*(n-1) : (i+1)*(n-1)]
-		for j := range row {
+		dst := p.head[i*w : (i+1)*w]
+		for j, g := range row {
 			if j != i {
-				dst[bucket[keys[j]]] = int32(j)
-				bucket[keys[j]]++
+				b := min(top-exponent(g), orderBuckets-1)
+				if bucket[b] < w {
+					dst[bucket[b]] = int32(j)
+				}
+				bucket[b]++
 			}
 		}
 	}
@@ -227,9 +233,9 @@ func (c *Counter) decide(active []bool, with int, beta float64, src *rng.Source,
 	}
 	u := c.u[:len(idx)]
 	filter := inDomain(beta) && inDomain(m.Noise)
-	var order []int32 // the strongest-first walk's; only the coarse tier reads it
-	if filter && c.order != nil && 4*len(idx) >= m.N {
-		order = c.order
+	w := min(HeadSize, m.N-1)
+	dense := filter && c.head != nil && 4*len(idx) >= m.N // tried on the head first
+	if dense {
 		sentinel := int32(len(idx))
 		c.u[sentinel] = 0.5 // a typical uniform: only the mask keeps inactive senders out
 		for j := range c.pos {
@@ -259,10 +265,13 @@ func (c *Counter) decide(active []bool, with int, beta float64, src *rng.Source,
 			l := negLogCoarse(u[k])
 			lo, hi := g*(l-coarseErr)/beta, g*(l+coarseErr)/beta
 			if inDomain(lo) && inDomain(hi) {
-				if order != nil {
-					reached, decided = c.coarseOrdered(row, order[i*(m.N-1):(i+1)*(m.N-1)], lo, hi, delta)
-				} else {
-					reached, decided = c.coarseIndexed(row, i, idx, u, lo, hi, delta)
+				reject := hi * (1 + delta)
+				if decided = dense && c.rejectHead(row, c.head[i*w:(i+1)*w], reject, delta); !decided {
+					sum, gains := coarseSum(row, idx[:k], u[:k], m.Noise, 0)
+					sum, gains = coarseSum(row, idx[k+1:], u[k+1:], sum, gains)
+					if decided = sum*(1-delta)-coarseErr*gains > reject; !decided {
+						reached, decided = accept(sum, gains, coarseErr, lo, delta)
+					}
 				}
 			}
 		}
@@ -308,43 +317,34 @@ func (c *Counter) draw(row []float64, i int, idx []int, u []float64, src *rng.So
 	}
 }
 
-// coarseOrdered runs the coarse tier for one receiver over the senders of
-// visit, strongest first, masking inactive ones: it reports whether the
-// receiver succeeds and whether the bounds settled it.
-func (c *Counter) coarseOrdered(row []float64, visit []int32, lo, hi, delta float64) (ok, decided bool) {
-	reject, shrink := hi*(1+delta), 1-delta
+// rejectHead reports whether the coarse lower bound over head's senders,
+// inactive ones masked out, exceeds reject after some term.
+func (c *Counter) rejectHead(row []float64, head []int32, reject, delta float64) bool {
 	mask, pos, u := c.mask, c.pos, c.u
 	sum, gains := c.m.Noise, 0.0
-	for _, j := range visit {
+	for _, j := range head {
 		g := row[j] * mask[j]
 		sum += g * negLogCoarse(u[pos[j]])
 		gains += g
-		if sum*shrink-coarseErr*gains > reject {
-			return false, true
+		if sum*(1-delta)-coarseErr*gains > reject {
+			return true
 		}
 	}
-	return accept(sum, gains, coarseErr, lo, delta)
+	return false
 }
 
-// coarseIndexed is coarseOrdered over the active senders in index order.
-func (c *Counter) coarseIndexed(row []float64, i int, idx []int, u []float64, lo, hi, delta float64) (ok, decided bool) {
-	reject := hi * (1 + delta)
-	sum, gains := c.m.Noise, 0.0
+// coarseSum is the coarse tier's straight sum: it adds g_j·ℓ̃(u_k) to sum
+// and g_j to gains for each sender j = idx[k], with no test on the way.
+func coarseSum(row []float64, idx []int, u []float64, sum, gains float64) (float64, float64) {
 	for k, j := range idx {
 		g := row[j]
-		if j == i {
-			continue
-		}
 		sum += g * negLogCoarse(u[k])
 		gains += g
-		if sum*(1-delta)-coarseErr*gains > reject {
-			return false, true
-		}
 	}
-	return accept(sum, gains, coarseErr, lo, delta)
+	return sum, gains
 }
 
-// precise is coarseIndexed with negLog, against own/β itself.
+// precise is the precise tier for receiver i: negLog, against own/β itself.
 func (c *Counter) precise(row []float64, i int, idx []int, u []float64, target, delta float64) (ok, decided bool) {
 	reject := target * (1 + delta)
 	sum, gains := c.m.Noise, 0.0

@@ -289,7 +289,7 @@ func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.So
 }
 
 // CountSuccesses is Counter.Count over the caller's scratch and without a
-// strongest-first order: every active set is visited in index order. out
+// head: every receiver gets the straight index-order sum. out
 // (length m.N) holds the uniforms and idx (capacity at least m.N) the active
 // links; their contents on return are unspecified. It needs no set-up per
 // call, but code that counts many realizations of one matrix should hold a

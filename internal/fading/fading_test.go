@@ -558,7 +558,9 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 }
 
 // BenchmarkCountSuccesses100 times the Figure-1 counting kernel at β = 2.5 on
-// a paper-settings network, for a sparse and a fully active transmitter set.
+// a paper-settings network, for a sparse and a fully active transmitter set,
+// and for a fresh Bernoulli(0.5) set drawn before every Count, the shape of
+// a /v1/estimate sample.
 func BenchmarkCountSuccesses100(b *testing.B) {
 	m := randomMatrix(b, 1, 100)
 	c := NewCounter(m)
@@ -573,6 +575,18 @@ func BenchmarkCountSuccesses100(b *testing.B) {
 			}
 		})
 	}
+	b.Run("fresh=0.5", func(b *testing.B) {
+		active := make([]bool, 100)
+		setup, src := rng.New(3), rng.New(2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range active {
+				active[j] = setup.Bernoulli(0.5)
+			}
+			c.Count(active, 2.5, src, nil)
+		}
+	})
 }
 
 // BenchmarkNewCounter100 times building a Counter for the matrix of

@@ -56,12 +56,12 @@ func FuzzExactSuccessInvariants(f *testing.F) {
 // and on a copy with zero-gain entries: the count, every per-link flag,
 // every link's counterfactual decision and the final stream positions must
 // agree exactly (checkCountSuccesses). One Counter per matrix is reused for the
-// drawn set, the full set (visited strongest first) and a single link (in
-// index order once n > 4). The noise is set on the matrix directly, so
-// negative, infinite and NaN levels are exercised too. A positive gain is
-// planted from one sender, inactive in the drawn set when any is, into
-// every other receiver: huge and infinite gains on a sender the masked
-// strongest-first walk skips, and on one it visits in the full set.
+// drawn set, the full set (tried on its head first) and a single link (no
+// head once n > 4). The noise is set on the matrix directly, so negative,
+// infinite and NaN levels are exercised too. A positive gain is planted
+// from one sender, inactive in the drawn set when any is, into every other
+// receiver: huge and infinite gains on a sender the head masks out, and on
+// one it sums in the full set.
 func FuzzCountSuccessesMatchesReference(f *testing.F) {
 	f.Add(uint64(1), 2.5, 0.5, 4e-7, 0.0)
 	f.Add(uint64(2), 0.5, 1.0, 0.0, 0.0) // no noise: a lone transmitter reaches +Inf
@@ -76,7 +76,7 @@ func FuzzCountSuccessesMatchesReference(f *testing.F) {
 	f.Add(uint64(11), 2.5, 0.8, 5e-324, 0.0) // subnormal noise: outside the filter's domain
 	f.Add(uint64(12), math.NaN(), 1.0, 4e-7, 0.0)
 	f.Add(uint64(13), 2.5, 0.8, 4e-7, math.MaxFloat64) // huge gain: masked to 0, overflows when active
-	f.Add(uint64(14), 2.5, 0.8, 4e-7, math.Inf(1))     // masked to NaN on the ordered walk
+	f.Add(uint64(14), 2.5, 0.8, 4e-7, math.Inf(1))     // masked to NaN on the head
 	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise, gain float64) {
 		cfg := network.Figure1Config()
 		cfg.N = 1 + int(seed%24)

@@ -148,9 +148,9 @@ func zeroSomeGains(m *network.Matrix, phase int) *network.Matrix {
 // position, and that c.Count's per-link flags are the reference's
 // decisions. It then asserts that c.Counterfactual, asked about every link,
 // active or not, decides as referenceCounterfactual's SINR does and leaves
-// the stream where it does. c is reused from call to call and visits dense
-// sets strongest first and sparse ones in index order; CountSuccesses visits
-// every set in index order. The scratch of both starts out NaN-filled, and
+// the stream where it does. c is reused from call to call and tries dense
+// sets on its head before the straight sum, sparse ones on the straight sum
+// alone; CountSuccesses has no head. The scratch of both starts out NaN-filled, and
 // the flags true, so a read of a slot the kernel did not write, or a flag it
 // did not clear, shows up as a mismatch. The counterfactual calls leave c's
 // tallies as they found them: callers read those of the one Count call.
@@ -213,9 +213,9 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 	c.refined, c.fallbacks = refined, fallbacks
 }
 
-// TestCountSuccessesMatchesReference covers both visit orders, zero gains,
-// and noise levels and thresholds outside the filter's domain: zero,
-// negative, subnormal, infinite and NaN.
+// TestCountSuccessesMatchesReference covers sets with and without the head,
+// zero gains, and noise levels and thresholds outside the filter's domain:
+// zero, negative, subnormal, infinite and NaN.
 func TestCountSuccessesMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 7, 40, 100} {
 		setup := rng.New(uint64(200 + n))
@@ -366,8 +366,8 @@ func TestCounterFallsBackOutsideDomain(t *testing.T) {
 
 // TestCoarseTierDecidesPaperSettings pins that at the paper's settings
 // (n = 100, β = 2.5, ν = 4·10⁻⁷) the one-lookup coarse tier settles at
-// least 99% of receivers on its own, in both visit orders, with counts and
-// stream positions equal to the reference.
+// least 99% of receivers on its own, with and without the head, with counts
+// and stream positions equal to the reference.
 func TestCoarseTierDecidesPaperSettings(t *testing.T) {
 	m := randomMatrix(t, 23, 100)
 	setup := rng.New(24)
@@ -387,6 +387,113 @@ func TestCoarseTierDecidesPaperSettings(t *testing.T) {
 			t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.refined, receivers)
 		}
 		t.Logf("density %.2f: %d of %d receivers refined, %d fell back", density, c.refined, receivers, c.fallbacks)
+	}
+}
+
+// spreadMatrix returns an n-link matrix in which receiver 0 hears every
+// other sender at the same weak gain w, so its interference is spread over
+// many senders beyond its head, and sender 0 swamps every other receiver,
+// whose head then rejects it on the first term.
+func spreadMatrix(t testing.TB, n int, w, noise float64) *network.Matrix {
+	g := make([][]float64, n)
+	for j := range g {
+		g[j] = make([]float64, n)
+		for i := range g[j] {
+			switch {
+			case i == j:
+				g[j][i] = 1
+			case j == 0:
+				g[j][i] = 1e3
+			default:
+				g[j][i] = w
+			}
+		}
+	}
+	return mat(t, g, noise)
+}
+
+// TestStraightSumDecidesBeyondTheHead pins the coarse tier's split on a
+// receiver whose head cannot reject it: even the coarse sum over every head
+// sender stays below own/β's lower end. The straight sum then rejects it at
+// 1.5 times its realized SINR and accepts it at a third less, with counts,
+// flags and stream positions equal to the reference's and no receiver left
+// to the precise tier.
+func TestStraightSumDecidesBeyondTheHead(t *testing.T) {
+	const n, seed = 40, 5
+	m := spreadMatrix(t, n, 0.02, 4e-7)
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = true
+	}
+	// Receiver 0 draws first: its own uniform, then every sender's in order.
+	u := make([]float64, n)
+	rng.New(seed).FillOpen(u)
+	sinr := referenceSampleSINRs(m, active, rng.New(seed))[0]
+	for _, tc := range []struct {
+		name  string
+		beta  float64
+		reach bool
+	}{
+		{"rejected", 1.5 * sinr, false},
+		{"accepted", sinr / 1.5, true},
+	} {
+		c := NewCounter(m)
+		lo := m.Own(0) * (negLogCoarse(u[0]) - coarseErr) / tc.beta
+		head := m.Noise
+		for _, j := range c.head[:min(HeadSize, n-1)] {
+			head += m.At(int(j), 0) * negLogCoarse(u[j])
+		}
+		if head >= lo {
+			t.Fatalf("%s: the head's coarse sum %g reaches own/β ≥ %g, so the head could reject", tc.name, head, lo)
+		}
+		if reach := sinr >= tc.beta; reach != tc.reach {
+			t.Fatalf("%s: receiver 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reach, tc.reach)
+		}
+		checkCountSuccesses(t, c, active, tc.beta, seed)
+		if c.refined != 0 {
+			t.Errorf("%s: the coarse tier left %d receivers undecided, want 0", tc.name, c.refined)
+		}
+	}
+}
+
+// TestStraightSumKeepsItsMarginsAtTies puts receiver 0 of a two-link
+// network at an exact tie, where the table value of its one interferer's
+// term misstates the interference by more than the own-signal bracket
+// absorbs: overstated at the β it reaches, understated at the next β up,
+// which it misses. Without coarseErr·G in the straight sum's reject test,
+// or in accept, the coarse tier would decide it wrongly; with them it
+// leaves receiver 0, and only it, to the precise tier.
+func TestStraightSumKeepsItsMarginsAtTies(t *testing.T) {
+	m := mat(t, [][]float64{{1, 1e3}, {0.5, 1}}, 1e-9)
+	active := []bool{true, true}
+	delta := float64(len(active)+8) * 0x1p-50
+	for _, tc := range []struct {
+		name  string
+		seed  uint64
+		above bool
+	}{
+		{"overstated", 2, false},
+		{"understated", 9, true},
+	} {
+		src := rng.New(tc.seed)
+		u0, u1 := src.Float64Open(), src.Float64Open()
+		beta := referenceSampleSINRs(m, active, rng.New(tc.seed))[0]
+		if tc.above {
+			beta = math.Nextafter(beta, math.Inf(1))
+		}
+		sum := m.Noise + m.At(1, 0)*negLogCoarse(u1)
+		own := m.Own(0) * negLogCoarse(u0)
+		if !tc.above && !(sum*(1-delta) > (own+coarseErr)/beta*(1+delta)) {
+			t.Fatalf("%s: the table sum %g does not clear own/β ≤ %g", tc.name, sum, (own+coarseErr)/beta)
+		}
+		if tc.above && !(sum*(1+delta) < (own-coarseErr)/beta*(1-delta)) {
+			t.Fatalf("%s: the table sum %g is not below own/β ≥ %g", tc.name, sum, (own-coarseErr)/beta)
+		}
+		c := NewCounter(m)
+		checkCountSuccesses(t, c, active, beta, tc.seed)
+		if c.refined != 1 {
+			t.Errorf("%s: the coarse tier left %d receivers undecided, want 1", tc.name, c.refined)
+		}
 	}
 }
 

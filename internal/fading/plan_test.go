@@ -56,8 +56,8 @@ func TestPlanCountersConcurrent(t *testing.T) {
 }
 
 // TestPlanCounterAllocatesOnlyScratch pins Plan.Counter to the Counter's
-// O(n) scratch: four allocations and a few bytes per link, where the
-// Plan's order alone holds 4n(n−1) bytes and is shared, not copied.
+// O(n) scratch: four allocations and a few bytes per link; the Plan's head
+// and flags are shared, not copied.
 func TestPlanCounterAllocatesOnlyScratch(t *testing.T) {
 	m := randomMatrix(t, 22, 100)
 	plan := NewPlan(m)
@@ -76,7 +76,7 @@ func TestPlanCounterAllocatesOnlyScratch(t *testing.T) {
 	if perCall, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(40*m.N); perCall > limit {
 		t.Errorf("Plan.Counter allocates %d bytes on %d links, more than the %d of its scratch", perCall, m.N, limit)
 	}
-	if c = counters[0]; &c.order[0] != &plan.order[0] || &c.positive[0] != &plan.positive[0] {
-		t.Error("a Counter copies its Plan's order or flags instead of sharing them")
+	if c = counters[0]; &c.head[0] != &plan.head[0] || &c.positive[0] != &plan.positive[0] {
+		t.Error("a Counter copies its Plan's head or flags instead of sharing them")
 	}
 }

@@ -35,14 +35,15 @@ func (c *compiled) counter() *fading.Counter {
 
 // compiledBudget bounds the bytes of memoized compiled topologies. The memo
 // lives on the session entries, so each entry may hold at most
-// compiledBudget / MaxSessions bytes (see compiledBytes): 512 KiB, about 200
+// compiledBudget / MaxSessions bytes (see compiledBytes): 512 KiB, up to 254
 // links, at the default 128 sessions. A larger topology is compiled per
 // request, as every topology was before the memo.
 const compiledBudget = 64 << 20
 
 // compiledBytes is the memo footprint of an n-link compiled topology: 8
-// bytes of S̄ and 4 of the Plan's visit order per link pair.
-func compiledBytes(n int) int64 { return 12 * int64(n) * int64(n) }
+// bytes of S̄ per link pair and 4 per entry of the Plan's head, HeadSize
+// senders per link.
+func compiledBytes(n int) int64 { return 8*int64(n)*int64(n) + 4*fading.HeadSize*int64(n) }
 
 // memo is the compiled-topology memo of one session entry: built at most
 // once, lazily, by the first by-ref request computed on the entry.

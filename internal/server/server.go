@@ -107,8 +107,8 @@ type Config struct {
 	// negative disables the session API (uploads answer 503, refs miss).
 	// Each session keeps its topology's digest, not its canonical bytes,
 	// and, once computed on by ref, its compiled topology (gain matrix and
-	// counter Plan, 12·n² bytes for n links) if that fits in a fixed 64 MiB
-	// divided by MaxSessions; see compiled.go.
+	// counter Plan, 8·n² + 24·n bytes for n links) if that fits in a fixed
+	// 64 MiB divided by MaxSessions; see compiled.go.
 	MaxSessions int
 	// MaxBatchLines caps the number of NDJSON lines one /v1/estimate/batch
 	// request may carry; <= 0 selects 10_000.

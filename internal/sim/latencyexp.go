@@ -8,6 +8,7 @@ import (
 	"rayfade/internal/fading"
 	"rayfade/internal/latency"
 	"rayfade/internal/network"
+	"rayfade/internal/obs"
 	"rayfade/internal/rng"
 	"rayfade/internal/stats"
 	"rayfade/internal/transform"
@@ -87,8 +88,10 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 		if err != nil {
 			panic(fmt.Sprintf("sim: latency network generation: %v", err))
 		}
+		_, compile := obs.Start(ctx, "compile")
 		m := net.Gains()
 		plan := fading.NewPlan(m)
+		compile.End()
 		capFn := latency.GreedyCapacity(capacity.LengthOrder(net), capacity.DefaultTau)
 		var out netResult
 		sched, err := latency.RepeatedCapacityCtx(ctx, m, cfg.Beta, capFn)
