@@ -73,32 +73,31 @@ func (p *Plan) Counter() *Counter {
 // sum the interference from the noise up in index order, compare
 // S(i,i)/interference with β — and leaves the stream where it leaves it. It
 // gets there with less work. The uniforms are drawn exactly as the canonical
-// computation draws them; then each receiver runs through up to three
-// tiers, each reached only by receivers the one before left undecided:
+// computation draws them; then each receiver runs through up to two tiers,
+// the second reached only by receivers the first left undecided:
 //
 //  1. Coarse. The interference is bounded by the sum ν + Σ g_j·ℓ̃(u_j),
-//     where ℓ̃ is negLogCoarse, one table lookup within err = coarseErr of
-//     −ln u, and own/β by [lo, hi] = g_ii·(ℓ̃(u_i) ∓ coarseErr)/β. On dense
+//     where ℓ̃ is negLogCoarse, one table lookup within coarseErr of −ln u,
+//     and own/β by [lo, hi] = g_ii·(ℓ̃(u_i) ∓ coarseErr)/β. On dense
 //     active sets the receiver's head, its HeadSize strongest senders, is
 //     tried first with the reject test after every term; a receiver it
 //     does not reject, or of a sparse set, gets one straight sum over its
 //     active senders in index order and both tests.
-//  2. Precise. The same bounds in index order with negLog, within
-//     err = logErr, against lo = hi = own/β, own from math.Log.
-//  3. Canonical. The index-order loop with math.Log.
+//  2. Canonical. The index-order loop with math.Log.
 //
-// A bounded tier rejects the receiver when a lower bound on the canonical
+// The coarse tier rejects the receiver when a lower bound on the canonical
 // interference, even a partial sum, exceeds own/β, sum·(1−δ) − err·G >
-// hi·(1+δ) with G the gains summed, and accepts it when, after every term,
-// an upper bound is below it, sum·(1+δ) + err·G < lo·(1−δ). With a active
-// links and unit roundoff u = 2⁻⁵³, δ = (a+8)·2⁻⁵⁰ = 8(a+8)u. The canonical
-// sum is within (a+4)u (relative) of the exact real sum; the tier's sum
-// within (2a+4)u of its own exact value, which is within err·G of the real
-// sum; err·G within (a+2)u of itself, which is below (a+2)u of the sum
-// whenever the lower bound is positive; [lo, hi] and the canonical own/β
-// each within 4u of the exact bracket and own/β, the bracket holding −ln u_i
-// within err; and the bound arithmetic within 4u. δ is more than twice all
-// of it, so a decided receiver is decided as the canonical division would.
+// hi·(1+δ) with err = coarseErr and G the gains summed, and accepts it
+// when, after every term, an upper bound is below it, sum·(1+δ) + err·G <
+// lo·(1−δ). With a active links and unit roundoff u = 2⁻⁵³, δ =
+// (a+8)·2⁻⁵⁰ = 8(a+8)u. The canonical sum is within (a+4)u (relative) of
+// the exact real sum; the tier's sum within (2a+4)u of its own exact
+// value, which is within err·G of the real sum; err·G within (a+2)u of
+// itself, which is below (a+2)u of the sum whenever the lower bound is
+// positive; [lo, hi] and the canonical own/β each within 4u of the exact
+// bracket and own/β, the bracket holding −ln u_i within err; and the bound
+// arithmetic within 4u. δ is more than twice all of it, so a decided
+// receiver is decided as the canonical division would.
 //
 // The head does not branch on activity: it multiplies each sender's gain by
 // mask (1 active, 0 not) and reads its uniform at pos, the sentinel slot
@@ -106,9 +105,8 @@ func (p *Plan) Counter() *Counter {
 // since negLogCoarse is finite for any bits; an infinite gain masked to 0
 // gives NaN, which fails the reject test, and the straight sum decides.
 //
-// Both bounded tiers are skipped when β or ν is not a normal positive
-// number at most MaxFloat64/2, the coarse one when lo or hi is not and the
-// precise one when own/β is not: there the relative bounds above do not
+// The coarse tier is skipped when β, ν, lo or hi is not a normal positive
+// number at most MaxFloat64/2: there the relative bounds above do not
 // hold, or a sum that overflows could reject wrongly. A bound that turns
 // NaN fails both tests and moves on too. The head changes only how many
 // terms are summed, never a result.
@@ -119,8 +117,7 @@ type Counter struct {
 	u    []float64 // u[k] is the uniform of sender idx[k]; u[len(idx)] the sentinel
 	idx  []int     // the active links, in increasing order
 
-	refined   int // receivers the coarse tier left undecided
-	fallbacks int // receivers decided by the canonical loop
+	fallbacks int // receivers the coarse tier left to the canonical loop
 }
 
 // NewCounter returns a Counter for m: NewPlan(m).Counter(), for a caller
@@ -183,7 +180,7 @@ func exponent(g float64) int { return int(math.Float64bits(g)>>52) & 0x7ff }
 const minNormal = 0x1p-1022
 
 // inDomain reports whether x is a normal positive number at most half the
-// largest float64, the domain of the bounded tiers' operands. The cap keeps
+// largest float64, the domain of the coarse tier's operands. The cap keeps
 // a sum that overflows to +Inf a valid reason to reject: the interference
 // it bounds is then above MaxFloat64·(1 − 2⁻⁹), and own/β below it.
 func inDomain(x float64) bool { return x >= minNormal && x <= math.MaxFloat64/2 }
@@ -270,24 +267,18 @@ func (c *Counter) decide(active []bool, with int, beta float64, src *rng.Source,
 					sum, gains := coarseSum(row, idx[:k], u[:k], m.Noise, 0)
 					sum, gains = coarseSum(row, idx[k+1:], u[k+1:], sum, gains)
 					if decided = sum*(1-delta)-coarseErr*gains > reject; !decided {
-						reached, decided = accept(sum, gains, coarseErr, lo, delta)
+						reached, decided = accept(sum, gains, lo, delta)
 					}
 				}
 			}
 		}
 		if !decided {
-			c.refined++
+			c.fallbacks++
 			var own float64
 			if g != 0 {
 				own = -g * math.Log(u[k])
 			}
-			if target := own / beta; filter && inDomain(target) {
-				reached, decided = c.precise(row, i, idx, u, target, delta)
-			}
-			if !decided {
-				c.fallbacks++
-				reached = c.exact(row, i, idx, u, own, beta)
-			}
+			reached = c.exact(row, i, idx, u, own, beta)
 		}
 		if reached {
 			if ok != nil {
@@ -344,29 +335,11 @@ func coarseSum(row []float64, idx []int, u []float64, sum, gains float64) (float
 	return sum, gains
 }
 
-// precise is the precise tier for receiver i: negLog, against own/β itself.
-func (c *Counter) precise(row []float64, i int, idx []int, u []float64, target, delta float64) (ok, decided bool) {
-	reject := target * (1 + delta)
-	sum, gains := c.m.Noise, 0.0
-	for k, j := range idx {
-		g := row[j]
-		if j == i || g == 0 {
-			continue
-		}
-		sum += g * negLog(u[k])
-		gains += g
-		if sum*(1-delta)-logErr*gains > reject {
-			return false, true
-		}
-	}
-	return accept(sum, gains, logErr, target, delta)
-}
-
-// accept settles a receiver whose sum over every sender did not reject it:
-// it succeeds if the upper bound, with err per unit gain, clears lo, and is
-// left to the next tier otherwise.
-func accept(sum, gains, err, lo, delta float64) (ok, decided bool) {
-	if sum*(1+delta)+err*gains < lo*(1-delta) {
+// accept settles a receiver whose straight sum did not reject it: it
+// succeeds if the upper bound, with coarseErr per unit gain, clears lo, and
+// is left to the canonical loop otherwise.
+func accept(sum, gains, lo, delta float64) (ok, decided bool) {
+	if sum*(1+delta)+coarseErr*gains < lo*(1-delta) {
 		return true, true
 	}
 	return false, false

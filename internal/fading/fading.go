@@ -308,6 +308,29 @@ type MCResult struct {
 	N      int
 }
 
+// MCSum accumulates Monte-Carlo samples into an MCResult; the zero value
+// holds none.
+type MCSum struct {
+	sum, sumSq float64
+	n          int
+}
+
+// Add records one sample.
+func (a *MCSum) Add(v float64) {
+	a.sum += v
+	a.sumSq += v * v
+	a.n++
+}
+
+// Result returns the samples' mean and its standard error, √(var/n) with
+// the variance taken as the mean square less the squared mean, clamped at 0.
+func (a *MCSum) Result() MCResult {
+	n := float64(a.n)
+	mean := a.sum / n
+	variance := max(a.sumSq/n-mean*mean, 0)
+	return MCResult{Mean: mean, StdErr: math.Sqrt(variance / n), N: a.n}
+}
+
 // ExpectedUtilityMC estimates E[Σ_i u_i(γ_i^R)] for the transmission
 // probability vector q by Monte-Carlo: each sample independently draws the
 // transmitting set from q and a fading realization, then evaluates the
@@ -322,7 +345,7 @@ func ExpectedUtilityMC(m *network.Matrix, q []float64, us []utility.Func, sample
 	if samples <= 0 {
 		panic(fmt.Sprintf("fading: %d samples", samples))
 	}
-	var sum, sumSq float64
+	var acc MCSum
 	active := make([]bool, m.N)
 	vals := make([]float64, m.N)
 	idx := make([]int, 0, m.N)
@@ -331,20 +354,9 @@ func ExpectedUtilityMC(m *network.Matrix, q []float64, us []utility.Func, sample
 			active[i] = src.Bernoulli(q[i])
 		}
 		SampleSINRsInto(m, active, src, vals, idx)
-		v := utility.Sum(us, vals)
-		sum += v
-		sumSq += v * v
+		acc.Add(utility.Sum(us, vals))
 	}
-	mean := sum / float64(samples)
-	variance := sumSq/float64(samples) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return MCResult{
-		Mean:   mean,
-		StdErr: math.Sqrt(variance / float64(samples)),
-		N:      samples,
-	}
+	return acc.Result()
 }
 
 // SuccessProbabilityMC estimates Q_i(q,β) by Monte-Carlo, for validating

@@ -435,6 +435,25 @@ func TestSampleSuccesses(t *testing.T) {
 	}
 }
 
+// MCSum's standard error is √(var/n) of the population variance, and a
+// variance that rounds below zero, as 0.1 repeated does, is clamped to 0.
+func TestMCSum(t *testing.T) {
+	var acc MCSum
+	for _, v := range []float64{1, 2, 3, 6} {
+		acc.Add(v)
+	}
+	if got, want := acc.Result(), (MCResult{Mean: 3, StdErr: math.Sqrt(3.5 / 4), N: 4}); got != want {
+		t.Errorf("Result() = %+v, want %+v", got, want)
+	}
+	var flat MCSum
+	for range 3 {
+		flat.Add(0.1)
+	}
+	if r := flat.Result(); r.StdErr != 0 || r.N != 3 {
+		t.Errorf("constant samples: Result() = %+v, want StdErr 0 and N 3", r)
+	}
+}
+
 // ExpectedUtilityMC with binary utility must agree with the closed form.
 func TestExpectedUtilityMCMatchesClosedForm(t *testing.T) {
 	m := randomMatrix(t, 55, 10)

@@ -195,7 +195,7 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 	if !slices.Equal(ok, reached) {
 		t.Fatalf("n=%d β=%g ν=%g seed=%d: Counter.Count flags %v, reference %v", m.N, beta, m.Noise, seed, ok, reached)
 	}
-	refined, fallbacks := c.refined, c.fallbacks
+	fallbacks := c.fallbacks
 	for i := 0; i < m.N; i++ {
 		ref := rng.New(seed)
 		want := referenceCounterfactual(m, active, i, ref) >= beta
@@ -210,7 +210,7 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 			t.Fatalf("n=%d β=%g ν=%g seed=%d: Counterfactual(link %d) consumed a different number of draws", m.N, beta, m.Noise, seed, i)
 		}
 	}
-	c.refined, c.fallbacks = refined, fallbacks
+	c.fallbacks = fallbacks
 }
 
 // TestCountSuccessesMatchesReference covers sets with and without the head,
@@ -383,10 +383,10 @@ func TestCoarseTierDecidesPaperSettings(t *testing.T) {
 			}
 			checkCountSuccesses(t, c, active, 2.5, setup.Uint64())
 		}
-		if 100*c.refined > receivers {
-			t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.refined, receivers)
+		if 100*c.fallbacks > receivers {
+			t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.fallbacks, receivers)
 		}
-		t.Logf("density %.2f: %d of %d receivers refined, %d fell back", density, c.refined, receivers, c.fallbacks)
+		t.Logf("density %.2f: %d of %d receivers left to the canonical loop", density, c.fallbacks, receivers)
 	}
 }
 
@@ -417,7 +417,7 @@ func spreadMatrix(t testing.TB, n int, w, noise float64) *network.Matrix {
 // sender stays below own/β's lower end. The straight sum then rejects it at
 // 1.5 times its realized SINR and accepts it at a third less, with counts,
 // flags and stream positions equal to the reference's and no receiver left
-// to the precise tier.
+// to the canonical loop.
 func TestStraightSumDecidesBeyondTheHead(t *testing.T) {
 	const n, seed = 40, 5
 	m := spreadMatrix(t, n, 0.02, 4e-7)
@@ -450,8 +450,8 @@ func TestStraightSumDecidesBeyondTheHead(t *testing.T) {
 			t.Fatalf("%s: receiver 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reach, tc.reach)
 		}
 		checkCountSuccesses(t, c, active, tc.beta, seed)
-		if c.refined != 0 {
-			t.Errorf("%s: the coarse tier left %d receivers undecided, want 0", tc.name, c.refined)
+		if c.fallbacks != 0 {
+			t.Errorf("%s: the coarse tier left %d receivers undecided, want 0", tc.name, c.fallbacks)
 		}
 	}
 }
@@ -462,7 +462,7 @@ func TestStraightSumDecidesBeyondTheHead(t *testing.T) {
 // absorbs: overstated at the β it reaches, understated at the next β up,
 // which it misses. Without coarseErr·G in the straight sum's reject test,
 // or in accept, the coarse tier would decide it wrongly; with them it
-// leaves receiver 0, and only it, to the precise tier.
+// leaves receiver 0, and only it, to the canonical loop.
 func TestStraightSumKeepsItsMarginsAtTies(t *testing.T) {
 	m := mat(t, [][]float64{{1, 1e3}, {0.5, 1}}, 1e-9)
 	active := []bool{true, true}
@@ -491,16 +491,56 @@ func TestStraightSumKeepsItsMarginsAtTies(t *testing.T) {
 		}
 		c := NewCounter(m)
 		checkCountSuccesses(t, c, active, beta, tc.seed)
-		if c.refined != 1 {
-			t.Errorf("%s: the coarse tier left %d receivers undecided, want 1", tc.name, c.refined)
+		if c.fallbacks != 1 {
+			t.Errorf("%s: the coarse tier left %d receivers to the canonical loop, want 1", tc.name, c.fallbacks)
 		}
 	}
 }
 
-// TestNegLogCoarseErrorBound pins coarseErr as TestNegLogErrorBound pins
-// logErr: over every table cell and every binary exponent a uniform from
-// Float64Open can have, at both cell endpoints, the centre and points
-// between, negLogCoarse stays within coarseErr of −ln u.
+// TestCanonicalLoopDecidesBeyondTheBracket pins the second way into the
+// canonical loop: a receiver whose own uniform exceeds exp(−coarseErr) has
+// lo ≤ 0, outside the coarse tier's domain, so it skips that tier even at
+// the paper's β and ν, and the canonical loop alone decides it. The seed is
+// the first from 1 whose first uniform, receiver 0's own, is that close to
+// 1. With an interferer receiver 0 misses β; heard by no one it reaches it
+// on its faint own signal over the noise alone. Both match the reference,
+// and both Count and Counterfactual tally receiver 0 as a fallback.
+func TestCanonicalLoopDecidesBeyondTheBracket(t *testing.T) {
+	const beta, noise = 2.5, 4e-7
+	seed := uint64(1)
+	for negLogCoarse(rng.New(seed).Float64Open()) > coarseErr {
+		seed++
+	}
+	active := []bool{true, true}
+	for _, tc := range []struct {
+		name   string
+		interf float64
+		reach  bool
+	}{
+		{"interfered", 0.5, false},
+		{"alone", 0, true},
+	} {
+		m := mat(t, [][]float64{{1, 0.5}, {tc.interf, 1}}, noise)
+		if reach := referenceSampleSINRs(m, active, rng.New(seed))[0] >= beta; reach != tc.reach {
+			t.Fatalf("%s, seed %d: receiver 0 reaches β is %v, want %v", tc.name, seed, reach, tc.reach)
+		}
+		c := NewCounter(m)
+		checkCountSuccesses(t, c, active, beta, seed)
+		if c.fallbacks < 1 {
+			t.Errorf("%s, seed %d: Count left %d receivers to the canonical loop, want receiver 0 among them", tc.name, seed, c.fallbacks)
+		}
+		c = NewCounter(m)
+		if got := c.Counterfactual(active, 0, beta, rng.New(seed)); got != tc.reach || c.fallbacks != 1 {
+			t.Errorf("%s, seed %d: Counterfactual(link 0) = %v with %d fallbacks, want %v with 1", tc.name, seed, got, c.fallbacks, tc.reach)
+		}
+	}
+}
+
+// TestNegLogCoarseErrorBound pins coarseErr: over every table cell and every
+// binary exponent a uniform from Float64Open can have, at both cell
+// endpoints, the centre and points between, negLogCoarse stays within
+// coarseErr of −ln u. math.Log is itself within an ulp, which the comparison
+// allows for.
 func TestNegLogCoarseErrorBound(t *testing.T) {
 	worst := 0.0
 	for e := -53; e <= -1; e++ {
@@ -520,31 +560,6 @@ func TestNegLogCoarseErrorBound(t *testing.T) {
 		}
 	}
 	t.Logf("largest error %g (coarseErr %g)", worst, coarseErr)
-}
-
-// TestNegLogErrorBound pins logErr: over every table cell and every binary
-// exponent a uniform from Float64Open can have, at both cell endpoints, the
-// centre and points between, negLog stays within logErr of −ln u. math.Log
-// is itself within an ulp, which the comparison allows for.
-func TestNegLogErrorBound(t *testing.T) {
-	worst := 0.0
-	for e := -53; e <= -1; e++ {
-		for k := 0; k < logCells; k++ {
-			lo := 1 + float64(k)/logCells
-			hi := math.Nextafter(1+float64(k+1)/logCells, 0)
-			for _, mant := range []float64{lo, math.Nextafter(lo, 2), lo + 0.25/logCells, lo + 0.5/logCells, lo + 0.75/logCells, math.Nextafter(hi, 0), hi} {
-				u := math.Ldexp(mant, e)
-				want := -math.Log(u)
-				ulp := math.Nextafter(want, math.Inf(1)) - want
-				err := math.Abs(negLog(u) - want)
-				if err > logErr-ulp {
-					t.Fatalf("u = %v (2^%d × %v): negLog %v, −ln u %v, error %g > %g", u, e, mant, negLog(u), want, err, logErr-ulp)
-				}
-				worst = max(worst, err)
-			}
-		}
-	}
-	t.Logf("largest error %g (logErr %g)", worst, logErr)
 }
 
 func TestSampleSINRsWithIntoMatchesAllocatingForm(t *testing.T) {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"math"
 
 	"rayfade/internal/capacity"
 	"rayfade/internal/fading"
@@ -160,7 +159,7 @@ func computeEstimate(ctx context.Context, p mcParams, t *compiled) (*estimateRes
 	// the compiled topology's, shared when that is memoized.
 	active := make([]bool, m.N)
 	counter := t.counter()
-	var sum, sumSq float64
+	var acc fading.MCSum
 	for s := 0; s < p.Samples; s++ {
 		if s%estimateCtxStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -170,20 +169,13 @@ func computeEstimate(ctx context.Context, p mcParams, t *compiled) (*estimateRes
 		for i := range active {
 			active[i] = src.Bernoulli(q[i])
 		}
-		c := float64(counter.Count(active, p.Beta, src, nil))
-		sum += c
-		sumSq += c * c
+		acc.Add(float64(counter.Count(active, p.Beta, src, nil)))
 	}
-	n := float64(p.Samples)
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
+	est := acc.Result()
 	return &estimateResponse{
 		Links: m.N, Beta: p.Beta, Prob: p.Prob, Seed: p.Seed, Samples: p.Samples,
-		Mean:   mean,
-		Stderr: math.Sqrt(variance / n),
+		Mean:   est.Mean,
+		Stderr: est.StdErr,
 		Exact:  fading.ExpectedSuccessesExact(m, q, p.Beta),
 	}, nil
 }

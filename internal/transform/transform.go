@@ -202,19 +202,11 @@ func SimulationValueMC(m *network.Matrix, steps []Step, us []utility.Func, sampl
 	if samples <= 0 {
 		panic(fmt.Sprintf("transform: %d samples", samples))
 	}
-	var sum, sumSq float64
+	var acc fading.MCSum
 	for s := 0; s < samples; s++ {
-		best := RunScheduleOnce(m, steps, src)
-		v := utility.Sum(us, best)
-		sum += v
-		sumSq += v * v
+		acc.Add(utility.Sum(us, RunScheduleOnce(m, steps, src)))
 	}
-	mean := sum / float64(samples)
-	variance := sumSq/float64(samples) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return fading.MCResult{Mean: mean, StdErr: math.Sqrt(variance / float64(samples)), N: samples}
+	return acc.Result()
 }
 
 // StepValue is the estimated value of a single simulation step.
@@ -247,7 +239,7 @@ func BestStepCtx(ctx context.Context, m *network.Matrix, steps []Step, us []util
 	all = make([]StepValue, len(steps))
 	active := make([]bool, m.N)
 	for k, step := range steps {
-		var sum, sumSq float64
+		var acc fading.MCSum
 		for s := 0; s < samplesPerStep; s++ {
 			if err := ctx.Err(); err != nil {
 				return StepValue{}, nil, err
@@ -255,20 +247,9 @@ func BestStepCtx(ctx context.Context, m *network.Matrix, steps []Step, us []util
 			for i := range active {
 				active[i] = src.Bernoulli(step.Probs[i])
 			}
-			v := utility.Sum(us, sinr.Values(m, active))
-			sum += v
-			sumSq += v * v
+			acc.Add(utility.Sum(us, sinr.Values(m, active)))
 		}
-		mean := sum / float64(samplesPerStep)
-		variance := sumSq/float64(samplesPerStep) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		all[k] = StepValue{Step: step, Value: fading.MCResult{
-			Mean:   mean,
-			StdErr: math.Sqrt(variance / float64(samplesPerStep)),
-			N:      samplesPerStep,
-		}}
+		all[k] = StepValue{Step: step, Value: acc.Result()}
 	}
 	best = all[0]
 	for _, sv := range all[1:] {
