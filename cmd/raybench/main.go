@@ -108,6 +108,21 @@ func gitSHA() string {
 	return strings.TrimSpace(string(out))
 }
 
+// matchesFilter reports whether name contains one of the comma-separated
+// substrings in filter. An empty filter matches every name; empty items
+// match none.
+func matchesFilter(name, filter string) bool {
+	if filter == "" {
+		return true
+	}
+	for _, sub := range strings.Split(filter, ",") {
+		if sub != "" && strings.Contains(name, sub) {
+			return true
+		}
+	}
+	return false
+}
+
 func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "smoke settings: quick scenario subset, fewer reps, shorter reps")
@@ -116,7 +131,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	reps := fs.Int("reps", 0, "timed repetitions per scenario (0 = mode default)")
 	warmup := fs.Int("warmup", 0, "warmup iterations per scenario (0 = mode default)")
 	minTime := fs.Duration("mintime", 0, "per-rep wall-time target (0 = mode default)")
-	filter := fs.String("filter", "", "only run scenarios whose name contains this substring")
+	filter := fs.String("filter", "", "only run scenarios whose name contains one of these comma-separated substrings")
 	list := fs.Bool("list", false, "list scenario names and exit")
 	traceDir := fs.String("trace-dir", "", "after each scenario, run a traced pass and write one Chrome trace here")
 	faultSpec := fs.String("faults", "", `inject deterministic faults during the run, e.g. "seed=1,pool.job=error:0.05"`)
@@ -174,7 +189,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		if *quick && !sc.quick {
 			continue
 		}
-		if *filter != "" && !strings.Contains(sc.name, *filter) {
+		if !matchesFilter(sc.name, *filter) {
 			continue
 		}
 		// A scaling scenario wider than the machine would record an

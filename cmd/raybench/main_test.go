@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"rayfade/internal/benchio"
@@ -77,6 +78,39 @@ func TestScenarioNamesUniqueAndQuickSubset(t *testing.T) {
 	}
 	if quick < 8 {
 		t.Fatalf("quick subset has %d scenarios, want ≥ 8", quick)
+	}
+}
+
+// TestMatchesFilter pins -filter's list form: a name runs when it contains
+// any one of the comma-separated substrings.
+func TestMatchesFilter(t *testing.T) {
+	const filter = "rng/,fading/count-,server/estimate-ref-compute"
+	for _, tc := range []struct {
+		name, filter string
+		want         bool
+	}{
+		{"rng/fill-open-100", "", true},
+		{"rng/fill-open-100", filter, true},
+		{"fading/count-dense-100", filter, true},
+		{"server/estimate-ref-compute", filter, true},
+		{"fading/sample-dense-200", filter, false},
+		{"server/estimate-compute", filter, false},
+		{"sinr/values-dense-200", "sinr/", true},
+		{"sinr/values-dense-200", ",", false},
+	} {
+		if got := matchesFilter(tc.name, tc.filter); got != tc.want {
+			t.Errorf("matchesFilter(%q, %q) = %v, want %v", tc.name, tc.filter, got, tc.want)
+		}
+	}
+	var matched []string
+	for _, sc := range scenarios() {
+		if matchesFilter(sc.name, filter) {
+			matched = append(matched, sc.name)
+		}
+	}
+	want := []string{"rng/fill-open-100", "fading/count-dense-100", "fading/count-half-100", "server/estimate-ref-compute"}
+	if !slices.Equal(matched, want) {
+		t.Fatalf("%q runs %v, want %v", filter, matched, want)
 	}
 }
 

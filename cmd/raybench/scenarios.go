@@ -63,6 +63,13 @@ func benchNetwork(links int, seed uint64) (*network.Network, error) {
 // baseline.
 func scenarios() []scenario {
 	list := []scenario{
+		// One receiver's uniforms at the paper's 100 links: the batch
+		// fading.Counter draws per receiver.
+		{name: "rng/fill-open-100", quick: true, setup: func() (func(), func(), error) {
+			src := rng.New(1)
+			dst := make([]float64, 100)
+			return func() { src.FillOpen(dst) }, noCleanup, nil
+		}},
 		{name: "fading/sample-dense-200", quick: true, setup: func() (func(), func(), error) {
 			return sampleSINRsOp(200, 23, func(active []bool) {
 				for i := range active {

@@ -129,7 +129,23 @@ func (s *Source) Float64Open() float64 {
 // one len(dst) calls to Float64Open draw; the generator state stays in
 // registers for the whole batch instead of being stored after every draw.
 // The inner loop redraws only on a zero, which happens once in 2⁵³ draws.
+//
+// On amd64 CPUs with AVX-512, a vector kernel draws a batch of 16 or more
+// in whole vectors of eight, and the Go loop draws the rest. The kernel
+// steps the state over a chunk of up to 64 draws, then scrambles and
+// converts the chunk eight draws at a time. It writes the state back only
+// after a chunk with no zero draw. A chunk that holds a zero is left
+// undrawn: the kernel returns with the state at the chunk's start, and the
+// Go loop redraws it with the skip. The kernel thus never commits a draw
+// the open interval would skip, and it computes each value as Float64Open
+// does, so values and stream positions are the same on every CPU.
 func (s *Source) FillOpen(dst []float64) {
+	n := s.fillOpenVec(dst)
+	s.fillOpenGo(dst[n:])
+}
+
+// fillOpenGo is FillOpen's portable loop.
+func (s *Source) fillOpenGo(dst []float64) {
 	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
 	for k := range dst {
 		for {
