@@ -318,7 +318,7 @@ func benchSampleSINRs(b *testing.B, m *network.Matrix, active []bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fading.SampleSINRsInto(m, active, src, vals, idx)
+		fading.SampleSINRsInto(m, active, fading.RayleighGains{}, src, vals, idx)
 	}
 }
 

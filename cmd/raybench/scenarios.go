@@ -489,7 +489,7 @@ func sampleSINRsOp(links int, seed uint64, fill func(active []bool)) (func(), fu
 	vals := make([]float64, m.N)
 	idx := make([]int, 0, m.N)
 	src := rng.New(25)
-	return func() { fading.SampleSINRsInto(m, active, src, vals, idx) }, noCleanup, nil
+	return func() { fading.SampleSINRsInto(m, active, fading.RayleighGains{}, src, vals, idx) }, noCleanup, nil
 }
 
 // serverOp starts an httptest rayschedd and returns estimateOp's op on it.

@@ -96,3 +96,24 @@ func ExampleScenario_SimulationSchedule() {
 	// 7 levels simulate 100 links
 	// level 0 scales by 4·b₀ = 1
 }
+
+// Fading models beyond the paper's plug into the same sampler: Nakagami-m
+// fading with a large shape M fades less than Rayleigh, so a set that is
+// feasible without fading keeps more of its links.
+func ExampleScenario_SampleFadingSuccesses() {
+	cfg := rayfade.Figure1Workload()
+	cfg.N = 30
+	scn, err := rayfade.NewScenario(cfg, 2.5, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
+	set := scn.GreedyCapacity()
+	mild, rayleigh := 0, 0
+	for r := 0; r < 200; r++ {
+		mild += len(scn.SampleFadingSuccesses(set, rayfade.NakagamiGains{M: 16}))
+		rayleigh += len(scn.SampleFadingSuccesses(set, rayfade.RayleighGains{}))
+	}
+	fmt.Printf("Nakagami m=16 keeps more links than Rayleigh: %v\n", mild > rayleigh)
+	// Output:
+	// Nakagami m=16 keeps more links than Rayleigh: true
+}

@@ -188,8 +188,8 @@ func inDomain(x float64) bool { return x >= minNormal && x <= math.MaxFloat64/2 
 // Count draws one Rayleigh realization for the links with active[i] set and
 // returns how many of them reach SINR β. If ok is not nil (length m.N), it
 // also reports each link's decision: ok[i] is set when link i is active and
-// reaches β. It consumes the stream exactly as SampleSINRsInto does; a zero
-// gain draws nothing and a negative one panics.
+// reaches β. It consumes the stream exactly as SampleSINRsInto with
+// RayleighGains does; a zero gain draws nothing and a negative one panics.
 func (c *Counter) Count(active []bool, beta float64, src *rng.Source, ok []bool) int {
 	if ok != nil && len(ok) != c.m.N {
 		panic(fmt.Sprintf("fading: %d success flags for %d links", len(ok), c.m.N))

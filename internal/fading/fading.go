@@ -15,8 +15,11 @@
 //
 // Lemma 1 sandwiches Q_i between two exponential bounds that drive the
 // paper's reduction. This package provides the exact form, both bounds, the
-// inequalities of Observation 1 they rest on, Monte-Carlo sampling of
-// realized fading SINRs, and exact/sampled expected-utility evaluation.
+// inequalities of Observation 1 they rest on, and exact/sampled
+// expected-utility evaluation. Realizations are drawn two ways: a Counter
+// decides Rayleigh successes against β, and SampleSINRsInto, the one loop
+// that realizes SINRs, draws every received power through a GainSampler —
+// RayleighGains for the paper's model, NakagamiGains for the sweep beyond it.
 package fading
 
 import (
@@ -25,7 +28,6 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
-	"rayfade/internal/sinr"
 	"rayfade/internal/utility"
 )
 
@@ -236,16 +238,17 @@ func activeIndices(active []bool, idx []int) []int {
 	return idx
 }
 
-// SampleSINRsInto draws one Rayleigh realization into out and returns it:
-// for each active link i, every active sender's strength at receiver i is an
-// independent exponential with mean S̄(j,i), drawn in increasing (receiver,
-// sender) order, and out[i] is the realized SINR; inactive links report 0.
-// It serves utilities of the SINR itself; a success test against β belongs
-// to a Counter, which draws the identical stream. The caller owns the
-// scratch: out must have length m.N and idx capacity at least m.N; both may
-// be reused across calls. One realization costs O(a²) draws for a active
-// links plus an O(n) clear of out.
-func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []float64, idx []int) []float64 {
+// SampleSINRsInto draws one fading realization into out and returns it: for
+// each active link i, every active sender's strength at receiver i is
+// sampler's draw for mean S̄(j,i), in increasing (receiver, sender) order,
+// and out[i] is the realized SINR; inactive links report 0. It is the one
+// SINR-realization loop: RayleighGains gives the paper's model, whose
+// draws a Counter consumes identically when only a success test against β
+// is wanted, and NakagamiGains the sweep's. The caller owns the scratch:
+// out must have length m.N and idx capacity at least m.N; both may be
+// reused across calls. One realization costs O(a²) draws for a active links
+// plus an O(n) clear of out.
+func SampleSINRsInto(m *network.Matrix, active []bool, sampler GainSampler, src *rng.Source, out []float64, idx []int) []float64 {
 	checkScratch(m.N, out, idx)
 	idx = activeIndices(active, idx)
 	for i := range out {
@@ -259,7 +262,7 @@ func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []fl
 		interf := m.Noise
 		var own float64
 		for _, j := range idx {
-			s := src.Exp(row[j])
+			s := sampler.SampleGain(row[j], src)
 			if j == i {
 				own = s
 			} else {
@@ -275,17 +278,6 @@ func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []fl
 		out[i] = own / interf
 	}
 	return out
-}
-
-// SampleSuccesses draws one Rayleigh realization and returns the indices of
-// active links whose realized SINR reaches β. It decides with a Counter in
-// index order, which needs no per-matrix set-up but allocates O(n) scratch
-// per call; code that samples one matrix many times should hold a Counter.
-func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source) []int {
-	c := Counter{plan: plan{m: m}, u: make([]float64, m.N), idx: make([]int, 0, m.N)}
-	ok := make([]bool, m.N)
-	c.Count(active, beta, src, ok)
-	return sinr.ActiveToSet(ok)
 }
 
 // CountSuccesses is Counter.Count over the caller's scratch and without a
@@ -353,7 +345,7 @@ func ExpectedUtilityMC(m *network.Matrix, q []float64, us []utility.Func, sample
 		for i := range active {
 			active[i] = src.Bernoulli(q[i])
 		}
-		SampleSINRsInto(m, active, src, vals, idx)
+		SampleSINRsInto(m, active, RayleighGains{}, src, vals, idx)
 		acc.Add(utility.Sum(us, vals))
 	}
 	return acc.Result()

@@ -386,7 +386,7 @@ func TestSampleSINRsRespectsActivity(t *testing.T) {
 	src := rng.New(14)
 	active := make([]bool, m.N)
 	active[2], active[5] = true, true
-	vals := SampleSINRsInto(m, active, src, make([]float64, m.N), make([]int, 0, m.N))
+	vals := SampleSINRsInto(m, active, RayleighGains{}, src, make([]float64, m.N), make([]int, 0, m.N))
 	for i, v := range vals {
 		if !active[i] && v != 0 {
 			t.Fatalf("inactive link %d has SINR %g", i, v)
@@ -408,30 +408,13 @@ func TestSampleSINRsMarginalDistribution(t *testing.T) {
 	vals, idx := make([]float64, 1), make([]int, 0, 1)
 	const n = 200000
 	for s := 0; s < n; s++ {
-		if SampleSINRsInto(m, active, src, vals, idx)[0] >= beta {
+		if SampleSINRsInto(m, active, RayleighGains{}, src, vals, idx)[0] >= beta {
 			hits++
 		}
 	}
 	got := float64(hits) / n
 	if math.Abs(got-want) > 0.005 {
 		t.Fatalf("solo tail probability %g, want %g", got, want)
-	}
-}
-
-func TestSampleSuccesses(t *testing.T) {
-	m := randomMatrix(t, 53, 10)
-	src := rng.New(16)
-	active := make([]bool, m.N)
-	for i := range active {
-		active[i] = true
-	}
-	set := SampleSuccesses(m, active, 2.5, src)
-	seen := map[int]bool{}
-	for _, i := range set {
-		if i < 0 || i >= m.N || seen[i] {
-			t.Fatalf("bad success set %v", set)
-		}
-		seen[i] = true
 	}
 }
 
@@ -572,7 +555,7 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 	vals, idx := make([]float64, 100), make([]int, 0, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleSINRsInto(m, active, src, vals, idx)
+		SampleSINRsInto(m, active, RayleighGains{}, src, vals, idx)
 	}
 }
 

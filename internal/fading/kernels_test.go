@@ -8,6 +8,7 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 )
 
 // referenceSampleSINRs is the pre-kernel implementation of SampleSINRs: a
@@ -85,7 +86,7 @@ func TestSampleSINRsIntoMatchesReference(t *testing.T) {
 			active := randomActive(setup, n, density)
 			src := rng.New(uint64(7 * n))
 			want := referenceSampleSINRs(m, active, src.Clone())
-			got := SampleSINRsInto(m, active, src.Clone(), vals, idx)
+			got := SampleSINRsInto(m, active, RayleighGains{}, src.Clone(), vals, idx)
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("n=%d density=%.1f link %d: kernel %g, reference %g", n, density, i, got[i], want[i])
@@ -94,7 +95,7 @@ func TestSampleSINRsIntoMatchesReference(t *testing.T) {
 			// The two paths must also leave the stream at the same position.
 			ref, ker := src.Clone(), src.Clone()
 			referenceSampleSINRs(m, active, ref)
-			SampleSINRsInto(m, active, ker, vals, idx)
+			SampleSINRsInto(m, active, RayleighGains{}, ker, vals, idx)
 			if ref.Uint64() != ker.Uint64() {
 				t.Fatalf("n=%d density=%.1f: kernel consumed a different number of draws", n, density)
 			}
@@ -102,12 +103,13 @@ func TestSampleSINRsIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCountSuccessesMatchesSampleSuccesses pins SampleSuccesses, the
-// allocating index-order form, to the reference's success set and stream
-// position, and Counter.Count to its size.
+// TestCountSuccessesMatchesSampleSuccesses pins Counter.Count's per-link
+// flags, which Scenario.SampleRayleighSuccesses returns as a set, to the
+// reference's success set and stream position, and its count to their size.
 func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 	m := randomMatrix(t, 6, 80)
 	c := NewCounter(m)
+	ok := make([]bool, 80)
 	setup := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
 		active := randomActive(setup, 80, setup.Float64())
@@ -119,12 +121,13 @@ func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		sampled := src.Clone()
-		if got := SampleSuccesses(m, active, 2.5, sampled); !slices.Equal(got, want) || sampled.Uint64() != ref.Uint64() {
-			t.Fatalf("trial %d: SampleSuccesses %v, reference %v (or a different stream position)", trial, got, want)
+		counted := src.Clone()
+		n := c.Count(active, 2.5, counted, ok)
+		if got := sinr.ActiveToSet(ok); !slices.Equal(got, want) || counted.Uint64() != ref.Uint64() {
+			t.Fatalf("trial %d: Counter.Count flags %v, reference %v (or a different stream position)", trial, got, want)
 		}
-		if got := c.Count(active, 2.5, src.Clone(), nil); got != len(want) {
-			t.Fatalf("trial %d: Counter.Count %d, reference %d", trial, got, len(want))
+		if n != len(want) {
+			t.Fatalf("trial %d: Counter.Count %d, reference %d", trial, n, len(want))
 		}
 	}
 }
@@ -562,49 +565,18 @@ func TestNegLogCoarseErrorBound(t *testing.T) {
 	t.Logf("largest error %g (coarseErr %g)", worst, coarseErr)
 }
 
-func TestSampleSINRsWithIntoMatchesAllocatingForm(t *testing.T) {
-	m := randomMatrix(t, 8, 60)
-	active := randomActive(rng.New(9), 60, 0.5)
-	vals := make([]float64, 60)
-	idx := make([]int, 0, 60)
-	for _, sampler := range []GainSampler{RayleighGains{}, NakagamiGains{M: 2}, NonFadingGains{}} {
-		src := rng.New(10)
-		want := SampleSINRsWith(m, active, sampler, src.Clone())
-		got := SampleSINRsWithInto(m, active, sampler, src.Clone(), vals, idx)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s link %d: kernel %g, allocating form %g", sampler.Name(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRayleighKernelMatchesGenericKernel pins that the specialized Rayleigh
-// kernel and the GainSampler-generic kernel consume the identical stream, so
-// experiments may switch between them without breaking fixed-seed outputs.
-func TestRayleighKernelMatchesGenericKernel(t *testing.T) {
-	m := randomMatrix(t, 11, 60)
-	active := randomActive(rng.New(12), 60, 0.7)
-	src := rng.New(13)
-	a := SampleSINRsInto(m, active, src.Clone(), make([]float64, 60), make([]int, 0, 60))
-	b := SampleSINRsWithInto(m, active, RayleighGains{}, src.Clone(), make([]float64, 60), make([]int, 0, 60))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("link %d: rayleigh kernel %g, generic kernel %g", i, a[i], b[i])
-		}
-	}
-}
-
 func TestKernelsAllocationFree(t *testing.T) {
 	m := randomMatrix(t, 14, 100)
 	active := randomActive(rng.New(15), 100, 0.5)
 	vals := make([]float64, 100)
 	idx := make([]int, 0, 100)
 	src := rng.New(16)
-	if allocs := testing.AllocsPerRun(50, func() {
-		SampleSINRsInto(m, active, src, vals, idx)
-	}); allocs != 0 {
-		t.Errorf("SampleSINRsInto allocates %.1f objects per run", allocs)
+	for _, sampler := range []GainSampler{RayleighGains{}, NakagamiGains{M: 2}} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			SampleSINRsInto(m, active, sampler, src, vals, idx)
+		}); allocs != 0 {
+			t.Errorf("SampleSINRsInto with %s allocates %.1f objects per run", sampler.Name(), allocs)
+		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		CountSuccesses(m, active, 2.5, src, vals, idx)
@@ -623,11 +595,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 			t.Errorf("Counter.Count and Counterfactual at density %.1f allocate %.1f objects per run", density, allocs)
 		}
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		SampleSINRsWithInto(m, active, RayleighGains{}, src, vals, idx)
-	}); allocs != 0 {
-		t.Errorf("SampleSINRsWithInto allocates %.1f objects per run", allocs)
-	}
 	// The closed-form evaluator is part of the kernel layer's zero-alloc
 	// contract too: the benchmark suite pins fading/expected-successes-100 at
 	// exactly 0 allocs/op, so any stray allocation on this path is a bug.
@@ -644,8 +611,8 @@ func TestKernelScratchValidation(t *testing.T) {
 	active := make([]bool, 10)
 	src := rng.New(18)
 	for name, fn := range map[string]func(){
-		"short out": func() { SampleSINRsInto(m, active, src, make([]float64, 9), make([]int, 0, 10)) },
-		"short idx": func() { SampleSINRsInto(m, active, src, make([]float64, 10), make([]int, 0, 9)) },
+		"short out": func() { SampleSINRsInto(m, active, RayleighGains{}, src, make([]float64, 9), make([]int, 0, 10)) },
+		"short idx": func() { SampleSINRsInto(m, active, RayleighGains{}, src, make([]float64, 10), make([]int, 0, 9)) },
 	} {
 		func() {
 			defer func() {

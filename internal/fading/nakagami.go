@@ -2,9 +2,7 @@ package fading
 
 import (
 	"fmt"
-	"math"
 
-	"rayfade/internal/network"
 	"rayfade/internal/rng"
 )
 
@@ -53,55 +51,3 @@ func (n NakagamiGains) SampleGain(mean float64, src *rng.Source) float64 {
 
 // Name implements GainSampler.
 func (n NakagamiGains) Name() string { return fmt.Sprintf("nakagami(m=%g)", n.M) }
-
-// NonFadingGains returns the mean deterministically; it exists so the same
-// sampling code path can produce non-fading results in comparisons.
-type NonFadingGains struct{}
-
-// SampleGain implements GainSampler.
-func (NonFadingGains) SampleGain(mean float64, _ *rng.Source) float64 { return mean }
-
-// Name implements GainSampler.
-func (NonFadingGains) Name() string { return "non-fading" }
-
-// SampleSINRsWith draws one fading realization under an arbitrary fading
-// model and returns per-link SINRs; inactive links report 0. With
-// RayleighGains it matches SampleSINRsInto draw-for-draw. It allocates; hot
-// loops should hold buffers and call SampleSINRsWithInto.
-func SampleSINRsWith(m *network.Matrix, active []bool, sampler GainSampler, src *rng.Source) []float64 {
-	return SampleSINRsWithInto(m, active, sampler, src, make([]float64, m.N), make([]int, 0, m.N))
-}
-
-// SampleSINRsWithInto is the allocation-free kernel behind SampleSINRsWith,
-// following the SampleSINRsInto scratch convention: out must have length m.N,
-// idx capacity at least m.N, and only active sender/receiver pairs are
-// visited, in the same increasing index order as SampleSINRsWith has always
-// drawn them.
-func SampleSINRsWithInto(m *network.Matrix, active []bool, sampler GainSampler, src *rng.Source, out []float64, idx []int) []float64 {
-	checkScratch(m.N, out, idx)
-	idx = activeIndices(active, idx)
-	for i := range out {
-		out[i] = 0
-	}
-	for _, i := range idx {
-		row := m.Incoming(i)
-		interf := m.Noise
-		var own float64
-		for _, j := range idx {
-			s := sampler.SampleGain(row[j], src)
-			if j == i {
-				own = s
-			} else {
-				interf += s
-			}
-		}
-		if interf == 0 {
-			if own > 0 {
-				out[i] = math.Inf(1)
-			}
-			continue
-		}
-		out[i] = own / interf
-	}
-	return out
-}

@@ -6,11 +6,10 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
-	"rayfade/internal/sinr"
 )
 
 func TestSamplerNames(t *testing.T) {
-	if (RayleighGains{}).Name() == "" || (NonFadingGains{}).Name() == "" {
+	if (RayleighGains{}).Name() == "" {
 		t.Fatal("empty sampler name")
 	}
 	if got := (NakagamiGains{M: 2}).Name(); got != "nakagami(m=2)" {
@@ -20,7 +19,7 @@ func TestSamplerNames(t *testing.T) {
 
 func TestSamplerZeroMean(t *testing.T) {
 	src := rng.New(1)
-	for _, s := range []GainSampler{RayleighGains{}, NakagamiGains{M: 2}, NonFadingGains{}} {
+	for _, s := range []GainSampler{RayleighGains{}, NakagamiGains{M: 2}} {
 		if v := s.SampleGain(0, src); v != 0 {
 			t.Fatalf("%s: SampleGain(0) = %g", s.Name(), v)
 		}
@@ -103,35 +102,27 @@ func nkMatrix(t testing.TB, seed uint64, n int) *network.Matrix {
 	return net.Gains()
 }
 
-func TestSampleSINRsWithNonFadingMatchesDeterministic(t *testing.T) {
-	m := nkMatrix(t, 5, 15)
-	src := rng.New(6)
-	active := make([]bool, m.N)
-	for i := range active {
-		active[i] = i%2 == 0
-	}
-	got := SampleSINRsWith(m, active, NonFadingGains{}, src)
-	want := sinr.Values(m, active)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12*(1+want[i]) {
-			t.Fatalf("link %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
+// SampleSINRsInto with RayleighGains and the Counter, Rayleigh's native
+// success kernel, draw the same stream: from identical seeds the sampled
+// SINRs that reach β are the Counter's successes, and both paths leave the
+// stream at the same position.
 func TestSampleSINRsWithRayleighMatchesNative(t *testing.T) {
 	m := nkMatrix(t, 7, 10)
 	active := make([]bool, m.N)
 	for i := range active {
 		active[i] = true
 	}
-	// Identical seeds must produce identical draws through both paths.
-	a := SampleSINRsInto(m, active, rng.New(9), make([]float64, m.N), make([]int, 0, m.N))
-	b := SampleSINRsWith(m, active, RayleighGains{}, rng.New(9))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("link %d: native %g, sampler %g", i, a[i], b[i])
+	a, b := rng.New(9), rng.New(9)
+	vals := SampleSINRsInto(m, active, RayleighGains{}, a, make([]float64, m.N), make([]int, 0, m.N))
+	ok := make([]bool, m.N)
+	NewCounter(m).Count(active, 2.5, b, ok)
+	for i, v := range vals {
+		if (v >= 2.5) != ok[i] {
+			t.Fatalf("link %d: sampled SINR %g, Counter success %v", i, v, ok[i])
 		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("sampler and Counter consumed a different number of draws")
 	}
 }
 
@@ -149,11 +140,12 @@ func TestNakagamiInterpolatesTowardNonFading(t *testing.T) {
 	}
 	active := []bool{true}
 	src := rng.New(12)
+	vals, idx := make([]float64, 1), make([]int, 0, 1)
 	const samples = 40000
 	probOf := func(sampler GainSampler) float64 {
 		hits := 0
 		for s := 0; s < samples; s++ {
-			if SampleSINRsWith(m, active, sampler, src)[0] >= 2.5 {
+			if SampleSINRsInto(m, active, sampler, src, vals, idx)[0] >= 2.5 {
 				hits++
 			}
 		}
@@ -185,11 +177,12 @@ func TestSuccessProbabilityWithMCMatchesTheorem1ForRayleigh(t *testing.T) {
 	const samples = 100000
 	hits := 0
 	active := make([]bool, m.N)
+	vals, idx := make([]float64, m.N), make([]int, 0, m.N)
 	for s := 0; s < samples; s++ {
 		for k := range active {
 			active[k] = src.Bernoulli(q[k])
 		}
-		if active[3] && SampleSINRsWith(m, active, RayleighGains{}, src)[3] >= 2.5 {
+		if active[3] && SampleSINRsInto(m, active, RayleighGains{}, src, vals, idx)[3] >= 2.5 {
 			hits++
 		}
 	}
@@ -210,10 +203,11 @@ func TestExpectedSuccessesWithMC(t *testing.T) {
 		active[i] = true
 	}
 	const samples = 20000
+	vals, idx := make([]float64, m.N), make([]int, 0, m.N)
 	var sum, sumSq float64
 	for s := 0; s < samples; s++ {
 		count := 0.0
-		for _, v := range SampleSINRsWith(m, active, NakagamiGains{M: 1}, src) {
+		for _, v := range SampleSINRsInto(m, active, NakagamiGains{M: 1}, src, vals, idx) {
 			if v >= 2.5 {
 				count++
 			}
@@ -242,8 +236,9 @@ func BenchmarkSampleSINRsNakagami100(b *testing.B) {
 		active[i] = i%2 == 0
 	}
 	sampler := NakagamiGains{M: 2}
+	vals, idx := make([]float64, m.N), make([]int, 0, m.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleSINRsWith(m, active, sampler, src)
+		SampleSINRsInto(m, active, sampler, src, vals, idx)
 	}
 }

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math"
 
 	"rayfade/internal/geom"
 	"rayfade/internal/rng"
@@ -63,27 +62,13 @@ func RandomClustered(cc ClusterConfig, src *rng.Source) (*Network, error) {
 	if cc.Spread <= 0 {
 		return nil, fmt.Errorf("network: spread %g must be positive", cc.Spread)
 	}
-	cfg := cc.Base
-	if !cfg.Area.Valid() {
-		return nil, fmt.Errorf("network: invalid deployment area %+v", cfg.Area)
-	}
-	if cfg.DMin < 0 || cfg.DMax <= cfg.DMin {
-		return nil, fmt.Errorf("network: invalid distance range [%g,%g]", cfg.DMin, cfg.DMax)
-	}
-	if !(cfg.Alpha > 0) {
-		return nil, fmt.Errorf("network: invalid α = %g", cfg.Alpha)
-	}
-	metric := cfg.Metric
-	if metric == nil {
-		metric = geom.Euclidean{}
-	}
-	pa := cfg.Power
-	if pa == nil {
-		pa = UniformPower{P: 1}
+	cfg, err := cc.Base.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	net := &Network{
 		Links:  make([]Link, 0, cc.Clusters*cc.PerChild),
-		Metric: metric,
+		Metric: cfg.Metric,
 		Alpha:  cfg.Alpha,
 		Noise:  cfg.Noise,
 	}
@@ -97,14 +82,7 @@ func RandomClustered(cc ClusterConfig, src *rng.Source) (*Network, error) {
 				X: src.Normal(center.X, cc.Spread),
 				Y: src.Normal(center.Y, cc.Spread),
 			})
-			angle := src.UniformRange(0, 2*math.Pi)
-			dist := cfg.DMin + (cfg.DMax-cfg.DMin)*src.Float64Open()
-			net.Links = append(net.Links, Link{
-				Sender:   recv.PolarOffset(angle, dist),
-				Receiver: recv,
-				Power:    pa.Power(dist),
-				Weight:   1,
-			})
+			net.Links = append(net.Links, cfg.placeSender(recv, src))
 		}
 	}
 	return net, nil

@@ -403,26 +403,13 @@ func Random(cfg Config, src *rng.Source) (*Network, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("network: config.N = %d must be positive", cfg.N)
 	}
-	if !cfg.Area.Valid() {
-		return nil, fmt.Errorf("network: invalid deployment area %+v", cfg.Area)
-	}
-	if cfg.DMin < 0 || cfg.DMax <= cfg.DMin {
-		return nil, fmt.Errorf("network: invalid distance range [%g,%g]", cfg.DMin, cfg.DMax)
-	}
-	if !(cfg.Alpha > 0) {
-		return nil, fmt.Errorf("network: invalid α = %g", cfg.Alpha)
-	}
-	metric := cfg.Metric
-	if metric == nil {
-		metric = geom.Euclidean{}
-	}
-	pa := cfg.Power
-	if pa == nil {
-		pa = UniformPower{P: 1}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	net := &Network{
 		Links:  make([]Link, cfg.N),
-		Metric: metric,
+		Metric: cfg.Metric,
 		Alpha:  cfg.Alpha,
 		Noise:  cfg.Noise,
 	}
@@ -431,17 +418,44 @@ func Random(cfg Config, src *rng.Source) (*Network, error) {
 			X: src.UniformRange(cfg.Area.X0, cfg.Area.X1),
 			Y: src.UniformRange(cfg.Area.Y0, cfg.Area.Y1),
 		}
-		angle := src.UniformRange(0, 2*math.Pi)
-		dist := cfg.DMin + (cfg.DMax-cfg.DMin)*src.Float64Open()
-		sender := recv.PolarOffset(angle, dist)
-		net.Links[i] = Link{
-			Sender:   sender,
-			Receiver: recv,
-			Power:    pa.Power(dist),
-			Weight:   1,
-		}
+		net.Links[i] = cfg.placeSender(recv, src)
 	}
 	return net, nil
+}
+
+// withDefaults validates cfg's area, distance range and α, and returns cfg
+// with its metric defaulted to Euclidean and its power to uniform power 1.
+func (cfg Config) withDefaults() (Config, error) {
+	if !cfg.Area.Valid() {
+		return cfg, fmt.Errorf("network: invalid deployment area %+v", cfg.Area)
+	}
+	if cfg.DMin < 0 || cfg.DMax <= cfg.DMin {
+		return cfg, fmt.Errorf("network: invalid distance range [%g,%g]", cfg.DMin, cfg.DMax)
+	}
+	if !(cfg.Alpha > 0) {
+		return cfg, fmt.Errorf("network: invalid α = %g", cfg.Alpha)
+	}
+	if cfg.Metric == nil {
+		cfg.Metric = geom.Euclidean{}
+	}
+	if cfg.Power == nil {
+		cfg.Power = UniformPower{P: 1}
+	}
+	return cfg, nil
+}
+
+// placeSender returns the link of receiver recv with its sender placed as
+// Random places it: a uniform angle, then a uniform distance in
+// (DMin, DMax], drawn in that order. cfg must have passed withDefaults.
+func (cfg *Config) placeSender(recv geom.Point, src *rng.Source) Link {
+	angle := src.UniformRange(0, 2*math.Pi)
+	dist := cfg.DMin + (cfg.DMax-cfg.DMin)*src.Float64Open()
+	return Link{
+		Sender:   recv.PolarOffset(angle, dist),
+		Receiver: recv,
+		Power:    cfg.Power.Power(dist),
+		Weight:   1,
+	}
 }
 
 // Grid builds a deterministic rows×cols network: receivers on a regular

@@ -405,7 +405,7 @@ func referenceStep(g *Game) Round {
 		sent[i] = chosen[i] == Send
 	}
 	avgProb /= float64(n)
-	vals := fading.SampleSINRsInto(g.m, sent, g.src, make([]float64, n), make([]int, 0, n))
+	vals := fading.SampleSINRsInto(g.m, sent, fading.RayleighGains{}, g.src, make([]float64, n), make([]int, 0, n))
 	r := Round{Sent: sent, Succeeded: make([]bool, n), RewardSend: make([]float64, n), AvgSendProb: avgProb}
 	for i := 0; i < n; i++ {
 		var reached bool

@@ -104,7 +104,7 @@ func RunFadingSweepCtx(ctx context.Context, cfg FadingSweepConfig) (*FadingSweep
 			for si, shape := range cfg.Shapes {
 				sampler := fading.NakagamiGains{M: shape}
 				for fs := 0; fs < cfg.FadingSeeds; fs++ {
-					fading.SampleSINRsWithInto(m, active, sampler, src, vals, idx)
+					fading.SampleSINRsInto(m, active, sampler, src, vals, idx)
 					count := 0
 					for i, a := range active {
 						if a && vals[i] >= cfg.Beta {

@@ -131,7 +131,7 @@ func RunShannonCtx(ctx context.Context, cfg ShannonConfig) (*ShannonResult, erro
 				}
 				out.nf.Observe(pi, utility.Sum(us, sinr.ValuesInto(m, active, vals)))
 				for fs := 0; fs < cfg.FadingSeeds; fs++ {
-					out.rl.Observe(pi, utility.Sum(us, fading.SampleSINRsInto(m, active, src, vals, idx)))
+					out.rl.Observe(pi, utility.Sum(us, fading.SampleSINRsInto(m, active, fading.RayleighGains{}, src, vals, idx)))
 				}
 				tickRealizations(cfg.FadingSeeds)
 			}

@@ -69,6 +69,10 @@ type (
 	SimulationStep = transform.Step
 	// RegretHistory records a no-regret learning run.
 	RegretHistory = regret.History
+	// RayleighGains is the paper's fading model: exponential received power.
+	RayleighGains = fading.RayleighGains
+	// NakagamiGains is Nakagami-m fading: Gamma received power of shape M.
+	NakagamiGains = fading.NakagamiGains
 )
 
 // Figure1Workload returns the random-network workload of the paper's
@@ -88,6 +92,7 @@ func Figure2Workload() NetworkConfig { return network.Figure2Config() }
 type Scenario struct {
 	net  *Network
 	m    *network.Matrix
+	plan *fading.Plan
 	beta float64
 	src  *rng.Source
 }
@@ -136,7 +141,8 @@ func fromNetwork(net *Network, beta float64, src *rng.Source) (*Scenario, error)
 	if beta <= 0 {
 		return nil, fmt.Errorf("rayfade: SINR threshold β = %g must be positive", beta)
 	}
-	return &Scenario{net: net, m: net.Gains(), beta: beta, src: src}, nil
+	m := net.Gains()
+	return &Scenario{net: net, m: m, plan: fading.NewPlan(m), beta: beta, src: src}, nil
 }
 
 // Reseed replaces the scenario's randomness stream.
@@ -224,7 +230,9 @@ func (s *Scenario) ExpectedRayleighSuccesses(set []int) float64 {
 // SampleRayleighSuccesses draws one fading realization for the transmitting
 // set and returns which links succeeded.
 func (s *Scenario) SampleRayleighSuccesses(set []int) []int {
-	return fading.SampleSuccesses(s.m, sinr.SetToActive(s.m.N, set), s.beta, s.rngOrPanic())
+	ok := make([]bool, s.m.N)
+	s.plan.Counter().Count(sinr.SetToActive(s.m.N, set), s.beta, s.rngOrPanic(), ok)
+	return sinr.ActiveToSet(ok)
 }
 
 // ExpectedUtilityMC estimates E[Σ u(γ^R)] for transmission probabilities q
@@ -272,7 +280,7 @@ func (s *Scenario) RepeatedCapacitySchedule() ([][]int, error) {
 // replays are exhausted). It returns the slots consumed.
 func (s *Scenario) PlayScheduleRayleigh(slots [][]int, maxRounds int) (int, bool) {
 	slotsUsed, done, _ := latency.RepeatUntilDoneCtx(context.Background(), s.m, slots, s.beta, transform.AlohaRepeats, maxRounds,
-		latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic()))
+		latency.NewRayleigh(s.plan.Counter(), s.rngOrPanic()))
 	return slotsUsed, done
 }
 
@@ -284,7 +292,7 @@ func (s *Scenario) Aloha(p float64, rayleigh bool) latency.AlohaResult {
 	var model latency.SuccessModel = latency.NonFading{}
 	if rayleigh {
 		cfg.Repeats = transform.AlohaRepeats
-		model = latency.NewRayleigh(fading.NewCounter(s.m), s.rngOrPanic())
+		model = latency.NewRayleigh(s.plan.Counter(), s.rngOrPanic())
 	}
 	res, _ := latency.AlohaCtx(context.Background(), s.m, s.beta, cfg, s.rngOrPanic(), model)
 	return res
@@ -328,12 +336,12 @@ func (s *Scenario) WeightedCapacity() (set []int, value float64) {
 }
 
 // SampleFadingSuccesses draws one realization under an arbitrary fading
-// model (e.g. fading.NakagamiGains{M: 4}) and returns the successful links
-// of the transmitting set. With fading.RayleighGains it matches
+// model (e.g. rayfade.NakagamiGains{M: 4}) and returns the successful links
+// of the transmitting set. With rayfade.RayleighGains it matches
 // SampleRayleighSuccesses in distribution.
 func (s *Scenario) SampleFadingSuccesses(set []int, sampler fading.GainSampler) []int {
 	active := sinr.SetToActive(s.m.N, set)
-	vals := fading.SampleSINRsWith(s.m, active, sampler, s.rngOrPanic())
+	vals := fading.SampleSINRsInto(s.m, active, sampler, s.rngOrPanic(), make([]float64, s.m.N), make([]int, 0, s.m.N))
 	var ok []int
 	for i, a := range active {
 		if a && vals[i] >= s.beta {
