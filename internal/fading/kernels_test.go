@@ -220,25 +220,27 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 // zero gains, and noise levels and thresholds outside the filter's domain:
 // zero, negative, subnormal, infinite and NaN.
 func TestCountSuccessesMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 7, 40, 100} {
-		setup := rng.New(uint64(200 + n))
-		for _, zeroed := range []bool{false, true} {
-			m := randomMatrix(t, uint64(n), n)
-			if zeroed {
-				zeroSomeGains(m, n%3)
-			}
-			c := NewCounter(m)
-			for _, noise := range []float64{m.Noise, 0, -1e-3, 5e-324, math.Inf(1), math.NaN()} {
-				m.Noise = noise
-				for _, density := range []float64{0, 0.1, 0.5, 1} {
-					active := randomActive(setup, n, density)
-					for _, beta := range []float64{0.5, 2.5, 50, 0, 5e-324, math.Inf(1), math.NaN()} {
-						checkCountSuccesses(t, c, active, beta, uint64(31*n)+setup.Uint64()%1000)
+	forSumPaths(t, func(t *testing.T) {
+		for _, n := range []int{1, 7, 40, 100} {
+			setup := rng.New(uint64(200 + n))
+			for _, zeroed := range []bool{false, true} {
+				m := randomMatrix(t, uint64(n), n)
+				if zeroed {
+					zeroSomeGains(m, n%3)
+				}
+				c := NewCounter(m)
+				for _, noise := range []float64{m.Noise, 0, -1e-3, 5e-324, math.Inf(1), math.NaN()} {
+					m.Noise = noise
+					for _, density := range []float64{0, 0.1, 0.5, 1} {
+						active := randomActive(setup, n, density)
+						for _, beta := range []float64{0.5, 2.5, 50, 0, 5e-324, math.Inf(1), math.NaN()} {
+							checkCountSuccesses(t, c, active, beta, uint64(31*n)+setup.Uint64()%1000)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestCountSuccessesNoiselessEdges pins the interf == 0 branch: with no noise,
@@ -279,56 +281,58 @@ func TestCountSuccessesNoiselessEdges(t *testing.T) {
 // and must reach the canonical fallback; the others are far from a tie once
 // every term is in, and the bounds reject them.
 func TestCountSuccessesExactTies(t *testing.T) {
-	m := mat(t, [][]float64{
-		{1, 0.02, 0.03},
-		{0.2, 1, 0.01},
-		{0.1, 0.05, 1},
-	}, 0.05)
-	active := []bool{true, true, true}
-	const seed = 9
-	// Receiver 0 draws first, senders in index order.
-	draw := rng.New(seed)
-	u0, u1, u2 := draw.Float64Open(), draw.Float64Open(), draw.Float64Open()
-	own := -m.At(0, 0) * math.Log(u0)
-	s1 := -m.At(1, 0) * math.Log(u1)
-	s2 := -m.At(2, 0) * math.Log(u2)
-	full := own / (m.Noise + s1 + s2)
-	if got := referenceSampleSINRs(m, active, rng.New(seed))[0]; got != full {
-		t.Fatalf("hand-computed SINR %g, reference %g", full, got)
-	}
-	// A copy whose last term at receiver 0 is four units of roundoff of the
-	// partial sum before it: it still moves the sum, but stays inside δ.
-	faint := mat(t, [][]float64{
-		{1, 0.02, 0.03},
-		{0.2, 1, 0.01},
-		{0.1, 0.05, 1},
-	}, 0.05)
-	faint.SetGain(2, 0, 4*0x1p-53*(m.Noise+s1)/-math.Log(u2))
-	if sum := m.Noise + s1; sum+-faint.At(2, 0)*math.Log(u2) == sum {
-		t.Fatal("the faint term does not change the partial sum")
-	}
-	for _, tc := range []struct {
-		name     string
-		m        *network.Matrix
-		beta     float64
-		reach0   bool
-		fallback bool
-	}{
-		{"full sum", m, full, true, true},
-		{"noise only", m, own / m.Noise, false, false},
-		{"partial sum", m, own / (m.Noise + s1), false, false},
-		{"partial sum, faint rest", faint, own / (m.Noise + s1), false, true},
-	} {
-		vals := referenceSampleSINRs(tc.m, active, rng.New(seed))
-		if reached := vals[0] >= tc.beta; reached != tc.reach0 {
-			t.Fatalf("%s: link 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reached, tc.reach0)
+	forSumPaths(t, func(t *testing.T) {
+		m := mat(t, [][]float64{
+			{1, 0.02, 0.03},
+			{0.2, 1, 0.01},
+			{0.1, 0.05, 1},
+		}, 0.05)
+		active := []bool{true, true, true}
+		const seed = 9
+		// Receiver 0 draws first, senders in index order.
+		draw := rng.New(seed)
+		u0, u1, u2 := draw.Float64Open(), draw.Float64Open(), draw.Float64Open()
+		own := -m.At(0, 0) * math.Log(u0)
+		s1 := -m.At(1, 0) * math.Log(u1)
+		s2 := -m.At(2, 0) * math.Log(u2)
+		full := own / (m.Noise + s1 + s2)
+		if got := referenceSampleSINRs(m, active, rng.New(seed))[0]; got != full {
+			t.Fatalf("hand-computed SINR %g, reference %g", full, got)
 		}
-		c := NewCounter(tc.m)
-		checkCountSuccesses(t, c, active, tc.beta, seed)
-		if fell := c.fallbacks > 0; fell != tc.fallback {
-			t.Errorf("%s: %d receivers reached the fallback, want a fallback: %v", tc.name, c.fallbacks, tc.fallback)
+		// A copy whose last term at receiver 0 is four units of roundoff of the
+		// partial sum before it: it still moves the sum, but stays inside δ.
+		faint := mat(t, [][]float64{
+			{1, 0.02, 0.03},
+			{0.2, 1, 0.01},
+			{0.1, 0.05, 1},
+		}, 0.05)
+		faint.SetGain(2, 0, 4*0x1p-53*(m.Noise+s1)/-math.Log(u2))
+		if sum := m.Noise + s1; sum+-faint.At(2, 0)*math.Log(u2) == sum {
+			t.Fatal("the faint term does not change the partial sum")
 		}
-	}
+		for _, tc := range []struct {
+			name     string
+			m        *network.Matrix
+			beta     float64
+			reach0   bool
+			fallback bool
+		}{
+			{"full sum", m, full, true, true},
+			{"noise only", m, own / m.Noise, false, false},
+			{"partial sum", m, own / (m.Noise + s1), false, false},
+			{"partial sum, faint rest", faint, own / (m.Noise + s1), false, true},
+		} {
+			vals := referenceSampleSINRs(tc.m, active, rng.New(seed))
+			if reached := vals[0] >= tc.beta; reached != tc.reach0 {
+				t.Fatalf("%s: link 0 reaches β=%g is %v, want %v", tc.name, tc.beta, reached, tc.reach0)
+			}
+			c := NewCounter(tc.m)
+			checkCountSuccesses(t, c, active, tc.beta, seed)
+			if fell := c.fallbacks > 0; fell != tc.fallback {
+				t.Errorf("%s: %d receivers reached the fallback, want a fallback: %v", tc.name, c.fallbacks, tc.fallback)
+			}
+		}
+	})
 }
 
 // TestCounterFallsBackOutsideDomain pins that thresholds and noise levels
@@ -372,25 +376,27 @@ func TestCounterFallsBackOutsideDomain(t *testing.T) {
 // least 99% of receivers on its own, with and without the head, with counts
 // and stream positions equal to the reference.
 func TestCoarseTierDecidesPaperSettings(t *testing.T) {
-	m := randomMatrix(t, 23, 100)
-	setup := rng.New(24)
-	for _, density := range []float64{0.25, 0.5, 1} {
-		c := NewCounter(m)
-		receivers := 0
-		for trial := 0; trial < 100; trial++ {
-			active := randomActive(setup, m.N, density)
-			for _, on := range active {
-				if on {
-					receivers++
+	forSumPaths(t, func(t *testing.T) {
+		m := randomMatrix(t, 23, 100)
+		setup := rng.New(24)
+		for _, density := range []float64{0.25, 0.5, 1} {
+			c := NewCounter(m)
+			receivers := 0
+			for trial := 0; trial < 100; trial++ {
+				active := randomActive(setup, m.N, density)
+				for _, on := range active {
+					if on {
+						receivers++
+					}
 				}
+				checkCountSuccesses(t, c, active, 2.5, setup.Uint64())
 			}
-			checkCountSuccesses(t, c, active, 2.5, setup.Uint64())
+			if 100*c.fallbacks > receivers {
+				t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.fallbacks, receivers)
+			}
+			t.Logf("density %.2f: %d of %d receivers left to the canonical loop", density, c.fallbacks, receivers)
 		}
-		if 100*c.fallbacks > receivers {
-			t.Errorf("density %.2f: the coarse tier left %d of %d receivers undecided, more than 1%%", density, c.fallbacks, receivers)
-		}
-		t.Logf("density %.2f: %d of %d receivers left to the canonical loop", density, c.fallbacks, receivers)
-	}
+	})
 }
 
 // spreadMatrix returns an n-link matrix in which receiver 0 hears every
@@ -467,37 +473,39 @@ func TestStraightSumDecidesBeyondTheHead(t *testing.T) {
 // or in accept, the coarse tier would decide it wrongly; with them it
 // leaves receiver 0, and only it, to the canonical loop.
 func TestStraightSumKeepsItsMarginsAtTies(t *testing.T) {
-	m := mat(t, [][]float64{{1, 1e3}, {0.5, 1}}, 1e-9)
-	active := []bool{true, true}
-	delta := float64(len(active)+8) * 0x1p-50
-	for _, tc := range []struct {
-		name  string
-		seed  uint64
-		above bool
-	}{
-		{"overstated", 2, false},
-		{"understated", 9, true},
-	} {
-		src := rng.New(tc.seed)
-		u0, u1 := src.Float64Open(), src.Float64Open()
-		beta := referenceSampleSINRs(m, active, rng.New(tc.seed))[0]
-		if tc.above {
-			beta = math.Nextafter(beta, math.Inf(1))
+	forSumPaths(t, func(t *testing.T) {
+		m := mat(t, [][]float64{{1, 1e3}, {0.5, 1}}, 1e-9)
+		active := []bool{true, true}
+		delta := float64(len(active)+8) * 0x1p-50
+		for _, tc := range []struct {
+			name  string
+			seed  uint64
+			above bool
+		}{
+			{"overstated", 2, false},
+			{"understated", 9, true},
+		} {
+			src := rng.New(tc.seed)
+			u0, u1 := src.Float64Open(), src.Float64Open()
+			beta := referenceSampleSINRs(m, active, rng.New(tc.seed))[0]
+			if tc.above {
+				beta = math.Nextafter(beta, math.Inf(1))
+			}
+			sum := m.Noise + m.At(1, 0)*negLogCoarse(u1)
+			own := m.Own(0) * negLogCoarse(u0)
+			if !tc.above && !(sum*(1-delta) > (own+coarseErr)/beta*(1+delta)) {
+				t.Fatalf("%s: the table sum %g does not clear own/β ≤ %g", tc.name, sum, (own+coarseErr)/beta)
+			}
+			if tc.above && !(sum*(1+delta) < (own-coarseErr)/beta*(1-delta)) {
+				t.Fatalf("%s: the table sum %g is not below own/β ≥ %g", tc.name, sum, (own-coarseErr)/beta)
+			}
+			c := NewCounter(m)
+			checkCountSuccesses(t, c, active, beta, tc.seed)
+			if c.fallbacks != 1 {
+				t.Errorf("%s: the coarse tier left %d receivers to the canonical loop, want 1", tc.name, c.fallbacks)
+			}
 		}
-		sum := m.Noise + m.At(1, 0)*negLogCoarse(u1)
-		own := m.Own(0) * negLogCoarse(u0)
-		if !tc.above && !(sum*(1-delta) > (own+coarseErr)/beta*(1+delta)) {
-			t.Fatalf("%s: the table sum %g does not clear own/β ≤ %g", tc.name, sum, (own+coarseErr)/beta)
-		}
-		if tc.above && !(sum*(1+delta) < (own-coarseErr)/beta*(1-delta)) {
-			t.Fatalf("%s: the table sum %g is not below own/β ≥ %g", tc.name, sum, (own-coarseErr)/beta)
-		}
-		c := NewCounter(m)
-		checkCountSuccesses(t, c, active, beta, tc.seed)
-		if c.fallbacks != 1 {
-			t.Errorf("%s: the coarse tier left %d receivers to the canonical loop, want 1", tc.name, c.fallbacks)
-		}
-	}
+	})
 }
 
 // TestCanonicalLoopDecidesBeyondTheBracket pins the second way into the

@@ -100,7 +100,7 @@ func RunFadingSweepCtx(ctx context.Context, cfg FadingSweepConfig) (*FadingSweep
 			for i := range active {
 				active[i] = src.Bernoulli(cfg.Prob)
 			}
-			out.nf.Add(float64(countNonFadingInto(m, active, cfg.Beta, vals)))
+			out.nf.Add(float64(countNonFadingInto(m, active, cfg.Beta, idx)))
 			for si, shape := range cfg.Shapes {
 				sampler := fading.NakagamiGains{M: shape}
 				for fs := 0; fs < cfg.FadingSeeds; fs++ {

@@ -159,14 +159,14 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 // beta. One set of scratch buffers and one Counter serve every draw.
 func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, transmitSeeds, fadingSeeds int, beta float64, src *rng.Source) {
 	active := make([]bool, m.N)
-	vals := make([]float64, m.N)
+	idx := make([]int, 0, m.N)
 	counter := fading.NewCounter(m)
 	for pi, p := range probs {
 		for ts := 0; ts < transmitSeeds; ts++ {
 			for i := range active {
 				active[i] = src.Bernoulli(p)
 			}
-			nf.Observe(pi, float64(countNonFadingInto(m, active, beta, vals)))
+			nf.Observe(pi, float64(countNonFadingInto(m, active, beta, idx)))
 			for fs := 0; fs < fadingSeeds; fs++ {
 				rl.Observe(pi, float64(counter.Count(active, beta, src, nil)))
 			}
