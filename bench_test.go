@@ -156,16 +156,20 @@ func BenchmarkLemma2Transfer(b *testing.B) {
 	b.ReportMetric(retention, "retention")
 }
 
-// BenchmarkAlgorithm1 builds and evaluates the Theorem-2 simulation
-// schedule (one Monte-Carlo pass per iteration).
+// BenchmarkAlgorithm1 evaluates the Theorem-2 simulation schedule as the
+// reduction experiment does: every step played ScheduleRepeats times in the
+// non-fading model, and the best step picked.
 func BenchmarkAlgorithm1(b *testing.B) {
 	m := benchMatrix(b, 5, 100)
 	q := fading.UniformProbs(100, 0.7)
 	steps := transform.Schedule(q, transform.ScheduleRepeats)
+	us := utility.Uniform(utility.Binary{Beta: 2.5})
 	src := rng.New(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		transform.RunScheduleOnce(m, steps, src)
+		if _, _, err := transform.BestStepCtx(context.Background(), m, steps, us, transform.ScheduleRepeats, src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -353,26 +357,6 @@ func tauName(tau float64) string {
 		return "tau=0.50"
 	default:
 		return "tau=1.00"
-	}
-}
-
-// BenchmarkAblationAlgorithm1Repeats varies the per-level repetition count
-// of Algorithm 1 (paper: 19). Reported metric: simulated value captured.
-func BenchmarkAblationAlgorithm1Repeats(b *testing.B) {
-	m := benchMatrix(b, 13, 60)
-	q := fading.UniformProbs(60, 0.8)
-	us := utility.Uniform(utility.Binary{Beta: 2.5})
-	for _, repeats := range []int{1, 4, 19} {
-		name := map[int]string{1: "repeats=01", 4: "repeats=04", 19: "repeats=19"}[repeats]
-		b.Run(name, func(b *testing.B) {
-			steps := transform.Schedule(q, repeats)
-			src := rng.New(14)
-			var val float64
-			for i := 0; i < b.N; i++ {
-				val = transform.SimulationValueMC(m, steps, us, 20, src).Mean
-			}
-			b.ReportMetric(val, "sim_value")
-		})
 	}
 }
 

@@ -108,7 +108,7 @@ func TestMatchesFilter(t *testing.T) {
 			matched = append(matched, sc.name)
 		}
 	}
-	want := []string{"rng/fill-open-100", "fading/count-dense-100", "fading/count-half-100", "server/estimate-ref-compute"}
+	want := []string{"rng/fill-open-100", "fading/count-dense-100", "fading/count-half-100", "fading/count-set-100", "server/estimate-ref-compute"}
 	if !slices.Equal(matched, want) {
 		t.Fatalf("%q runs %v, want %v", filter, matched, want)
 	}

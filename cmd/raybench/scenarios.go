@@ -85,10 +85,13 @@ func scenarios() []scenario {
 			})
 		}},
 		{name: "fading/count-dense-100", quick: true, setup: func() (func(), func(), error) {
-			return countOp(1.0)
+			return countOp(1.0, 1)
 		}},
 		{name: "fading/count-half-100", quick: true, setup: func() (func(), func(), error) {
-			return countOp(0.5)
+			return countOp(0.5, 1)
+		}},
+		{name: "fading/count-set-100", quick: true, setup: func() (func(), func(), error) {
+			return countOp(0.5, 10)
 		}},
 		{name: "sinr/values-dense-200", quick: true, setup: func() (func(), func(), error) {
 			net, err := benchNetwork(200, 23)
@@ -544,11 +547,12 @@ func estimateOp(ts *httptest.Server, body func(*atomic.Uint64) ([]byte, error), 
 	}, nil
 }
 
-// countOp times the Figure-1 counting kernel, one fading.Counter.Count at
-// β = 2.5, on a paper-settings 100-link network with each link active with
-// probability density. The Counter is built in setup, as the experiments
+// countOp times the Figure-1 counting kernel at β = 2.5 on a
+// paper-settings 100-link network with each link active with probability
+// density: one fading.Counter.Prepare of that set and realizations counts
+// of it (one is a Count). The Counter is built in setup, as the experiments
 // build it once per matrix.
-func countOp(density float64) (func(), func(), error) {
+func countOp(density float64, realizations int) (func(), func(), error) {
 	net, err := benchNetwork(100, 1)
 	if err != nil {
 		return nil, nil, err
@@ -559,5 +563,10 @@ func countOp(density float64) (func(), func(), error) {
 	for i := range active {
 		active[i] = src.Bernoulli(density)
 	}
-	return func() { c.Count(active, 2.5, src, nil) }, noCleanup, nil
+	return func() {
+		c.Prepare(active)
+		for r := 0; r < realizations; r++ {
+			c.Realize(2.5, src, nil)
+		}
+	}, noCleanup, nil
 }

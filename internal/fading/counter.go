@@ -3,6 +3,7 @@ package fading
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
@@ -62,18 +63,29 @@ func (p *Plan) Counter() *Counter {
 
 // Counter decides Rayleigh successes on one gain matrix. It is the one
 // success kernel of the Monte-Carlo experiments: build it once per matrix
-// with NewCounter, or once per goroutine with Plan.Counter, then call Count
-// once per realization, or Counterfactual once per link asked what it would
-// have got. It reads its Plan's head and flags, shared and never written,
-// and owns its scratch, so neither allocates; a Counter is not safe for
-// concurrent use, but Counters of one Plan are independent.
+// with NewCounter, or once per goroutine with Plan.Counter. Then either
+// call Count once per realization of a fresh transmit set, or Prepare once
+// per set and Realize once per realization of it; Counterfactual asks, on
+// the prepared set, what one link would have got. It reads its Plan's head
+// and flags, shared and never written, and owns its scratch, so none of
+// these allocates once the draw scratch has grown to its bound on the first
+// batched Realize; a Counter is not safe for concurrent use, but Counters of
+// one Plan are independent.
 //
-// Count returns exactly what the canonical computation returns — draw every
-// exponential S(j,i) = −S̄(j,i)·ln u in increasing (receiver, sender) order,
-// sum the interference from the noise up in index order, compare
+// Prepare does the per-set work: it lists the active links, notes whether
+// every active receiver's row is all positive, and on dense sets places
+// every sender for the head. Realize then draws. When every active row is
+// all positive, it draws the uniforms of whole receivers in one FillOpen per
+// chunk, as many receivers as fit in chunkFloats (at least one); otherwise
+// it draws each receiver's before deciding it. The canonical stream is
+// receiver-major in index order either way, so both leave it at the same
+// place with the same values.
+//
+// Realize returns exactly what the canonical computation returns — draw
+// every exponential S(j,i) = −S̄(j,i)·ln u in increasing (receiver, sender)
+// order, sum the interference from the noise up in index order, compare
 // S(i,i)/interference with β — and leaves the stream where it leaves it. It
-// gets there with less work. The uniforms are drawn exactly as the canonical
-// computation draws them; then each receiver runs through up to two tiers,
+// gets there with less work: each receiver runs through up to two tiers,
 // the second reached only by receivers the first left undecided:
 //
 //  1. Coarse. The interference is bounded by the sum ν + Σ g_j·ℓ̃(u_j),
@@ -107,21 +119,33 @@ func (p *Plan) Counter() *Counter {
 //
 // The head does not branch on activity: it multiplies each sender's gain by
 // mask (1 active, 0 not) and reads its uniform at pos, the sentinel slot
-// u[len(idx)] for an inactive one. A zero or masked gain adds exactly 0,
-// since negLogCoarse is finite for any bits; an infinite gain masked to 0
-// gives NaN, which fails the reject test, and the straight sum decides.
+// u[len(idx)] of the receiver's uniforms for an inactive one. That slot
+// holds whatever the scratch held: in a chunk it is the next receiver's
+// first uniform, after the chunk's last receiver a stale one. A zero or
+// masked gain adds exactly 0, since negLogCoarse is finite for any bits;
+// an infinite gain masked to 0 gives NaN, which fails the reject test, and
+// the straight sum decides.
 //
-// The coarse tier is skipped when β, ν, lo or hi is not a normal positive
-// number at most MaxFloat64/2: there the relative bounds above do not
-// hold, or a sum that overflows could reject wrongly. A bound that turns
-// NaN fails both tests and moves on too. The head changes only how many
-// terms are summed, never a result.
+// The coarse tier is skipped when β, lo or hi is not a normal positive
+// number at most MaxFloat64/2, or ν is neither that nor an exact 0: there
+// the relative bounds above do not hold, or a sum that overflows could
+// reject wrongly. ν = 0 keeps them: ν only starts the sums, and an exact 0
+// adds no rounding to any of them. (A product that underflows errs by at
+// most 2⁻¹⁰⁷⁵ = u·minNormal whatever ν is, so by at most u·lo, and both
+// tests compare against lo ≤ hi.) A receiver with no interferer has sum
+// and gains 0, so accept takes it, lo being positive, as the canonical
+// loop takes it at SINR +Inf. A bound that turns NaN fails both tests and
+// moves on too. The head changes only how many terms are summed, never a
+// result.
 type Counter struct {
 	plan           // shared with every Counter of the same Plan; read only
 	pos  []int32   // pos[j] is link j's place in idx, or len(idx) if inactive
 	mask []float64 // mask[j] is 1 if link j is active, 0 if not
 	u    []float64 // u[k] is the uniform of sender idx[k]; u[len(idx)] the sentinel
-	idx  []int     // the active links, in increasing order
+	idx  []int     // the prepared set's active links, in increasing order
+
+	batched bool // every row of the prepared set is all positive
+	dense   bool // the prepared set is tried on the head first
 
 	fallbacks int // receivers the coarse tier left to the canonical loop
 }
@@ -129,6 +153,10 @@ type Counter struct {
 // NewCounter returns a Counter for m: NewPlan(m).Counter(), for a caller
 // that counts on m from one goroutine.
 func NewCounter(m *network.Matrix) *Counter { return NewPlan(m).Counter() }
+
+// chunkFloats bounds the draw scratch of a batched Realize: it holds the
+// uniforms of as many whole receivers as fit, plus the last one's sentinel.
+const chunkFloats = 4096
 
 // Matrix returns the gain matrix the Plan or Counter decides on.
 func (p *plan) Matrix() *network.Matrix { return p.m }
@@ -191,108 +219,150 @@ const minNormal = 0x1p-1022
 // it bounds is then above MaxFloat64·(1 − 2⁻⁹), and own/β below it.
 func inDomain(x float64) bool { return x >= minNormal && x <= math.MaxFloat64/2 }
 
+// coarseDomain reports whether the coarse tier may decide at threshold beta
+// and noise: beta in its domain, and noise too or an exact 0.
+func coarseDomain(beta, noise float64) bool {
+	return inDomain(beta) && (noise == 0 || inDomain(noise))
+}
+
 // Count draws one Rayleigh realization for the links with active[i] set and
-// returns how many of them reach SINR β. If ok is not nil (length m.N), it
-// also reports each link's decision: ok[i] is set when link i is active and
-// reaches β. It consumes the stream exactly as SampleSINRsInto with
-// RayleighGains does; a zero gain draws nothing and a negative one panics.
+// returns how many of them reach SINR β: Prepare(active), then Realize. If
+// ok is not nil (length m.N), it also reports each link's decision: ok[i]
+// is set when link i is active and reaches β. It consumes the stream
+// exactly as SampleSINRsInto with RayleighGains does; a zero gain draws
+// nothing and a negative one panics. The set stays prepared.
 func (c *Counter) Count(active []bool, beta float64, src *rng.Source, ok []bool) int {
-	if ok != nil && len(ok) != c.m.N {
-		panic(fmt.Sprintf("fading: %d success flags for %d links", len(ok), c.m.N))
-	}
-	clear(ok)
-	return c.decide(active, -1, beta, src, ok)
+	c.Prepare(active)
+	return c.Realize(beta, src, ok)
 }
 
-// Counterfactual draws one Rayleigh realization at receiver i and reports
-// whether link i would reach SINR β if it transmitted alongside the links
-// with active[j] set. It draws as the canonical loop would for i alone:
-// i's own signal first, then each active sender j ≠ i in increasing index
-// order, a zero gain drawing nothing and a negative one panicking. It
-// decides as Count does, through the same tiers.
-func (c *Counter) Counterfactual(active []bool, i int, beta float64, src *rng.Source) bool {
-	if i < 0 || i >= c.m.N {
-		panic(fmt.Sprintf("fading: link %d of %d", i, c.m.N))
-	}
-	return c.decide(active, i, beta, src, nil) == 1
-}
-
-// decide draws and decides one realization: every link of active, or only
-// link with when with is not negative, as a receiver of the senders of
-// active and with. A receiver's uniforms are drawn in index order, or its
-// own first when it is with. Each receiver runs through the tiers; decide
-// sets ok for those that reach β, when ok is not nil, and returns how many
-// did.
-func (c *Counter) decide(active []bool, with int, beta float64, src *rng.Source, ok []bool) int {
+// Prepare makes the links with active[i] set the Counter's transmit set, for
+// any number of Realize and Counterfactual calls until the next Prepare or
+// Count. It lists the active links, notes whether every one of their rows is
+// all positive, and on dense sets places each sender for the head.
+func (c *Counter) Prepare(active []bool) {
 	m := c.m
 	if len(active) != m.N {
 		panic(fmt.Sprintf("fading: %d activity flags for %d links", len(active), m.N))
 	}
-	idx := c.idx[:0]
-	for j, a := range active {
-		if a || j == with {
-			idx = append(idx, j)
-		}
+	c.idx = activeIndices(active, c.idx)
+	c.batched = c.positive != nil
+	for k := 0; c.batched && k < len(c.idx); k++ {
+		c.batched = c.positive[c.idx[k]]
 	}
-	u := c.u[:len(idx)]
-	filter := inDomain(beta) && inDomain(m.Noise)
-	w := min(HeadSize, m.N-1)
-	dense := filter && c.head != nil && 4*len(idx) >= m.N // tried on the head first
-	if dense {
-		sentinel := int32(len(idx))
-		c.u[sentinel] = 0.5 // a typical uniform: only the mask keeps inactive senders out
+	c.dense = c.head != nil && 4*len(c.idx) >= m.N
+	if c.dense {
+		sentinel := int32(len(c.idx))
 		for j := range c.pos {
 			c.pos[j], c.mask[j] = sentinel, 0
 		}
-		for k, j := range idx {
+		for k, j := range c.idx {
 			c.pos[j], c.mask[j] = int32(k), 1
 		}
 	}
-	delta := float64(len(idx)+8) * 0x1p-50
+}
+
+// Realize draws one Rayleigh realization of the prepared set and returns
+// how many of its links reach SINR β, setting ok[i] for each of them when
+// ok is not nil (length m.N). When every active row is all positive, the
+// uniforms of whole receivers are drawn together, one FillOpen per chunk of
+// at most chunkFloats; otherwise each receiver's are drawn before it is
+// decided. Either way the stream is the canonical receiver-major one.
+func (c *Counter) Realize(beta float64, src *rng.Source, ok []bool) int {
+	m, idx := c.m, c.idx
+	if ok != nil && len(ok) != m.N {
+		panic(fmt.Sprintf("fading: %d success flags for %d links", len(ok), m.N))
+	}
+	clear(ok)
+	a := len(idx)
+	filter := coarseDomain(beta, m.Noise)
+	delta := float64(a+8) * 0x1p-50
+	per := 1 // receivers per chunk
+	if c.batched && a > 0 {
+		if len(c.u) < min(a*a+1, chunkFloats) {
+			c.u = make([]float64, min(m.N*m.N+1, chunkFloats))
+		}
+		per = (len(c.u) - 1) / a
+	}
 	count := 0
-	for k, i := range idx {
-		if with >= 0 && i != with {
-			continue
+	for start := 0; start < a; start += per {
+		end := min(start+per, a)
+		if c.batched {
+			src.FillOpen(c.u[:(end-start)*a])
 		}
-		row := m.Incoming(i)
-		if with >= 0 {
-			c.draw(row, i, idx[k:k+1], u[k:k+1], src)
-			c.draw(row, i, idx[:k], u[:k], src)
-			c.draw(row, i, idx[k+1:], u[k+1:], src)
-		} else {
-			c.draw(row, i, idx, u, src)
-		}
-		g := row[i]
-		reached, decided := false, false
-		if filter {
-			l := negLogCoarse(u[k])
-			lo, hi := g*(l-coarseErr)/beta, g*(l+coarseErr)/beta
-			if inDomain(lo) && inDomain(hi) {
-				reject := hi * (1 + delta)
-				if decided = dense && c.rejectHead(row, c.head[i*w:(i+1)*w], reject, delta); !decided {
-					sum, gains := coarseSum(row, idx, u, k, m.Noise)
-					if decided = sum*(1-delta)-coarseErr*gains > reject; !decided {
-						reached, decided = accept(sum, gains, lo, delta)
-					}
+		for k := start; k < end; k++ {
+			i := idx[k]
+			row, u := m.Incoming(i), c.u[(k-start)*a:]
+			if !c.batched {
+				c.draw(row, i, idx, u[:a], src)
+			}
+			if c.judge(row, i, k, u[k], u, beta, delta, filter) {
+				if ok != nil {
+					ok[i] = true
 				}
+				count++
 			}
-		}
-		if !decided {
-			c.fallbacks++
-			var own float64
-			if g != 0 {
-				own = -g * math.Log(u[k])
-			}
-			reached = c.exact(row, i, idx, u, own, beta)
-		}
-		if reached {
-			if ok != nil {
-				ok[i] = true
-			}
-			count++
 		}
 	}
 	return count
+}
+
+// Counterfactual draws one Rayleigh realization at receiver i and reports
+// whether link i would reach SINR β if it transmitted alongside the
+// prepared set. It draws as the canonical loop would for i alone: i's own
+// signal first, then each active sender j ≠ i in increasing index order, a
+// zero gain drawing nothing and a negative one panicking. It decides as
+// Realize does, through the same tiers.
+func (c *Counter) Counterfactual(i int, beta float64, src *rng.Source) bool {
+	m, idx := c.m, c.idx
+	if i < 0 || i >= m.N {
+		panic(fmt.Sprintf("fading: link %d of %d", i, m.N))
+	}
+	row, u := m.Incoming(i), c.u
+	self, own := [1]int{i}, [1]float64{}
+	c.draw(row, i, self[:], own[:], src)
+	skip, links := -1, len(idx)+1
+	if k, in := slices.BinarySearch(idx, i); in {
+		c.draw(row, i, idx[:k], u[:k], src)
+		c.draw(row, i, idx[k+1:], u[k+1:len(idx)], src)
+		skip, links = k, len(idx)
+	} else {
+		c.draw(row, i, idx, u[:len(idx)], src)
+	}
+	return c.judge(row, i, skip, own[0], u, beta, float64(links+8)*0x1p-50, coarseDomain(beta, m.Noise))
+}
+
+// judge decides receiver i of the realization: its own uniform is own, and
+// u[k] holds the uniform of each sender idx[k] but the one at place skip,
+// the receiver's own or −1, with u[len(idx)] readable as the head's
+// sentinel on dense sets. It tries the coarse tier when filter holds and
+// otherwise, or if that tier leaves i undecided, the canonical loop.
+func (c *Counter) judge(row []float64, i, skip int, own float64, u []float64, beta, delta float64, filter bool) bool {
+	g := row[i]
+	if filter {
+		l := negLogCoarse(own)
+		lo, hi := g*(l-coarseErr)/beta, g*(l+coarseErr)/beta
+		if inDomain(lo) && inDomain(hi) {
+			reject := hi * (1 + delta)
+			w := min(HeadSize, c.m.N-1)
+			if c.dense && c.rejectHead(row, c.head[i*w:(i+1)*w], u, reject, delta) {
+				return false
+			}
+			sum, gains := coarseSum(row, c.idx, u, skip, c.m.Noise)
+			if sum*(1-delta)-coarseErr*gains > reject {
+				return false
+			}
+			if reached, decided := accept(sum, gains, lo, delta); decided {
+				return reached
+			}
+		}
+	}
+	c.fallbacks++
+	var s float64
+	if g != 0 {
+		s = -g * math.Log(own)
+	}
+	return c.exact(row, i, c.idx, u, s, beta)
 }
 
 // draw fills u[k] with the uniform of sender idx[k] at receiver i for every
@@ -314,9 +384,10 @@ func (c *Counter) draw(row []float64, i int, idx []int, u []float64, src *rng.So
 }
 
 // rejectHead reports whether the coarse lower bound over head's senders,
-// inactive ones masked out, exceeds reject after some term.
-func (c *Counter) rejectHead(row []float64, head []int32, reject, delta float64) bool {
-	mask, pos, u := c.mask, c.pos, c.u
+// inactive ones masked out, exceeds reject after some term; u is the
+// receiver's uniforms, sentinel included.
+func (c *Counter) rejectHead(row []float64, head []int32, u []float64, reject, delta float64) bool {
+	mask, pos := c.mask, c.pos
 	sum, gains := c.m.Noise, 0.0
 	for _, j := range head {
 		g := row[j] * mask[j]

@@ -561,8 +561,9 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 
 // BenchmarkCountSuccesses100 times the Figure-1 counting kernel at β = 2.5 on
 // a paper-settings network, for a sparse and a fully active transmitter set,
-// and for a fresh Bernoulli(0.5) set drawn before every Count, the shape of
-// a /v1/estimate sample.
+// for a fresh Bernoulli(0.5) set drawn before every Count, the shape of a
+// /v1/estimate sample, and for one Bernoulli(0.5) set prepared once and
+// realized ten times, the shape of a Figure-1 transmit set.
 func BenchmarkCountSuccesses100(b *testing.B) {
 	m := randomMatrix(b, 1, 100)
 	c := NewCounter(m)
@@ -587,6 +588,18 @@ func BenchmarkCountSuccesses100(b *testing.B) {
 				active[j] = setup.Bernoulli(0.5)
 			}
 			c.Count(active, 2.5, src, nil)
+		}
+	})
+	b.Run("set=0.5x10", func(b *testing.B) {
+		active := randomActive(rng.New(3), 100, 0.5)
+		src := rng.New(2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Prepare(active)
+			for r := 0; r < 10; r++ {
+				c.Realize(2.5, src, nil)
+			}
 		}
 	})
 }

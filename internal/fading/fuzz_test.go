@@ -77,6 +77,10 @@ func FuzzCountSuccessesMatchesReference(f *testing.F) {
 	f.Add(uint64(12), math.NaN(), 1.0, 4e-7, 0.0)
 	f.Add(uint64(13), 2.5, 0.8, 4e-7, math.MaxFloat64) // huge gain: masked to 0, overflows when active
 	f.Add(uint64(14), 2.5, 0.8, 4e-7, math.Inf(1))     // masked to NaN on the head
+	f.Add(uint64(15), 2.5, 0.5, 0.0, 0.0)              // ν = 0 in the coarse tier, as Figure 2 runs
+	f.Add(uint64(16), 0.5, 1.0, 0.0, 0.0)              // ν = 0, every link active: the head and the straight sum
+	f.Add(uint64(24), 2.5, 1.0, 0.0, 0.0)              // one link at ν = 0: no interferer, SINR +Inf
+	f.Add(uint64(17), 2.5, 0.1, 0.0, 0.0)              // ν = 0, sparse: receivers with no active interferer
 	f.Fuzz(func(t *testing.T, seed uint64, beta, density, noise, gain float64) {
 		cfg := network.Figure1Config()
 		cfg.N = 1 + int(seed%24)

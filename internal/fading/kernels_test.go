@@ -199,6 +199,7 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 		t.Fatalf("n=%d β=%g ν=%g seed=%d: Counter.Count flags %v, reference %v", m.N, beta, m.Noise, seed, ok, reached)
 	}
 	fallbacks := c.fallbacks
+	c.Prepare(active)
 	for i := 0; i < m.N; i++ {
 		ref := rng.New(seed)
 		want := referenceCounterfactual(m, active, i, ref) >= beta
@@ -206,7 +207,7 @@ func checkCountSuccesses(t testing.TB, c *Counter, active []bool, beta float64, 
 			c.u[k] = math.NaN()
 		}
 		src := rng.New(seed)
-		if got := c.Counterfactual(active, i, beta, src); got != want {
+		if got := c.Counterfactual(i, beta, src); got != want {
 			t.Fatalf("n=%d β=%g ν=%g seed=%d: Counterfactual(link %d, active %v) = %v, reference %v", m.N, beta, m.Noise, seed, i, active[i], got, want)
 		}
 		if src.Uint64() != ref.Uint64() {
@@ -337,7 +338,8 @@ func TestCountSuccessesExactTies(t *testing.T) {
 
 // TestCounterFallsBackOutsideDomain pins that thresholds and noise levels
 // outside the normal positive range skip the filter for every receiver,
-// and that the paper's settings never need the fallback.
+// save an exact zero noise, and that the paper's settings, with their noise
+// or none, never need the fallback.
 func TestCounterFallsBackOutsideDomain(t *testing.T) {
 	m := randomMatrix(t, 19, 40)
 	active := randomActive(rng.New(20), 40, 0.8)
@@ -354,10 +356,10 @@ func TestCounterFallsBackOutsideDomain(t *testing.T) {
 		fallbacks int
 	}{
 		{"paper settings", 2.5, noise, 0},
+		{"ν = 0", 2.5, 0, 0},
 		{"β = 0", 0, noise, a},
 		{"β = +Inf", math.Inf(1), noise, a},
 		{"β = NaN", math.NaN(), noise, a},
-		{"ν = 0", 2.5, 0, a},
 		{"ν subnormal", 2.5, 5e-324, a},
 		{"ν = NaN", 2.5, math.NaN(), a},
 	} {
@@ -541,7 +543,8 @@ func TestCanonicalLoopDecidesBeyondTheBracket(t *testing.T) {
 			t.Errorf("%s, seed %d: Count left %d receivers to the canonical loop, want receiver 0 among them", tc.name, seed, c.fallbacks)
 		}
 		c = NewCounter(m)
-		if got := c.Counterfactual(active, 0, beta, rng.New(seed)); got != tc.reach || c.fallbacks != 1 {
+		c.Prepare(active)
+		if got := c.Counterfactual(0, beta, rng.New(seed)); got != tc.reach || c.fallbacks != 1 {
 			t.Errorf("%s, seed %d: Counterfactual(link 0) = %v with %d fallbacks, want %v with 1", tc.name, seed, got, c.fallbacks, tc.reach)
 		}
 	}
@@ -598,9 +601,17 @@ func TestKernelsAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() {
 			c.Count(active, 2.5, src, nil)
 			c.Count(active, 2.5, src, ok)
-			c.Counterfactual(active, 7, 2.5, src)
+			c.Counterfactual(7, 2.5, src)
 		}); allocs != 0 {
 			t.Errorf("Counter.Count and Counterfactual at density %.1f allocate %.1f objects per run", density, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			c.Prepare(active)
+			c.Realize(2.5, src, nil)
+			c.Realize(2.5, src, ok)
+			c.Counterfactual(7, 2.5, src)
+		}); allocs != 0 {
+			t.Errorf("a prepared set's Realize and Counterfactual at density %.1f allocate %.1f objects per run", density, allocs)
 		}
 	}
 	// The closed-form evaluator is part of the kernel layer's zero-alloc

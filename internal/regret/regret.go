@@ -210,7 +210,10 @@ func (g *Game) step() Round {
 	succeeded := make([]bool, n)
 	successes := 0
 	if g.model == Rayleigh {
-		successes = g.counter.Count(sent, g.beta, g.src, succeeded)
+		// One prepared set serves the round: its realization here and
+		// every idle link's counterfactual below.
+		g.counter.Prepare(sent)
+		successes = g.counter.Realize(g.beta, g.src, succeeded)
 	} else {
 		vals := sinr.ValuesInto(g.m, sent, g.sinrBuf)
 		for i, s := range sent {
@@ -252,10 +255,11 @@ func (g *Game) step() Round {
 }
 
 // counterfactualSuccess evaluates whether idle link i would have reached β
-// had it transmitted alongside the realized set.
+// had it transmitted alongside the realized set, which step has prepared on
+// the counter under Rayleigh fading.
 func (g *Game) counterfactualSuccess(sent []bool, i int) bool {
 	if g.model == Rayleigh {
-		return g.counter.Counterfactual(sent, i, g.beta, g.src)
+		return g.counter.Counterfactual(i, g.beta, g.src)
 	}
 	row := g.m.Incoming(i)
 	interf := g.m.Noise

@@ -447,15 +447,9 @@ func referenceStep(g *Game) Round {
 
 // TestGameMatchesReferenceAtPositiveNoise pins the Rayleigh game to
 // referenceStep at positive noise, where the Counter's bounded tiers decide
-// most receivers (Figure 2 runs at ν = 0, which only its canonical tier
-// sees), on a matrix with some zero gains: every round, and the stream
-// position after the last, must agree.
+// most receivers, on a matrix with some zero gains.
 func TestGameMatchesReferenceAtPositiveNoise(t *testing.T) {
-	net := fig2Net(t, 41, 60)
-	m := net.Gains()
-	for i := 0; i < m.N; i += 7 {
-		m.SetGain((i+3)%m.N, i, 0)
-	}
+	m := zeroSomeGains(fig2Net(t, 41, 60).Gains())
 	own := make([]float64, m.N)
 	for i := range own {
 		own[i] = m.Own(i)
@@ -463,27 +457,57 @@ func TestGameMatchesReferenceAtPositiveNoise(t *testing.T) {
 	slices.Sort(own)
 	for _, scale := range []float64{1e-6, 0.01, 0.2} {
 		m.Noise = scale * own[m.N/2]
-		got := NewGame(m, 0.5, Rayleigh, rng.New(43))
-		want := NewGame(m, 0.5, Rayleigh, rng.New(43))
-		successes, failures := 0, 0
-		for round := 0; round < 200; round++ {
-			a, b := got.step(), referenceStep(want)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("ν=%g round %d: game %+v, reference %+v", m.Noise, round, a, b)
+		checkGameMatchesReference(t, m)
+	}
+}
+
+// TestGameMatchesReferenceAtZeroNoise pins the game at Figure 2's own
+// ν = 0, which the Counter's coarse tier decides too, on the same matrix
+// with and without its zero gains.
+func TestGameMatchesReferenceAtZeroNoise(t *testing.T) {
+	m := fig2Net(t, 41, 60).Gains()
+	if m.Noise != 0 {
+		t.Fatalf("Figure 2's network has ν = %g, want 0", m.Noise)
+	}
+	checkGameMatchesReference(t, m)
+	checkGameMatchesReference(t, zeroSomeGains(m))
+}
+
+// zeroSomeGains zeroes the gain from sender i+3 at every seventh receiver
+// i, so some rows draw per sender, and returns m.
+func zeroSomeGains(m *network.Matrix) *network.Matrix {
+	for i := 0; i < m.N; i += 7 {
+		m.SetGain((i+3)%m.N, i, 0)
+	}
+	return m
+}
+
+// checkGameMatchesReference plays 200 rounds of the Rayleigh game on m
+// beside referenceStep from the same seed: every round, and the stream
+// position after the last, must agree, and the rounds must hold both
+// successes and failures.
+func checkGameMatchesReference(t *testing.T, m *network.Matrix) {
+	t.Helper()
+	got := NewGame(m, 0.5, Rayleigh, rng.New(43))
+	want := NewGame(m, 0.5, Rayleigh, rng.New(43))
+	successes, failures := 0, 0
+	for round := 0; round < 200; round++ {
+		a, b := got.step(), referenceStep(want)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("ν=%g round %d: game %+v, reference %+v", m.Noise, round, a, b)
+		}
+		for i, s := range a.Sent {
+			if s && !a.Succeeded[i] {
+				failures++
 			}
-			for i, s := range a.Sent {
-				if s && !a.Succeeded[i] {
-					failures++
-				}
-			}
-			successes += a.Successes
 		}
-		if got.src.Uint64() != want.src.Uint64() {
-			t.Fatalf("ν=%g: the game consumed a different number of draws", m.Noise)
-		}
-		if successes == 0 || failures == 0 {
-			t.Fatalf("ν=%g: %d successes and %d failures; the comparison needs both", m.Noise, successes, failures)
-		}
+		successes += a.Successes
+	}
+	if got.src.Uint64() != want.src.Uint64() {
+		t.Fatalf("ν=%g: the game consumed a different number of draws", m.Noise)
+	}
+	if successes == 0 || failures == 0 {
+		t.Fatalf("ν=%g: %d successes and %d failures; the comparison needs both", m.Noise, successes, failures)
 	}
 }
 

@@ -156,7 +156,8 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 // observeCurves fills a non-fading and a Rayleigh series for one matrix: per
 // probability p, transmitSeeds transmit sets of Bernoulli(p) senders, each
 // counted once without fading and fadingSeeds times with it, at threshold
-// beta. One set of scratch buffers and one Counter serve every draw.
+// beta. One set of scratch buffers and one Counter serve every draw; each
+// transmit set is prepared on the Counter once for its fadingSeeds counts.
 func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, transmitSeeds, fadingSeeds int, beta float64, src *rng.Source) {
 	active := make([]bool, m.N)
 	idx := make([]int, 0, m.N)
@@ -167,8 +168,9 @@ func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, tra
 				active[i] = src.Bernoulli(p)
 			}
 			nf.Observe(pi, float64(countNonFadingInto(m, active, beta, idx)))
+			counter.Prepare(active)
 			for fs := 0; fs < fadingSeeds; fs++ {
-				rl.Observe(pi, float64(counter.Count(active, beta, src, nil)))
+				rl.Observe(pi, float64(counter.Realize(beta, src, nil)))
 			}
 			tickRealizations(fadingSeeds)
 		}

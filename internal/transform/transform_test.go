@@ -427,3 +427,23 @@ func BenchmarkRunScheduleOnce100(b *testing.B) {
 		RunScheduleOnce(m, steps, src)
 	}
 }
+
+// BenchmarkAblationAlgorithm1Repeats varies the per-level repetition count
+// of Algorithm 1 (paper: 19). Reported metric: simulated value captured.
+func BenchmarkAblationAlgorithm1Repeats(b *testing.B) {
+	m := randomMatrix(b, 13, 60)
+	q := fading.UniformProbs(60, 0.8)
+	us := utility.Uniform(utility.Binary{Beta: 2.5})
+	for _, repeats := range []int{1, 4, 19} {
+		name := map[int]string{1: "repeats=01", 4: "repeats=04", 19: "repeats=19"}[repeats]
+		b.Run(name, func(b *testing.B) {
+			steps := Schedule(q, repeats)
+			src := rng.New(14)
+			var val float64
+			for i := 0; i < b.N; i++ {
+				val = SimulationValueMC(m, steps, us, 20, src).Mean
+			}
+			b.ReportMetric(val, "sim_value")
+		})
+	}
+}
