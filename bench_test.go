@@ -143,7 +143,7 @@ func BenchmarkLemma2Transfer(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := net.Gains()
-	set, err := capacity.GreedyUniform(context.Background(), net, 2.5)
+	set, err := capacity.GreedyAffectanceCtx(context.Background(), m, 2.5, capacity.DefaultTau, capacity.LengthOrder(net))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -42,11 +42,12 @@ func main() {
 	// Square-root power assignment (the second curve family of Figure 1).
 	sqrtNet := net.Clone().ApplyPower(rayfade.SquareRootPower{Scale: 2, Alpha: net.Alpha})
 	// The length-ordered greedy also serves monotone power assignments.
-	sqrtSet, err := capacity.GreedyUniform(context.Background(), sqrtNet, beta)
+	sqrtM := sqrtNet.Gains()
+	sqrtSet, err := capacity.GreedyAffectanceCtx(context.Background(), sqrtM, beta, capacity.DefaultTau, capacity.LengthOrder(sqrtNet))
 	if err != nil {
 		log.Fatal(err)
 	}
-	show("greedy (sqrt power)", sqrtSet, fading.ExpectedBinaryValueOfSet(sqrtNet.Gains(), sqrtSet, beta))
+	show("greedy (sqrt power)", sqrtSet, fading.ExpectedBinaryValueOfSet(sqrtM, sqrtSet, beta))
 
 	// Flexible data rates: maximize total Shannon capacity by picking the
 	// best SINR threshold class (Kesselheim's rate decomposition).

@@ -65,7 +65,7 @@ func main() {
 	m := scn.Network().Gains()
 	capFn := latency.GreedyCapacity(capacity.LengthOrder(scn.Network()), capacity.DefaultTau)
 	paths := []latency.Path{{0, 7, 19}, {3, 12}}
-	slotsMH, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, latency.NonFading{})
+	slotsMH, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, &latency.NonFading{})
 	if err != nil {
 		log.Fatal(err)
 	}

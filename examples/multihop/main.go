@@ -54,7 +54,7 @@ func main() {
 		paths[k] = r
 	}
 
-	slots, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, latency.NonFading{})
+	slots, done, err := latency.MultiHopCtx(context.Background(), m, beta, paths, capFn, 0, &latency.NonFading{})
 	if err != nil {
 		log.Fatal(err)
 	}

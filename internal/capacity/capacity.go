@@ -7,11 +7,12 @@
 // approximation under Rayleigh fading (Lemma 2 + Theorem 2). The package
 // provides faithful variants of the cited algorithm families:
 //
-//   - GreedyUniform — length-ordered affectance greedy for uniform powers,
-//     in the style of Goussevskaia–Wattenhofer–Halldórsson–Welzl [8] and
-//     Halldórsson–Wattenhofer [25]; the same scan serves monotone (e.g.
-//     square-root) power assignments, the regime of Halldórsson–Mitra [7],
-//     where the distinction matters for the guarantee, not the code path;
+//   - GreedyAffectanceCtx in LengthOrder — the length-ordered affectance
+//     greedy for uniform powers, in the style of Goussevskaia–Wattenhofer–
+//     Halldórsson–Welzl [8] and Halldórsson–Wattenhofer [25]; the same scan
+//     serves monotone (e.g. square-root) power assignments, the regime of
+//     Halldórsson–Mitra [7], where the distinction matters for the
+//     guarantee, not the code path;
 //   - PowerControlGreedyCtx — greedy selection with exact power-control
 //     feasibility via the Foschini–Miljanic fixed point, the natural
 //     executable counterpart of Kesselheim's power-control algorithm [6]
@@ -138,17 +139,6 @@ func LengthOrder(net *network.Network) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return lengths[order[a]] < lengths[order[b]] })
 	return order
-}
-
-// GreedyUniform runs the length-ordered affectance greedy with the default
-// budget on a network, assuming its links carry a uniform power assignment
-// (the algorithm itself never changes powers). This is the executable form
-// of the constant-factor uniform-power capacity algorithms [8], [25]. For a
-// power assignment monotone in link length (square-root powers in the
-// paper's Figure 1) it is the same scan, in the regime of
-// Halldórsson–Mitra [7]. Cancellation behaves as in GreedyAffectanceCtx.
-func GreedyUniform(ctx context.Context, net *network.Network, beta float64) ([]int, error) {
-	return GreedyAffectanceCtx(ctx, net.Gains(), beta, DefaultTau, LengthOrder(net))
 }
 
 // FeasiblePowers decides power-control feasibility of a link set and, when

@@ -24,10 +24,16 @@ func fig1Net(t testing.TB, seed uint64, n int) *network.Network {
 	return net
 }
 
+// lengthGreedy is the affectance greedy in length order with the default
+// budget: the uniform- and monotone-power capacity algorithm.
+func lengthGreedy(net *network.Network, beta float64) []int {
+	return GreedyAffectance(net.Gains(), beta, DefaultTau, LengthOrder(net))
+}
+
 func TestGreedyUniformFeasible(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		net := fig1Net(t, seed, 100)
-		set, _ := GreedyUniform(context.Background(), net, 2.5)
+		set := lengthGreedy(net, 2.5)
 		if len(set) == 0 {
 			t.Fatalf("seed %d: empty greedy set", seed)
 		}
@@ -44,7 +50,7 @@ func TestGreedyUniformNontrivialSize(t *testing.T) {
 	const trials = 10
 	for seed := uint64(0); seed < trials; seed++ {
 		net := fig1Net(t, seed+100, 100)
-		set, _ := GreedyUniform(context.Background(), net, 2.5)
+		set := lengthGreedy(net, 2.5)
 		total += len(set)
 	}
 	avg := float64(total) / trials
@@ -97,7 +103,7 @@ func TestGreedyAffectanceSkipsNoiseDominated(t *testing.T) {
 	// A network whose links cannot reach β even alone must yield an empty set.
 	net := fig1Net(t, 9, 20)
 	net.Noise = 1e9
-	set, _ := GreedyUniform(context.Background(), net, 2.5)
+	set := lengthGreedy(net, 2.5)
 	if len(set) != 0 {
 		t.Fatalf("noise-dominated network produced set %v", set)
 	}
@@ -148,7 +154,7 @@ func TestGreedyMonotoneWithSquareRootPowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _ := GreedyUniform(context.Background(), net, 2.5)
+	set := lengthGreedy(net, 2.5)
 	if len(set) == 0 {
 		t.Fatal("empty set under square-root powers")
 	}
@@ -210,7 +216,7 @@ func TestFeasiblePowersGeometry(t *testing.T) {
 func TestFeasiblePowersCertify(t *testing.T) {
 	f := func(seed uint64) bool {
 		net := fig1Net(t, seed, 12)
-		set, _ := GreedyUniform(context.Background(), net, 2.5) // some feasible starting set
+		set := lengthGreedy(net, 2.5) // some feasible starting set
 		p, ok := FeasiblePowers(net, set, 2.5, 0, 0)
 		if !ok {
 			// Uniform-power feasible implies power-control feasible.
@@ -230,7 +236,7 @@ func TestFeasiblePowersCertify(t *testing.T) {
 func TestFeasiblePowersZeroNoise(t *testing.T) {
 	net := fig1Net(t, 17, 10)
 	net.Noise = 0
-	set, _ := GreedyUniform(context.Background(), net, 2.5)
+	set := lengthGreedy(net, 2.5)
 	if len(set) < 2 {
 		t.Skip("need at least two links for a meaningful zero-noise test")
 	}
@@ -266,7 +272,7 @@ func TestPowerControlGreedy(t *testing.T) {
 	// Power control dominates uniform power: it can only select more links
 	// than a fixed assignment's greedy (both scan in the same order and the
 	// feasibility test is strictly more permissive).
-	uniform, _ := GreedyUniform(context.Background(), net, 2.5)
+	uniform := lengthGreedy(net, 2.5)
 	if len(res.Set) < len(uniform) {
 		t.Fatalf("power control found %d < uniform greedy %d", len(res.Set), len(uniform))
 	}
@@ -415,7 +421,7 @@ func TestQuickGreedyAlwaysFeasible(t *testing.T) {
 		n := int(nRaw%60) + 2
 		beta := 0.5 + float64(betaRaw%8)
 		net := fig1Net(t, seed, n)
-		set, _ := GreedyUniform(context.Background(), net, beta)
+		set := lengthGreedy(net, beta)
 		return sinr.Feasible(net.Gains(), set, beta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

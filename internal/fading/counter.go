@@ -7,6 +7,7 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 )
 
 // Plan is the part of a Counter that depends only on its gain matrix: each
@@ -245,7 +246,7 @@ func (c *Counter) Prepare(active []bool) {
 	if len(active) != m.N {
 		panic(fmt.Sprintf("fading: %d activity flags for %d links", len(active), m.N))
 	}
-	c.idx = activeIndices(active, c.idx)
+	c.idx = sinr.ActiveList(active, c.idx)
 	c.batched = c.positive != nil
 	for k := 0; c.batched && k < len(c.idx); k++ {
 		c.batched = c.positive[c.idx[k]]

@@ -28,6 +28,7 @@ import (
 
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 	"rayfade/internal/utility"
 )
 
@@ -226,18 +227,6 @@ func checkScratch(n int, out []float64, idx []int) {
 	}
 }
 
-// activeIndices fills idx (sliced to zero length) with the indices of active
-// links, in increasing order, without allocating.
-func activeIndices(active []bool, idx []int) []int {
-	idx = idx[:0]
-	for i, a := range active {
-		if a {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // SampleSINRsInto draws one fading realization into out and returns it: for
 // each active link i, every active sender's strength at receiver i is
 // sampler's draw for mean S̄(j,i), in increasing (receiver, sender) order,
@@ -250,7 +239,7 @@ func activeIndices(active []bool, idx []int) []int {
 // plus an O(n) clear of out.
 func SampleSINRsInto(m *network.Matrix, active []bool, sampler GainSampler, src *rng.Source, out []float64, idx []int) []float64 {
 	checkScratch(m.N, out, idx)
-	idx = activeIndices(active, idx)
+	idx = sinr.ActiveList(active, idx)
 	for i := range out {
 		out[i] = 0
 	}

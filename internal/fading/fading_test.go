@@ -489,7 +489,7 @@ func TestSuccessCountersForProbs(t *testing.T) {
 				tx++
 			}
 		}
-		if nf := len(sinr.Successes(m, active, 2.5)); nf < 0 || nf > tx {
+		if nf := len(sinr.AppendSuccesses(nil, m, sinr.ActiveList(active, nil), 2.5)); nf < 0 || nf > tx {
 			t.Fatalf("non-fading successes %d of %d transmitters", nf, tx)
 		}
 		if rl := counter.Count(active, 2.5, src, nil); rl < 0 || rl > tx {

@@ -123,7 +123,7 @@ func TestCountSuccessesMatchesSampleSuccesses(t *testing.T) {
 		}
 		counted := src.Clone()
 		n := c.Count(active, 2.5, counted, ok)
-		if got := sinr.ActiveToSet(ok); !slices.Equal(got, want) || counted.Uint64() != ref.Uint64() {
+		if got := sinr.ActiveList(ok, nil); !slices.Equal(got, want) || counted.Uint64() != ref.Uint64() {
 			t.Fatalf("trial %d: Counter.Count flags %v, reference %v (or a different stream position)", trial, got, want)
 		}
 		if n != len(want) {

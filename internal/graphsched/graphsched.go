@@ -144,8 +144,8 @@ func EvaluateSchedule(m *network.Matrix, classes [][]int, beta float64) Evaluati
 	ev := Evaluation{Slots: len(classes)}
 	for _, slot := range classes {
 		ev.Scheduled += len(slot)
-		active := sinr.SetToActive(m.N, slot)
-		ok := len(sinr.Successes(m, active, beta))
+		idx := sinr.ActiveList(sinr.SetToActive(m.N, slot), make([]int, 0, len(slot)))
+		ok := sinr.CountSuccesses(m, idx, beta)
 		ev.SINRSuccesses += ok
 		ev.Violations += len(slot) - ok
 	}

@@ -44,16 +44,24 @@ type SuccessModel interface {
 	Name() string
 }
 
-// NonFading evaluates successes deterministically from the expected gains.
-type NonFading struct{}
+// NonFading decides successes deterministically from the expected gains,
+// each link by sinr.SINRAt against the slot's active list. The zero value
+// is ready to use; it keeps its scratch from slot to slot, so a warmed slot
+// allocates nothing. As with Rayleigh, the success slice Successes returns
+// is only valid until the next call on the same model.
+type NonFading struct {
+	idx, succ []int
+}
 
 // Successes implements SuccessModel.
-func (NonFading) Successes(m *network.Matrix, active []bool, beta float64) []int {
-	return sinr.Successes(m, active, beta)
+func (nf *NonFading) Successes(m *network.Matrix, active []bool, beta float64) []int {
+	nf.idx = sinr.ActiveList(active, nf.idx)
+	nf.succ = sinr.AppendSuccesses(nf.succ[:0], m, nf.idx, beta)
+	return nf.succ
 }
 
 // Name implements SuccessModel.
-func (NonFading) Name() string { return "non-fading" }
+func (*NonFading) Name() string { return "non-fading" }
 
 // Rayleigh draws an exponential fading realization per slot and decides it
 // with a fading.Counter on one gain matrix, so its slots allocate nothing.

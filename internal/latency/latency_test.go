@@ -109,7 +109,7 @@ func TestCapacityFuncCancellationSurfaces(t *testing.T) {
 	calls = 0
 	slots, done, err := MultiHopCtx(context.Background(), m, 2.5, []Path{{0, 5}}, func(_ context.Context, m *network.Matrix, beta float64, candidates []int) ([]int, error) {
 		return cancelling(ctx, m, beta, candidates)
-	}, 0, NonFading{})
+	}, 0, &NonFading{})
 	if !errors.Is(err, context.Canceled) || done || slots != 0 || calls != 1 {
 		t.Fatalf("MultiHopCtx = (%d, %v, %v) after %d capacity calls, want (0, false, context.Canceled) after 1", slots, done, err, calls)
 	}
@@ -121,8 +121,8 @@ func TestContentionHonorsCancellation(t *testing.T) {
 	m := fig1Net(t, 7, 20).Gains()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	aloha, aerr := AlohaCtx(ctx, m, 2.5, AlohaConfig{Prob: 0.1}, rng.New(1), NonFading{})
-	backoff, berr := BackoffAloha(ctx, m, 2.5, DefaultBackoff, rng.New(1), NonFading{})
+	aloha, aerr := AlohaCtx(ctx, m, 2.5, AlohaConfig{Prob: 0.1}, rng.New(1), &NonFading{})
+	backoff, berr := BackoffAloha(ctx, m, 2.5, DefaultBackoff, rng.New(1), &NonFading{})
 	for _, r := range []struct {
 		res AlohaResult
 		err error
@@ -148,7 +148,7 @@ func TestPlayScheduleNonFadingCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, slots, 2.5, 1, 1, NonFading{})
+	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, slots, 2.5, 1, 1, &NonFading{})
 	if !done {
 		t.Fatal("non-fading replay of a non-fading schedule must complete")
 	}
@@ -161,7 +161,7 @@ func TestPlayScheduleIncomplete(t *testing.T) {
 	net := fig1Net(t, 8, 20)
 	m := net.Gains()
 	// A schedule covering only link 0 cannot serve everyone.
-	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 1, 1, NonFading{})
+	used, done, _ := RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 1, 1, &NonFading{})
 	if done {
 		t.Fatal("partial schedule reported done")
 	}
@@ -217,8 +217,8 @@ func TestRepeatUntilDonePanics(t *testing.T) {
 	net := fig1Net(t, 1, 5)
 	m := net.Gains()
 	for _, fn := range []func(){
-		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 0, 10, NonFading{}) },
-		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 4, 0, NonFading{}) },
+		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 0, 10, &NonFading{}) },
+		func() { RepeatUntilDoneCtx(context.Background(), m, [][]int{{0}}, 2.5, 4, 0, &NonFading{}) },
 	} {
 		func() {
 			defer func() {
@@ -235,7 +235,7 @@ func TestAlohaNonFadingCompletes(t *testing.T) {
 	net := fig1Net(t, 11, 40)
 	m := net.Gains()
 	src := rng.New(5)
-	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
+	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, &NonFading{})
 	if !res.Done {
 		t.Fatalf("ALOHA did not complete in %d slots", res.Slots)
 	}
@@ -265,7 +265,7 @@ func TestAlohaRespectsMaxSlots(t *testing.T) {
 	net := fig1Net(t, 13, 30)
 	net.Noise = 1e9 // nobody can ever succeed
 	m := net.Gains()
-	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.2, MaxSlots: 100}, rng.New(7), NonFading{})
+	res, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.2, MaxSlots: 100}, rng.New(7), &NonFading{})
 	if res.Done {
 		t.Fatal("impossible instance reported done")
 	}
@@ -283,7 +283,7 @@ func TestAlohaPanicsOnBadProb(t *testing.T) {
 					t.Errorf("Prob=%g did not panic", p)
 				}
 			}()
-			AlohaCtx(context.Background(), net.Gains(), 2.5, AlohaConfig{Prob: p}, rng.New(1), NonFading{})
+			AlohaCtx(context.Background(), net.Gains(), 2.5, AlohaConfig{Prob: p}, rng.New(1), &NonFading{})
 		}()
 	}
 }
@@ -293,8 +293,8 @@ func TestAlohaPanicsOnBadProb(t *testing.T) {
 func TestAlohaCollapseAtHighProbability(t *testing.T) {
 	net := fig1Net(t, 14, 60)
 	m := net.Gains()
-	low, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 20000}, rng.New(8), NonFading{})
-	high, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 20000}, rng.New(9), NonFading{})
+	low, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1, MaxSlots: 20000}, rng.New(8), &NonFading{})
+	high, _ := AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 1, MaxSlots: 20000}, rng.New(9), &NonFading{})
 	if !low.Done {
 		t.Fatal("p=0.1 did not complete")
 	}
@@ -315,7 +315,7 @@ func TestMultiHopDelivers(t *testing.T) {
 		{12},
 		{},
 	}
-	slots, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
+	slots, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, &NonFading{})
 	if !done {
 		t.Fatalf("multi-hop did not deliver in %d slots", slots)
 	}
@@ -341,7 +341,7 @@ func TestMultiHopSharedHop(t *testing.T) {
 	m := net.Gains()
 	// Two packets sharing the same next hop: one success advances both.
 	paths := []Path{{4, 8}, {4, 9}}
-	_, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, NonFading{})
+	_, done, _ := MultiHopCtx(context.Background(), m, 2.5, paths, defaultCapFn(net), 0, &NonFading{})
 	if !done {
 		t.Fatal("shared-hop instance did not deliver")
 	}
@@ -354,12 +354,35 @@ func TestMultiHopPanicsOnBadPath(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MultiHopCtx(context.Background(), net.Gains(), 2.5, []Path{{99}}, defaultCapFn(net), 0, NonFading{})
+	MultiHopCtx(context.Background(), net.Gains(), 2.5, []Path{{99}}, defaultCapFn(net), 0, &NonFading{})
 }
 
 func TestModelNames(t *testing.T) {
-	if (NonFading{}).Name() == "" || (&Rayleigh{}).Name() == "" {
+	if (&NonFading{}).Name() == "" || (&Rayleigh{}).Name() == "" {
 		t.Fatal("model names empty")
+	}
+}
+
+// TestNonFadingSlotAllocationFree pins that a warmed non-fading model
+// decides a slot without allocating, at every density.
+func TestNonFadingSlotAllocationFree(t *testing.T) {
+	m := fig1Net(t, 3, 60).Gains()
+	src := rng.New(4)
+	model := &NonFading{}
+	active := make([]bool, m.N)
+	for i := range active {
+		active[i] = true
+	}
+	model.Successes(m, active, 2.5) // warm: sizes the scratch for every link
+	for _, density := range []float64{0, 0.1, 0.5, 1} {
+		for i := range active {
+			active[i] = src.Bernoulli(density)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			model.Successes(m, active, 2.5)
+		}); allocs != 0 {
+			t.Errorf("a warmed NonFading slot at density %.1f allocates %.1f objects per run", density, allocs)
+		}
 	}
 }
 
@@ -398,6 +421,6 @@ func BenchmarkAlohaNonFading60(b *testing.B) {
 	src := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, NonFading{})
+		AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, &NonFading{})
 	}
 }

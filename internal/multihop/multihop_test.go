@@ -188,7 +188,7 @@ func TestRandomWorkloadEndToEnd(t *testing.T) {
 	for k, r := range w.Routes {
 		paths[k] = r
 	}
-	slots, done, err := latency.MultiHopCtx(context.Background(), m, 2.5, paths, capFn, 0, latency.NonFading{})
+	slots, done, err := latency.MultiHopCtx(context.Background(), m, 2.5, paths, capFn, 0, &latency.NonFading{})
 	if err != nil {
 		t.Fatal(err)
 	}

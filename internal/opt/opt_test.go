@@ -64,7 +64,7 @@ func TestBruteForceDominatesGreedy(t *testing.T) {
 		}
 		m := net.Gains()
 		bf := BruteForce(m, 2.5)
-		greedy, _ := capacity.GreedyUniform(context.Background(), net, 2.5)
+		greedy, _ := capacity.GreedyAffectanceCtx(context.Background(), m, 2.5, capacity.DefaultTau, capacity.LengthOrder(net))
 		if len(bf) < len(greedy) {
 			t.Fatalf("seed %d: optimum %d below greedy %d", seed, len(bf), len(greedy))
 		}
@@ -176,7 +176,7 @@ func TestLocalSearchFeasibleAndDominatesGreedy(t *testing.T) {
 		if !sinr.Feasible(m, ls, 2.5) {
 			t.Fatalf("seed %d: local-search set infeasible", seed)
 		}
-		greedy, _ := capacity.GreedyUniform(context.Background(), net, 2.5)
+		greedy, _ := capacity.GreedyAffectanceCtx(context.Background(), m, 2.5, capacity.DefaultTau, capacity.LengthOrder(net))
 		if len(ls) < len(greedy) {
 			t.Fatalf("seed %d: local search %d below greedy %d", seed, len(ls), len(greedy))
 		}

@@ -158,10 +158,10 @@ type Game struct {
 	learners []Learner
 	src      *rng.Source
 	// counter decides every Rayleigh success, realized and counterfactual;
-	// sinrBuf holds the non-fading SINRs. Both are per-game scratch, which
-	// keeps long Figure-2 runs off the garbage collector.
+	// idx holds the non-fading round's active list. Both are per-game
+	// scratch, which keeps long Figure-2 runs off the garbage collector.
 	counter *fading.Counter
-	sinrBuf []float64
+	idx     []int
 }
 
 // NewGame creates a game over the matrix at threshold beta, equipping every
@@ -190,7 +190,7 @@ func NewGameWithLearners(m *network.Matrix, beta float64, model Model, learners 
 	if model == Rayleigh {
 		g.counter = fading.NewCounter(m)
 	} else {
-		g.sinrBuf = make([]float64, m.N)
+		g.idx = make([]int, 0, m.N)
 	}
 	return g
 }
@@ -208,31 +208,8 @@ func (g *Game) step() Round {
 	}
 	avgProb /= float64(n)
 	succeeded := make([]bool, n)
-	successes := 0
-	if g.model == Rayleigh {
-		// One prepared set serves the round: its realization here and
-		// every idle link's counterfactual below.
-		g.counter.Prepare(sent)
-		successes = g.counter.Realize(g.beta, g.src, succeeded)
-	} else {
-		vals := sinr.ValuesInto(g.m, sent, g.sinrBuf)
-		for i, s := range sent {
-			if s && vals[i] >= g.beta {
-				succeeded[i] = true
-				successes++
-			}
-		}
-	}
 	rewardSend := make([]float64, n)
-	for i, s := range sent {
-		// An idle link's reward is the counterfactual: would i have
-		// succeeded had it also transmitted? Only i's own success matters.
-		if succeeded[i] || !s && g.counterfactualSuccess(sent, i) {
-			rewardSend[i] = 1
-		} else {
-			rewardSend[i] = -1
-		}
-	}
+	successes := g.decide(sent, succeeded, rewardSend)
 	// Update learners with the Section-7 losses for both actions (bandit
 	// learners will only consult the entry for the action they played).
 	for i, p := range g.learners {
@@ -254,24 +231,46 @@ func (g *Game) step() Round {
 	}
 }
 
-// counterfactualSuccess evaluates whether idle link i would have reached β
-// had it transmitted alongside the realized set, which step has prepared on
-// the counter under Rayleigh fading.
-func (g *Game) counterfactualSuccess(sent []bool, i int) bool {
+// decide settles the round in which the links with sent[i] set transmit:
+// it sets succeeded[i] for each sender that reaches β and rewardSend[i] to
+// +1 or −1 for every link, and returns the number of successes. An idle
+// link's reward is the counterfactual — would i have succeeded had it also
+// transmitted? Only i's own success matters. It allocates nothing.
+func (g *Game) decide(sent, succeeded []bool, rewardSend []float64) int {
 	if g.model == Rayleigh {
-		return g.counter.Counterfactual(i, g.beta, g.src)
-	}
-	row := g.m.Incoming(i)
-	interf := g.m.Noise
-	for j, s := range sent {
-		if s && j != i {
-			interf += row[j]
+		// One prepared set serves the round: its realization and every
+		// idle link's counterfactual.
+		g.counter.Prepare(sent)
+		successes := g.counter.Realize(g.beta, g.src, succeeded)
+		for i, s := range sent {
+			rewardSend[i] = sendReward(succeeded[i] || !s && g.counter.Counterfactual(i, g.beta, g.src))
 		}
+		return successes
 	}
-	if interf == 0 {
-		return row[i] > 0
+	// One active list serves the round: link i decided against it is its
+	// realized success if it sent and its counterfactual if it idled.
+	g.idx = sinr.ActiveList(sent, g.idx)
+	successes, k := 0, 0 // k counts the senders below link i
+	for i, s := range sent {
+		ok := sinr.SINRAt(g.m, g.idx, k, i) >= g.beta
+		succeeded[i] = s && ok
+		if s {
+			k++
+			if ok {
+				successes++
+			}
+		}
+		rewardSend[i] = sendReward(ok)
 	}
-	return row[i]/interf >= g.beta
+	return successes
+}
+
+// sendReward is the reward h_i of sending: +1 on success, −1 on failure.
+func sendReward(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return -1
 }
 
 // Run plays T rounds and returns the trajectory.

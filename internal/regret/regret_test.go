@@ -243,7 +243,7 @@ func TestLemma5Relation(t *testing.T) {
 func TestConvergedThroughputNearCapacity(t *testing.T) {
 	net := fig2Net(t, 7, 60)
 	m := net.Gains()
-	greedy, _ := capacity.GreedyUniform(context.Background(), net, 0.5)
+	greedy, _ := capacity.GreedyAffectanceCtx(context.Background(), m, 0.5, capacity.DefaultTau, capacity.LengthOrder(net))
 	greedySize := float64(len(greedy))
 	for _, model := range []Model{NonFading, Rayleigh} {
 		g := NewGame(m, 0.5, model, rng.New(19))
@@ -508,6 +508,28 @@ func checkGameMatchesReference(t *testing.T, m *network.Matrix) {
 	}
 	if successes == 0 || failures == 0 {
 		t.Fatalf("ν=%g: %d successes and %d failures; the comparison needs both", m.Noise, successes, failures)
+	}
+}
+
+// TestNonFadingDecisionAllocationFree pins that deciding a non-fading round
+// — every sender's success and every idle link's counterfactual —
+// allocates nothing.
+func TestNonFadingDecisionAllocationFree(t *testing.T) {
+	m := fig2Net(t, 3, 100).Gains()
+	g := NewGame(m, 0.5, NonFading, rng.New(5))
+	src := rng.New(6)
+	sent := make([]bool, m.N)
+	succeeded := make([]bool, m.N)
+	rewardSend := make([]float64, m.N)
+	for _, density := range []float64{0, 0.1, 0.5, 1} {
+		for i := range sent {
+			sent[i] = src.Bernoulli(density)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			g.decide(sent, succeeded, rewardSend)
+		}); allocs != 0 {
+			t.Errorf("a non-fading round's decision at density %.1f allocates %.1f objects per run", density, allocs)
+		}
 	}
 }
 

@@ -100,7 +100,7 @@ func computeLatency(ctx context.Context, p latencyParams, t *compiled) (*latency
 		}
 	case "aloha":
 		cfg := latency.AlohaConfig{Prob: p.Prob, MaxSlots: p.MaxSlots, Repeats: resp.Repeats}
-		var model latency.SuccessModel = latency.NonFading{}
+		var model latency.SuccessModel = &latency.NonFading{}
 		if p.Model == "rayleigh" {
 			model = latency.NewRayleigh(t.counter(), src.Split())
 		}

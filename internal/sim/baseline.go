@@ -99,7 +99,7 @@ func RunBaselineCtx(ctx context.Context, cfg BaselineConfig) (*BaselineResult, e
 		out.gValid = float64(ev.SINRSuccesses)
 		out.gRay = fading.ExpectedBinaryValueOfSet(m, gSet, cfg.Beta)
 
-		sSet, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
+		sSet, _ := capacity.GreedyAffectanceCtx(ctx, m, cfg.Beta, capacity.DefaultTau, capacity.LengthOrder(net)) // fails only on cancellation, which the fan-out reports
 		out.sSize = float64(len(sSet))
 		out.sRay = fading.ExpectedBinaryValueOfSet(m, sSet, cfg.Beta)
 

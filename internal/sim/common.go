@@ -2,46 +2,10 @@ package sim
 
 import (
 	"context"
-	"math"
 	"time"
 
-	"rayfade/internal/network"
 	"rayfade/internal/obs"
 )
-
-// countNonFadingInto counts active links reaching beta in the non-fading
-// model, by sinr.ValuesInto's rule: a receiver's interference is the noise
-// plus the gain of every other active sender, added in index order, and
-// its SINR is +Inf when that sum is 0, else own gain over it. It visits
-// only active pairs, through the active list it builds in idx (capacity at
-// least m.N; overwritten).
-func countNonFadingInto(m *network.Matrix, active []bool, beta float64, idx []int) int {
-	idx = idx[:0]
-	for j, a := range active {
-		if a {
-			idx = append(idx, j)
-		}
-	}
-	count := 0
-	for k, i := range idx {
-		in := m.Incoming(i)
-		interf := m.Noise
-		for _, j := range idx[:k] {
-			interf += in[j]
-		}
-		for _, j := range idx[k+1:] {
-			interf += in[j]
-		}
-		v := math.Inf(1)
-		if interf != 0 {
-			v = in[i] / interf
-		}
-		if v >= beta {
-			count++
-		}
-	}
-	return count
-}
 
 // tickRealizations batches fading-realization counts into the installed
 // progress tracker, if any.

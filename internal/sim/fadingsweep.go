@@ -8,6 +8,7 @@ import (
 	"rayfade/internal/fading"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 	"rayfade/internal/stats"
 )
 
@@ -100,7 +101,7 @@ func RunFadingSweepCtx(ctx context.Context, cfg FadingSweepConfig) (*FadingSweep
 			for i := range active {
 				active[i] = src.Bernoulli(cfg.Prob)
 			}
-			out.nf.Add(float64(countNonFadingInto(m, active, cfg.Beta, idx)))
+			out.nf.Add(float64(sinr.CountSuccesses(m, sinr.ActiveList(active, idx), cfg.Beta)))
 			for si, shape := range cfg.Shapes {
 				sampler := fading.NakagamiGains{M: shape}
 				for fs := 0; fs < cfg.FadingSeeds; fs++ {

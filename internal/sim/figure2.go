@@ -154,7 +154,7 @@ func RunFigure2Ctx(ctx context.Context, cfg Figure2Config) (*Figure2Result, erro
 			panic(fmt.Sprintf("sim: figure 2 network generation: %v", err))
 		}
 		m := net.Gains()
-		greedy, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
+		greedy, _ := capacity.GreedyAffectanceCtx(ctx, m, cfg.Beta, capacity.DefaultTau, capacity.LengthOrder(net)) // fails only on cancellation, which the fan-out reports
 		out := netResult{
 			nf:     stats.NewSeries(rounds),
 			rl:     stats.NewSeries(rounds),

@@ -118,7 +118,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 			}
 			a, _ := latency.AlohaCtx(ctx, m, cfg.Beta,
 				latency.AlohaConfig{Prob: cfg.AlohaProb, MaxSlots: maxSlots},
-				src.Split(), latency.NonFading{})
+				src.Split(), &latency.NonFading{})
 			record(&out.alohaNF, &out.incomplete, a)
 			fadeSrc := src.Split()
 			b, _ := latency.AlohaCtx(ctx, m, cfg.Beta,
@@ -127,7 +127,7 @@ func RunLatencyCtx(ctx context.Context, cfg LatencyConfig) (*LatencyResult, erro
 			record(&out.alohaRL, &out.incomplete, b)
 			bo := latency.DefaultBackoff
 			bo.MaxSlots = maxSlots
-			c, _ := latency.BackoffAloha(ctx, m, cfg.Beta, bo, src.Split(), latency.NonFading{})
+			c, _ := latency.BackoffAloha(ctx, m, cfg.Beta, bo, src.Split(), &latency.NonFading{})
 			record(&out.backoffNF, &out.incomplete, c)
 			bo.Repeats = transform.AlohaRepeats
 			fadeSrc2 := src.Split()

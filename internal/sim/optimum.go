@@ -111,7 +111,7 @@ func RunOptimumCtx(ctx context.Context, cfg OptimumConfig) (*OptimumResult, erro
 		}
 		m := net.Gains()
 		set := opt.LocalSearch(m, cfg.Beta, cfg.Search, src)
-		greedy, _ := capacity.GreedyUniform(ctx, net, cfg.Beta) // fails only on cancellation, which the fan-out reports
+		greedy, _ := capacity.GreedyAffectanceCtx(ctx, m, cfg.Beta, capacity.DefaultTau, capacity.LengthOrder(net)) // fails only on cancellation, which the fan-out reports
 		return netResult{
 			greedy:   float64(len(greedy)),
 			local:    float64(len(set)),

@@ -9,6 +9,7 @@ import (
 	"rayfade/internal/network"
 	"rayfade/internal/obs"
 	"rayfade/internal/rng"
+	"rayfade/internal/sinr"
 	"rayfade/internal/stats"
 )
 
@@ -157,7 +158,8 @@ func RunTopologyCtx(ctx context.Context, cfg TopologyConfig) (*TopologyResult, e
 // probability p, transmitSeeds transmit sets of Bernoulli(p) senders, each
 // counted once without fading and fadingSeeds times with it, at threshold
 // beta. One set of scratch buffers and one Counter serve every draw; each
-// transmit set is prepared on the Counter once for its fadingSeeds counts.
+// transmit set is listed once for its non-fading count and prepared on the
+// Counter once for its fadingSeeds counts.
 func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, transmitSeeds, fadingSeeds int, beta float64, src *rng.Source) {
 	active := make([]bool, m.N)
 	idx := make([]int, 0, m.N)
@@ -167,7 +169,8 @@ func observeCurves(nf, rl *stats.Series, m *network.Matrix, probs []float64, tra
 			for i := range active {
 				active[i] = src.Bernoulli(p)
 			}
-			nf.Observe(pi, float64(countNonFadingInto(m, active, beta, idx)))
+			idx = sinr.ActiveList(active, idx)
+			nf.Observe(pi, float64(sinr.CountSuccesses(m, idx, beta)))
 			counter.Prepare(active)
 			for fs := 0; fs < fadingSeeds; fs++ {
 				rl.Observe(pi, float64(counter.Realize(beta, src, nil)))

@@ -56,7 +56,7 @@ func PartitionToSignal(m *network.Matrix, set []int, beta, p float64) ([][]int, 
 		if cand < 0 || cand >= m.N {
 			return nil, fmt.Errorf("sinr: link %d out of range", cand)
 		}
-		if m.Noise > 0 && m.Own(cand)/m.Noise < target {
+		if ratio(m.Own(cand), m.Noise) < target {
 			return nil, fmt.Errorf("sinr: link %d cannot reach %g·β even alone", cand, p)
 		}
 		placed := false

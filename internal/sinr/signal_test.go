@@ -109,6 +109,11 @@ func TestPartitionToSignalErrors(t *testing.T) {
 	if _, err := PartitionToSignal(noisy, []int{0}, 2.5, 1); err == nil {
 		t.Fatal("noise-dominated link accepted")
 	}
+	// Without noise, a link with a zero own gain has SINR 0 even alone.
+	deaf := mat(t, [][]float64{{1, 0}, {0, 0}}, 0)
+	if _, err := PartitionToSignal(deaf, []int{0, 1}, 2.5, 1); err == nil {
+		t.Fatal("zero-gain link accepted without noise")
+	}
 }
 
 // Property: all parts of any partition are feasible (strength ≥ p ≥ 1

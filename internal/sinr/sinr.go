@@ -22,10 +22,11 @@ import (
 // Value returns the non-fading SINR γ_i^nf of link i when exactly the links
 // with active[j] == true transmit. If i itself is not active, Value returns
 // 0 (a link that does not transmit achieves no rate). If interference and
-// noise are both zero the SINR is +Inf. It has no production caller; it
-// stays as the direct evaluation of the SINR definition that ValuesInto and
-// the Accumulator are checked against (TestValuesMatchesValue,
-// TestAccumulatorMatchesDirect).
+// noise are both zero the SINR is +Inf when i's own gain is positive and 0
+// otherwise, as in SINRAt. It has no production caller; it stays as the
+// direct evaluation of the SINR definition that ValuesInto, SINRAt and the
+// Accumulator are checked against (TestValuesMatchesValue,
+// TestSINRAtMatchesValue, TestAccumulatorMatchesDirect).
 func Value(m *network.Matrix, active []bool, i int) float64 {
 	if !active[i] {
 		return 0
@@ -37,10 +38,21 @@ func Value(m *network.Matrix, active []bool, i int) float64 {
 			interf += in[j]
 		}
 	}
-	if interf == 0 {
+	return ratio(in[i], interf)
+}
+
+// ratio is the SINR of an own gain against interference plus noise interf:
+// own/interf, or, when interf is 0, +Inf for a positive own gain and 0
+// otherwise — the Rayleigh counter's rule, so a silent link never succeeds
+// in one model and fails in the other.
+func ratio(own, interf float64) float64 {
+	if interf != 0 {
+		return own / interf
+	}
+	if own > 0 {
 		return math.Inf(1)
 	}
-	return in[i] / interf
+	return 0
 }
 
 // Values returns the SINR of every link under the given activity vector;
@@ -50,8 +62,9 @@ func Values(m *network.Matrix, active []bool) []float64 {
 }
 
 // ValuesInto computes the per-link SINRs into the caller-owned buffer out
-// (length m.N) and returns it, allocating nothing. Hot Monte-Carlo loops
-// reuse one buffer across calls.
+// (length m.N) and returns it, allocating nothing: inactive links report 0
+// and active ones what SINRAt reports for them, bit for bit. Hot
+// Monte-Carlo loops reuse one buffer across calls.
 func ValuesInto(m *network.Matrix, active []bool, out []float64) []float64 {
 	if len(out) != m.N {
 		panic(fmt.Sprintf("sinr: SINR buffer length %d for %d links", len(out), m.N))
@@ -73,13 +86,74 @@ func ValuesInto(m *network.Matrix, active []bool, out []float64) []float64 {
 				interf += in[j]
 			}
 		}
-		if interf == 0 {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = in[i] / interf
-		}
+		out[i] = ratio(in[i], interf)
 	}
 	return out
+}
+
+// ActiveList lists the links with active[j] set into idx, in increasing
+// index order, and returns it: the active list SINRAt decides links
+// against. It reuses idx's storage (contents overwritten), allocating
+// nothing when cap(idx) ≥ the number of active links.
+func ActiveList(active []bool, idx []int) []int {
+	idx = idx[:0]
+	for j, a := range active {
+		if a {
+			idx = append(idx, j)
+		}
+	}
+	return idx
+}
+
+// SINRAt returns the non-fading SINR of link i transmitting alongside every
+// other sender of the active list idx (increasing, as ActiveList builds
+// it). k is i's place in idx: the number of senders below i, so idx[k] == i
+// when i is itself active. The interference is the noise plus Incoming(i)[j]
+// for each sender j ≠ i, added in index order; when it is 0 the SINR is
+// +Inf for a positive own gain and 0 otherwise. For an active link this is
+// its SINR in the round; for an idle one, the SINR it would get by joining.
+//
+// This is the one place the non-fading rule is summed over a transmitting
+// set: Figure 1, the regret game, the latency schedulers and Feasible all
+// decide through it. It visits only the senders, and splits the list at i
+// instead of testing every term against it.
+func SINRAt(m *network.Matrix, idx []int, k, i int) float64 {
+	in := m.Incoming(i)
+	interf := m.Noise
+	for _, j := range idx[:k] {
+		interf += in[j]
+	}
+	if k < len(idx) && idx[k] == i {
+		k++
+	}
+	for _, j := range idx[k:] {
+		interf += in[j]
+	}
+	return ratio(in[i], interf)
+}
+
+// CountSuccesses returns how many links of the active list idx reach SINR
+// β against the rest of it.
+func CountSuccesses(m *network.Matrix, idx []int, beta float64) int {
+	count := 0
+	for k, i := range idx {
+		if SINRAt(m, idx, k, i) >= beta {
+			count++
+		}
+	}
+	return count
+}
+
+// AppendSuccesses appends to ok the links of the active list idx that
+// reach SINR β against the rest of it, in index order, and returns the
+// extended slice.
+func AppendSuccesses(ok []int, m *network.Matrix, idx []int, beta float64) []int {
+	for k, i := range idx {
+		if SINRAt(m, idx, k, i) >= beta {
+			ok = append(ok, i)
+		}
+	}
+	return ok
 }
 
 // SetToActive converts a set of link indices into an activity vector.
@@ -98,40 +172,13 @@ func SetToActive(n int, set []int) []bool {
 	return active
 }
 
-// ActiveToSet lists the indices set in an activity vector, in order.
-func ActiveToSet(active []bool) []int {
-	var set []int
-	for i, a := range active {
-		if a {
-			set = append(set, i)
-		}
-	}
-	return set
-}
-
-// Successes returns the indices of active links whose SINR reaches β.
-func Successes(m *network.Matrix, active []bool, beta float64) []int {
-	var ok []int
-	vals := Values(m, active)
-	for i, a := range active {
-		if a && vals[i] >= beta {
-			ok = append(ok, i)
-		}
-	}
-	return ok
-}
-
 // Feasible reports whether the set of links is simultaneously successful at
 // threshold β: every link in the set reaches SINR ≥ β when exactly the set
 // transmits. The empty set is feasible.
 func Feasible(m *network.Matrix, set []int, beta float64) bool {
-	if len(set) == 0 {
-		return true
-	}
-	active := SetToActive(m.N, set)
-	vals := Values(m, active)
-	for _, i := range set {
-		if vals[i] < beta {
+	idx := ActiveList(SetToActive(m.N, set), make([]int, 0, len(set)))
+	for k, i := range idx {
+		if SINRAt(m, idx, k, i) < beta {
 			return false
 		}
 	}
@@ -264,14 +311,8 @@ func (a *Accumulator) SINR(i int) float64 {
 		interf -= a.m.Own(i)
 	}
 	// Guard against cancellation leaving a tiny negative residue.
-	if interf < 0 {
-		interf = 0
-	}
-	if interf == 0 {
-		return math.Inf(1)
-	}
-	return a.m.Own(i) / interf
+	return ratio(a.m.Own(i), max(interf, 0))
 }
 
 // Set returns the currently active links as a sorted index set.
-func (a *Accumulator) Set() []int { return ActiveToSet(a.active) }
+func (a *Accumulator) Set() []int { return ActiveList(a.active, nil) }

@@ -73,6 +73,168 @@ func TestValueInfiniteWithoutNoiseOrInterference(t *testing.T) {
 	}
 }
 
+// With no noise and no interference, a link with a positive own gain has
+// SINR +Inf and one with a zero own gain has SINR 0, in every evaluation.
+func TestZeroInterferenceEdge(t *testing.T) {
+	m := mat(t, [][]float64{
+		{1, 0, 0.5},
+		{0, 0, 0},
+		{0.5, 0, 1},
+	}, 0)
+	for _, tc := range []struct {
+		active []bool
+		i      int
+		want   float64
+	}{
+		{[]bool{true, false, false}, 0, math.Inf(1)},
+		{[]bool{true, true, false}, 0, math.Inf(1)},
+		{[]bool{true, true, false}, 1, 0},
+		{[]bool{false, true, false}, 1, 0},
+		{[]bool{true, true, true}, 1, 0},
+	} {
+		idx := ActiveList(tc.active, nil)
+		k, _ := slices.BinarySearch(idx, tc.i)
+		for name, got := range map[string]float64{
+			"Value":      Value(m, tc.active, tc.i),
+			"ValuesInto": Values(m, tc.active)[tc.i],
+			"SINRAt":     SINRAt(m, idx, k, tc.i),
+		} {
+			if got != tc.want {
+				t.Errorf("active=%v: %s of link %d = %g, want %g", tc.active, name, tc.i, got, tc.want)
+			}
+		}
+	}
+	acc := NewAccumulator(m)
+	acc.Add(1)
+	if got := acc.SINR(1); got != 0 {
+		t.Errorf("Accumulator SINR of a lone zero-gain link = %g, want 0", got)
+	}
+	if Feasible(m, []int{1}, 2.5) || !Feasible(m, []int{0}, 1e300) {
+		t.Error("Feasible disagrees with the zero-interference edge")
+	}
+}
+
+// SINRAt equals ValuesInto bit for bit on active links, and on an idle link
+// equals the SINR ValuesInto gives it once it joins the set.
+func TestSINRAtMatchesValue(t *testing.T) {
+	m := randomMatrix(t, 6, 30)
+	src := rng.New(78)
+	active := make([]bool, m.N)
+	joined := make([]bool, m.N)
+	vals := make([]float64, m.N)
+	idx := make([]int, 0, m.N)
+	for trial := 0; trial < 40; trial++ {
+		for i := range active {
+			active[i] = src.Bernoulli(float64(trial) / 40)
+		}
+		idx = ActiveList(active, idx)
+		ValuesInto(m, active, vals)
+		k := 0
+		for i, a := range active {
+			got := SINRAt(m, idx, k, i)
+			want := vals[i]
+			if !a {
+				copy(joined, active)
+				joined[i] = true
+				want = Value(m, joined, i)
+			} else {
+				k++
+			}
+			if got != want {
+				t.Fatalf("trial %d link %d (active %v): SINRAt %g, want %g", trial, i, a, got, want)
+			}
+		}
+	}
+}
+
+// TestCountNonFadingMatchesValues pins the non-fading success count —
+// CountSuccesses over ActiveList, as Figure 1 counts, and AppendSuccesses'
+// list — to the count of
+// links whose ValuesInto SINR reaches β, over densities from 0 to 1,
+// matrices with zero gains, no noise with a lone sender (SINR +Inf) and
+// thresholds 0, 2.5, +Inf and NaN.
+func TestCountNonFadingMatchesValues(t *testing.T) {
+	cfg := network.Figure1Config()
+	cfg.N = 60
+	net, err := network.Random(cfg, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := net.Gains()
+	for j := 0; j < zeroed.N; j += 3 {
+		for i := 0; i < zeroed.N; i += 2 {
+			zeroed.SetGain(j, i, 0)
+		}
+	}
+	noiseless := net.Gains()
+	noiseless.Noise = 0
+	setup := rng.New(4)
+	vals := make([]float64, cfg.N)
+	idx := make([]int, 0, cfg.N)
+	ok := make([]int, 0, cfg.N)
+	count := func(m *network.Matrix, active []bool, beta float64) int {
+		idx = ActiveList(active, idx)
+		n := CountSuccesses(m, idx, beta)
+		if listed := len(AppendSuccesses(ok[:0], m, idx, beta)); listed != n {
+			t.Fatalf("ν=%g β=%g: CountSuccesses %d, AppendSuccesses lists %d", m.Noise, beta, n, listed)
+		}
+		return n
+	}
+	active := make([]bool, cfg.N)
+	lone := make([]bool, cfg.N)
+	lone[7] = true
+	for _, m := range []*network.Matrix{net.Gains(), zeroed, noiseless} {
+		for _, beta := range []float64{0, 2.5, math.Inf(1), math.NaN()} {
+			check := func(active []bool) {
+				t.Helper()
+				want := 0
+				for i, v := range ValuesInto(m, active, vals) {
+					if active[i] && v >= beta {
+						want++
+					}
+				}
+				if got := count(m, active, beta); got != want {
+					t.Fatalf("ν=%g β=%g active=%v: count %d, ValuesInto rule %d", m.Noise, beta, active, got, want)
+				}
+			}
+			for d := 0; d <= 20; d++ {
+				for trial := 0; trial < 5; trial++ {
+					for i := range active {
+						active[i] = setup.Bernoulli(float64(d) / 20)
+					}
+					check(active)
+				}
+			}
+			check(lone)
+		}
+	}
+	if got := count(noiseless, lone, math.Inf(1)); got != 1 {
+		t.Fatalf("a lone sender without noise: count %d at β = +Inf, want 1", got)
+	}
+}
+
+// The non-fading decision allocates nothing once its scratch is sized.
+func TestDecisionAllocationFree(t *testing.T) {
+	m := randomMatrix(t, 14, 100)
+	src := rng.New(15)
+	active := make([]bool, m.N)
+	idx := make([]int, 0, m.N)
+	ok := make([]int, 0, m.N)
+	for _, density := range []float64{0, 0.1, 0.5, 1} {
+		for i := range active {
+			active[i] = src.Bernoulli(density)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			idx = ActiveList(active, idx)
+			CountSuccesses(m, idx, 2.5)
+			ok = AppendSuccesses(ok[:0], m, idx, 2.5)
+			SINRAt(m, idx, 0, 0)
+		}); allocs != 0 {
+			t.Errorf("ActiveList, CountSuccesses, AppendSuccesses and SINRAt at density %.1f allocate %.1f objects per run", density, allocs)
+		}
+	}
+}
+
 // Values agrees with Value, the direct evaluation of the SINR definition.
 func TestValuesMatchesValue(t *testing.T) {
 	m := randomMatrix(t, 5, 20)
@@ -99,9 +261,9 @@ func TestSetToActiveRoundTrip(t *testing.T) {
 			t.Fatalf("SetToActive = %v", active)
 		}
 	}
-	set := ActiveToSet(active)
+	set := ActiveList(active, nil)
 	if len(set) != 3 || set[0] != 0 || set[1] != 3 || set[2] != 4 {
-		t.Fatalf("ActiveToSet = %v", set)
+		t.Fatalf("ActiveList = %v", set)
 	}
 }
 
@@ -130,8 +292,8 @@ func TestSuccessesAndCount(t *testing.T) {
 		{3, []int{0, 1}},
 		{100, nil},
 	} {
-		if got := Successes(m, active, tc.beta); !slices.Equal(got, tc.want) {
-			t.Fatalf("Successes(β=%g) = %v, want %v", tc.beta, got, tc.want)
+		if got := AppendSuccesses(nil, m, ActiveList(active, nil), tc.beta); !slices.Equal(got, tc.want) {
+			t.Fatalf("AppendSuccesses(β=%g) = %v, want %v", tc.beta, got, tc.want)
 		}
 	}
 }

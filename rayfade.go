@@ -182,7 +182,7 @@ func (s *Scenario) Feasible(set []int) bool {
 // GreedyCapacity runs the length-ordered affectance greedy (uniform /
 // monotone powers) and returns a feasibility-certified set.
 func (s *Scenario) GreedyCapacity() []int {
-	set, _ := capacity.GreedyUniform(context.Background(), s.net, s.beta)
+	set, _ := capacity.GreedyAffectanceCtx(context.Background(), s.m, s.beta, capacity.DefaultTau, capacity.LengthOrder(s.net))
 	return set
 }
 
@@ -232,7 +232,7 @@ func (s *Scenario) ExpectedRayleighSuccesses(set []int) float64 {
 func (s *Scenario) SampleRayleighSuccesses(set []int) []int {
 	ok := make([]bool, s.m.N)
 	s.plan.Counter().Count(sinr.SetToActive(s.m.N, set), s.beta, s.rngOrPanic(), ok)
-	return sinr.ActiveToSet(ok)
+	return sinr.ActiveList(ok, nil)
 }
 
 // ExpectedUtilityMC estimates E[Σ u(γ^R)] for transmission probabilities q
@@ -289,7 +289,7 @@ func (s *Scenario) PlayScheduleRayleigh(slots [][]int, maxRounds int) (int, bool
 // transform.AlohaRepeats times, per the Section-4 transformation.
 func (s *Scenario) Aloha(p float64, rayleigh bool) latency.AlohaResult {
 	cfg := latency.AlohaConfig{Prob: p}
-	var model latency.SuccessModel = latency.NonFading{}
+	var model latency.SuccessModel = &latency.NonFading{}
 	if rayleigh {
 		cfg.Repeats = transform.AlohaRepeats
 		model = latency.NewRayleigh(s.plan.Counter(), s.rngOrPanic())
@@ -368,15 +368,8 @@ func (s *Scenario) NashEquilibrium() regret.NashResult {
 // binary models cannot see.
 func (s *Scenario) ConflictGraphCapacity(tau float64) (claimed, valid []int) {
 	g := graphsched.FromMatrix(s.m, s.beta, tau)
-	claimed = g.IndependentSet()
-	active := sinr.SetToActive(s.m.N, claimed)
-	vals := sinr.Values(s.m, active)
-	for _, i := range claimed {
-		if vals[i] >= s.beta {
-			valid = append(valid, i)
-		}
-	}
-	return claimed, valid
+	claimed = g.IndependentSet() // in index order, as ActiveList lists it
+	return claimed, sinr.AppendSuccesses(nil, s.m, sinr.ActiveList(sinr.SetToActive(s.m.N, claimed), nil), s.beta)
 }
 
 // ExpectedShannonRate returns the exact expected Shannon rate
