@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"rayfade/internal/faults"
+	"rayfade/internal/httpbody"
 	"rayfade/internal/obs"
 	"rayfade/internal/rng"
 )
@@ -230,7 +230,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, in
 			resp, err = c.http.Do(req)
 			if err == nil {
 				status = resp.StatusCode
-				respBody, err = io.ReadAll(resp.Body)
+				respBody, err = httpbody.ReadAll(resp.Body, resp.ContentLength)
 				retryAfter = parseRetryAfter(resp)
 				resp.Body.Close()
 			}

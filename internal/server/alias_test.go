@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -37,21 +38,47 @@ func serveDirect(s *Server, path string, body []byte) *httptest.ResponseRecorder
 
 // maxInlineHitAllocs bounds the allocations of one inline cache hit through
 // ServeHTTP, request and recorder included. Decoding the body, parsing its
-// topology and re-canonicalizing it costs about 120; an alias hit about 50.
-const maxInlineHitAllocs = 70
+// topology and re-canonicalizing it costs about 120; an alias hit about 41.
+const maxInlineHitAllocs = 44
+
+// maxInlineHitBodyFactor bounds the bytes one inline cache hit allocates, as
+// a multiple of its body length. Reading the body in one allocation sized by
+// its Content-Length keeps a 100-link hit near 1.65×; io.ReadAll's growth
+// from 512 bytes took it to about 4.5×.
+const maxInlineHitBodyFactor = 2
+
+// bytesPerRun reports the average bytes f allocates per call, measured the
+// way testing.AllocsPerRun counts allocations: one warm-up call, then runs
+// calls at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 // TestInlineCacheHitAllocs gates the inline hit path: a repeated inline
 // request must be answered from its raw-body alias, not by decoding and
-// re-canonicalizing its topology.
+// re-canonicalizing its topology, and its body must be read without
+// repeated buffer growth.
 func TestInlineCacheHitAllocs(t *testing.T) {
 	s, body := inlineHitServer(t)
 	var w *httptest.ResponseRecorder
-	allocs := testing.AllocsPerRun(50, func() { w = serveDirect(s, "/v1/estimate", body) })
+	hit := func() { w = serveDirect(s, "/v1/estimate", body) }
+	allocs := testing.AllocsPerRun(50, hit)
 	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != sourceHit {
 		t.Fatalf("status %d, X-Cache %q", w.Code, w.Header().Get("X-Cache"))
 	}
 	if allocs > maxInlineHitAllocs {
 		t.Fatalf("inline cache hit: %.0f allocs/op, want <= %d", allocs, maxInlineHitAllocs)
+	}
+	if perHit := bytesPerRun(50, hit); perHit > maxInlineHitBodyFactor*float64(len(body)) {
+		t.Fatalf("inline cache hit: %.0f B/op for a %d-byte body, want <= %d×", perHit, len(body), maxInlineHitBodyFactor)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/http"
 
 	"rayfade/internal/faults"
+	"rayfade/internal/httpbody"
 	"rayfade/internal/netio"
 	"rayfade/internal/network"
 )
@@ -64,9 +65,10 @@ func decodeStrict(rd io.Reader, dst any, what string) error {
 }
 
 // readBody reads the whole request body under maxBytes; an oversized body
-// surfaces as 413.
+// surfaces as 413. A declared length sizes the read buffer once (see
+// httpbody.ReadAll), never beyond maxBytes.
 func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+	raw, err := httpbody.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes), min(r.ContentLength, maxBytes))
 	if err != nil {
 		if tooLarge := bodyTooLarge(err); tooLarge != nil {
 			return nil, tooLarge

@@ -434,9 +434,12 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-// writeJSON writes body (already-marshaled JSON) with status.
+// writeJSON writes body (already-marshaled JSON) with status. The declared
+// length lets a reader size its buffer once; without it net/http sends any
+// body past 2 kB (a shard reply, for one) chunked.
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }
