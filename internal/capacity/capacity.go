@@ -57,8 +57,8 @@ const DefaultTau = 0.5
 // For tau ≤ 1 the returned set is feasible at threshold beta by the exact
 // affectance characterization of the SINR constraint.
 //
-// Links whose own signal cannot reach β even alone (noise-dominated) are
-// never accepted.
+// Links that cannot reach β even alone (sinr.Alone) are never accepted.
+// The scan is a sinr.Budget at tau.
 //
 // GreedyAffectance is the context-free form of GreedyAffectanceCtx, kept
 // because the benchmark suite calls it by name; code with a ctx calls
@@ -83,49 +83,20 @@ func GreedyAffectanceCtx(ctx context.Context, m *network.Matrix, beta, tau float
 	// per-request in the daemon, so each gets its own trace track.
 	ctx, sp := obs.StartDetached(ctx, "capacity.greedy_affectance")
 	sp.SetAttr("candidates", len(order))
-	var selected []int
+	set := sinr.NewBudget(m, beta, tau)
 	defer func() {
-		sp.SetAttr("selected", len(selected))
+		sp.SetAttr("selected", len(set.Members()))
 		sp.End()
 	}()
-	// load[i] = total uncapped affectance currently imposed on accepted
-	// link i by the other accepted links.
-	load := make(map[int]float64, len(order))
 	for scanned, cand := range order {
 		if scanned%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return selected, err
+				return set.Members(), err
 			}
 		}
-		if cand < 0 || cand >= m.N {
-			panic(fmt.Sprintf("capacity: link index %d out of range", cand))
-		}
-		if m.Own(cand) <= beta*m.Noise {
-			continue // can never reach β, even alone
-		}
-		inbound := 0.0
-		ok := true
-		for _, s := range selected {
-			inbound += sinr.AffectanceUncapped(m, beta, s, cand)
-			if inbound > tau {
-				ok = false
-				break
-			}
-			if load[s]+sinr.AffectanceUncapped(m, beta, cand, s) > tau {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, s := range selected {
-			load[s] += sinr.AffectanceUncapped(m, beta, cand, s)
-		}
-		load[cand] = inbound
-		selected = append(selected, cand)
+		set.TryAdd(cand)
 	}
-	return selected, nil
+	return set.Members(), nil
 }
 
 // LengthOrder returns link indices sorted by non-decreasing link length,

@@ -446,3 +446,31 @@ func BenchmarkPowerControlGreedy50(b *testing.B) {
 		PowerControlGreedyCtx(context.Background(), net, 2.5)
 	}
 }
+
+// boundaryMatrix is one link of length 1 and power 1 at α 2 and ν 0.5. At
+// β 2 its own gain 1 equals β·ν exactly, and its SINR alone is 2 = β: it
+// reaches the threshold, so the greedy must take it.
+func boundaryMatrix() *network.Matrix {
+	net := &network.Network{
+		Links: []network.Link{
+			{Sender: geom.Point{X: 0, Y: 0}, Receiver: geom.Point{X: 1, Y: 0}, Power: 1, Weight: 1},
+		},
+		Metric: geom.Euclidean{}, Alpha: 2, Noise: 0.5,
+	}
+	return net.Gains()
+}
+
+func TestGreedySelectsLinkAtAloneBoundary(t *testing.T) {
+	m := boundaryMatrix()
+	if !sinr.Feasible(m, []int{0}, 2) {
+		t.Fatal("a link with SINR exactly β alone must be feasible")
+	}
+	for _, tau := range []float64{DefaultTau, 1} {
+		if got := GreedyAffectance(m, 2, tau, []int{0}); len(got) != 1 || got[0] != 0 {
+			t.Fatalf("τ = %g: greedy selected %v, want [0]", tau, got)
+		}
+	}
+	if set, _, _ := GreedyWeighted(context.Background(), m, 2); len(set) != 1 {
+		t.Fatalf("weighted greedy selected %v, want [0]", set)
+	}
+}

@@ -131,7 +131,8 @@ func GreedyCapacity(order []int, tau float64) CapacityFunc {
 
 // RepeatedCapacityCtx builds a non-fading schedule by repeatedly maximizing
 // single-slot capacity among the still-unscheduled links. It returns the
-// slots (each a feasible set). Links that cannot succeed even alone trigger
+// slots (each a feasible set). Links that cannot succeed even alone
+// (sinr.Alone, the rule the affectance greedy admits by) trigger
 // ErrUnschedulable.
 //
 // ctx is polled before every slot construction (each slot is one capacity-
@@ -149,7 +150,7 @@ func RepeatedCapacityCtx(ctx context.Context, m *network.Matrix, beta float64, c
 	}()
 	remaining := make([]int, 0, m.N)
 	for i := 0; i < m.N; i++ {
-		if m.Own(i) < beta*m.Noise || m.Own(i) == 0 {
+		if !sinr.Alone(m, i, beta) {
 			return nil, fmt.Errorf("%w: link %d", ErrUnschedulable, i)
 		}
 		remaining = append(remaining, i)

@@ -3,10 +3,12 @@ package latency
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"rayfade/internal/capacity"
 	"rayfade/internal/fading"
+	"rayfade/internal/geom"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
 	"rayfade/internal/sinr"
@@ -422,5 +424,52 @@ func BenchmarkAlohaNonFading60(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AlohaCtx(context.Background(), m, 2.5, AlohaConfig{Prob: 0.1}, src, &NonFading{})
+	}
+}
+
+// boundaryPair is the two-link topology {(0,0)→(1,0)}, {(500,0)→(500.5,0)}
+// at α 2 and the given noise. At noise 0.5 and β 2, link 0's own gain 1
+// equals β·ν exactly: its SINR alone is exactly β.
+func boundaryPair(noise float64) *network.Network {
+	return &network.Network{
+		Links: []network.Link{
+			{Sender: geom.Point{X: 0, Y: 0}, Receiver: geom.Point{X: 1, Y: 0}, Power: 1, Weight: 1},
+			{Sender: geom.Point{X: 500, Y: 0}, Receiver: geom.Point{X: 500.5, Y: 0}, Power: 1, Weight: 1},
+		},
+		Metric: geom.Euclidean{}, Alpha: 2, Noise: noise,
+	}
+}
+
+func TestRepeatedCapacityAtAloneBoundary(t *testing.T) {
+	net := boundaryPair(0.5)
+	m := net.Gains()
+	slots, err := RepeatedCapacityCtx(context.Background(), m, 2, defaultCapFn(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != 2 {
+		t.Fatalf("slots %v, want the two links in two slots", slots)
+	}
+}
+
+// TestUnschedulableIsTheAloneRule pins that RepeatedCapacityCtx declares
+// ErrUnschedulable exactly when some link fails sinr.Alone, one ulp either
+// side of the boundary, so the greedy can never be handed a link it will
+// not pick.
+func TestUnschedulableIsTheAloneRule(t *testing.T) {
+	for _, noise := range []float64{math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1)} {
+		net := boundaryPair(noise)
+		m := net.Gains()
+		alone := sinr.Alone(m, 0, 2) && sinr.Alone(m, 1, 2)
+		_, err := RepeatedCapacityCtx(context.Background(), m, 2, defaultCapFn(net))
+		if alone && err != nil {
+			t.Fatalf("ν = %v: every link reaches β alone, yet %v", noise, err)
+		}
+		if !alone && !errors.Is(err, ErrUnschedulable) {
+			t.Fatalf("ν = %v: a link fails alone, err = %v, want ErrUnschedulable", noise, err)
+		}
+	}
+	if !sinr.Alone(boundaryPair(0.5).Gains(), 0, 2) || sinr.Alone(boundaryPair(math.Nextafter(0.5, 1)).Gains(), 0, 2) {
+		t.Fatal("the noise sweep does not straddle the alone boundary")
 	}
 }

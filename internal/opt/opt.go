@@ -20,7 +20,9 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rayfade/internal/network"
@@ -41,76 +43,8 @@ const MaxBruteForceN = 30
 // feasible at every node — valid because feasibility is downward closed —
 // and prunes branches that cannot beat the incumbent by cardinality.
 func BruteForce(m *network.Matrix, beta float64) []int {
-	if m.N > MaxBruteForceN {
-		panic(fmt.Sprintf("opt: BruteForce limited to n ≤ %d, got %d", MaxBruteForceN, m.N))
-	}
-	if beta <= 0 {
-		panic(fmt.Sprintf("opt: threshold β = %g must be positive", beta))
-	}
-	order := make([]int, m.N)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return m.Own(order[a]) > m.Own(order[b])
-	})
-	// Pre-drop links that cannot succeed even alone.
-	viable := order[:0]
-	for _, i := range order {
-		if m.Own(i) >= beta*m.Noise && m.Own(i) > 0 {
-			viable = append(viable, i)
-		}
-	}
-
-	best := []int{}
-	chosen := make([]int, 0, len(viable))
-	// load[i] = Σ uncapped affectance on chosen link i from other chosen.
-	load := make([]float64, m.N)
-
-	var recurse func(pos int)
-	recurse = func(pos int) {
-		if len(chosen)+(len(viable)-pos) <= len(best) {
-			return // cannot beat incumbent
-		}
-		if pos == len(viable) {
-			if len(chosen) > len(best) {
-				best = append(best[:0], chosen...)
-			}
-			return
-		}
-		cand := viable[pos]
-		// Branch 1: include cand if the set stays feasible.
-		inbound := 0.0
-		feasible := true
-		for _, s := range chosen {
-			inbound += sinr.AffectanceUncapped(m, beta, s, cand)
-			if inbound > 1 {
-				feasible = false
-				break
-			}
-			if load[s]+sinr.AffectanceUncapped(m, beta, cand, s) > 1 {
-				feasible = false
-				break
-			}
-		}
-		if feasible {
-			for _, s := range chosen {
-				load[s] += sinr.AffectanceUncapped(m, beta, cand, s)
-			}
-			load[cand] = inbound
-			chosen = append(chosen, cand)
-			recurse(pos + 1)
-			chosen = chosen[:len(chosen)-1]
-			for _, s := range chosen {
-				load[s] -= sinr.AffectanceUncapped(m, beta, cand, s)
-			}
-			load[cand] = 0
-		}
-		// Branch 2: exclude cand.
-		recurse(pos + 1)
-	}
-	recurse(0)
-	sort.Ints(best)
+	checkExact("BruteForce", m, beta)
+	best, _ := branchAndBound(m, beta, nil)
 	return best
 }
 
@@ -122,76 +56,83 @@ func BruteForce(m *network.Matrix, beta float64) []int {
 // production caller; it stays as the oracle for capacity.GreedyWeighted
 // (TestGreedyWeightedAgainstExact).
 func BruteForceWeighted(m *network.Matrix, beta float64) (best []int, bestWeight float64) {
+	checkExact("BruteForceWeighted", m, beta)
+	return branchAndBound(m, beta, m.Weights)
+}
+
+func checkExact(name string, m *network.Matrix, beta float64) {
 	if m.N > MaxBruteForceN {
-		panic(fmt.Sprintf("opt: BruteForceWeighted limited to n ≤ %d, got %d", MaxBruteForceN, m.N))
+		panic(fmt.Sprintf("opt: %s limited to n ≤ %d, got %d", name, MaxBruteForceN, m.N))
 	}
 	if beta <= 0 {
 		panic(fmt.Sprintf("opt: threshold β = %g must be positive", beta))
 	}
+}
+
+// branchAndBound returns a maximum-weight feasible set, sorted, and its
+// weight. weight[i] is link i's weight; a nil weight counts every link as
+// 1. It scans the links of positive weight that reach β alone heaviest
+// first, or strongest own gain first under unit weights (ties by index):
+// either tightens the incumbent early. The chosen prefix is a sinr.Budget
+// at τ = 1, so it stays feasible at every node, and a branch is cut when
+// its weight plus all that is left to scan cannot beat the incumbent.
+func branchAndBound(m *network.Matrix, beta float64, weight []float64) ([]int, float64) {
 	order := make([]int, 0, m.N)
 	for i := 0; i < m.N; i++ {
-		if m.Weights[i] > 0 && m.Own(i) >= beta*m.Noise && m.Own(i) > 0 {
+		if (weight == nil || weight[i] > 0) && sinr.Alone(m, i, beta) {
 			order = append(order, i)
 		}
 	}
-	// Heavy links first: tightens the incumbent early.
-	sort.SliceStable(order, func(a, b int) bool { return m.Weights[order[a]] > m.Weights[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int {
+		if weight == nil {
+			return cmp.Compare(m.Own(b), m.Own(a))
+		}
+		return cmp.Compare(weight[b], weight[a])
+	})
 	// suffix[k] = total weight of order[k:], the optimistic bound.
 	suffix := make([]float64, len(order)+1)
 	for k := len(order) - 1; k >= 0; k-- {
-		suffix[k] = suffix[k+1] + m.Weights[order[k]]
+		suffix[k] = suffix[k+1] + weightOf(weight, order[k])
 	}
 
-	chosen := make([]int, 0, len(order))
-	chosenWeight := 0.0
-	load := make([]float64, m.N)
-
+	chosen := sinr.NewBudget(m, beta, 1)
+	chosenWeight, bestWeight := 0.0, 0.0
+	best := make([]int, 0, len(order))
 	var recurse func(pos int)
 	recurse = func(pos int) {
 		if chosenWeight+suffix[pos] <= bestWeight {
-			return
+			return // cannot beat incumbent
 		}
 		if pos == len(order) {
 			if chosenWeight > bestWeight {
 				bestWeight = chosenWeight
-				best = append(best[:0], chosen...)
+				best = append(best[:0], chosen.Members()...)
 			}
 			return
 		}
 		cand := order[pos]
-		inbound := 0.0
-		feasible := true
-		for _, s := range chosen {
-			inbound += sinr.AffectanceUncapped(m, beta, s, cand)
-			if inbound > 1 {
-				feasible = false
-				break
-			}
-			if load[s]+sinr.AffectanceUncapped(m, beta, cand, s) > 1 {
-				feasible = false
-				break
-			}
-		}
-		if feasible {
-			for _, s := range chosen {
-				load[s] += sinr.AffectanceUncapped(m, beta, cand, s)
-			}
-			load[cand] = inbound
-			chosen = append(chosen, cand)
-			chosenWeight += m.Weights[cand]
+		// Branch 1: include cand if the set stays feasible.
+		if chosen.TryAdd(cand) {
+			chosenWeight += weightOf(weight, cand)
 			recurse(pos + 1)
-			chosenWeight -= m.Weights[cand]
-			chosen = chosen[:len(chosen)-1]
-			for _, s := range chosen {
-				load[s] -= sinr.AffectanceUncapped(m, beta, cand, s)
-			}
-			load[cand] = 0
+			chosenWeight -= weightOf(weight, cand)
+			chosen.Remove(cand)
 		}
+		// Branch 2: exclude cand.
 		recurse(pos + 1)
 	}
 	recurse(0)
 	sort.Ints(best)
 	return best, bestWeight
+}
+
+// weightOf is link i's weight in branchAndBound: weight[i], or 1 when
+// weight is nil.
+func weightOf(weight []float64, i int) float64 {
+	if weight == nil {
+		return 1
+	}
+	return weight[i]
 }
 
 // LocalSearchConfig tunes the heuristic optimum estimator.
@@ -247,37 +188,34 @@ func randomizedGreedy(m *network.Matrix, beta float64, src *rng.Source) []int {
 		ga, gb := m.Own(order[a]), m.Own(order[b])
 		return ga > gb*(1+0.2*src.Float64())
 	})
-	acc := newLoadSet(m, beta)
+	acc := sinr.NewBudget(m, beta, 1)
 	for _, cand := range order {
-		acc.tryAdd(cand)
+		acc.TryAdd(cand)
 	}
-	return acc.members()
+	return acc.Members()
 }
 
 // improve runs add and 1-swap passes until no move helps or the pass budget
 // is exhausted.
 func improve(m *network.Matrix, beta float64, set []int, passes int, src *rng.Source) []int {
-	acc := newLoadSet(m, beta)
+	acc := sinr.NewBudget(m, beta, 1)
 	for _, i := range set {
-		if !acc.tryAdd(i) {
-			// Seed should always be feasible; tolerate and skip otherwise.
-			continue
-		}
+		acc.TryAdd(i) // the seed is feasible, so every member is admitted
 	}
 	for p := 0; p < passes; p++ {
 		changed := false
 		// Add pass, in random order for diversity.
 		for _, cand := range src.Perm(m.N) {
-			if !acc.in[cand] && acc.tryAdd(cand) {
+			if acc.TryAdd(cand) {
 				changed = true
 			}
 		}
-		// 1-out-2-in swap pass.
-		for _, out := range acc.members() {
-			acc.remove(out)
+		// 1-out-2-in swap pass, over a copy: the pass reorders the members.
+		for _, out := range append([]int(nil), acc.Members()...) {
+			acc.Remove(out)
 			added := []int{}
 			for _, cand := range src.Perm(m.N) {
-				if cand != out && !acc.in[cand] && acc.tryAdd(cand) {
+				if cand != out && acc.TryAdd(cand) {
 					added = append(added, cand)
 					if len(added) == 2 {
 						break
@@ -290,9 +228,9 @@ func improve(m *network.Matrix, beta float64, set []int, passes int, src *rng.So
 			}
 			// Roll back: remove what we added, re-add out.
 			for _, a := range added {
-				acc.remove(a)
+				acc.Remove(a)
 			}
-			if !acc.tryAdd(out) {
+			if !acc.TryAdd(out) {
 				panic("opt: rollback failed to restore a feasible member")
 			}
 		}
@@ -300,69 +238,5 @@ func improve(m *network.Matrix, beta float64, set []int, passes int, src *rng.So
 			break
 		}
 	}
-	return acc.members()
-}
-
-// loadSet maintains a feasible set with per-member affectance loads for
-// O(|S|) add probes.
-type loadSet struct {
-	m    *network.Matrix
-	beta float64
-	in   []bool
-	load []float64
-	set  []int
-}
-
-func newLoadSet(m *network.Matrix, beta float64) *loadSet {
-	return &loadSet{m: m, beta: beta, in: make([]bool, m.N), load: make([]float64, m.N)}
-}
-
-// tryAdd inserts cand if the set stays feasible; reports success.
-func (l *loadSet) tryAdd(cand int) bool {
-	if l.in[cand] {
-		return false
-	}
-	if l.m.Own(cand) <= l.beta*l.m.Noise || l.m.Own(cand) == 0 {
-		return false
-	}
-	inbound := 0.0
-	for _, s := range l.set {
-		inbound += sinr.AffectanceUncapped(l.m, l.beta, s, cand)
-		if inbound > 1 {
-			return false
-		}
-		if l.load[s]+sinr.AffectanceUncapped(l.m, l.beta, cand, s) > 1 {
-			return false
-		}
-	}
-	for _, s := range l.set {
-		l.load[s] += sinr.AffectanceUncapped(l.m, l.beta, cand, s)
-	}
-	l.load[cand] = inbound
-	l.in[cand] = true
-	l.set = append(l.set, cand)
-	return true
-}
-
-// remove deletes a member and updates loads.
-func (l *loadSet) remove(out int) {
-	if !l.in[out] {
-		panic(fmt.Sprintf("opt: removing non-member %d", out))
-	}
-	l.in[out] = false
-	for k, s := range l.set {
-		if s == out {
-			l.set = append(l.set[:k], l.set[k+1:]...)
-			break
-		}
-	}
-	for _, s := range l.set {
-		l.load[s] -= sinr.AffectanceUncapped(l.m, l.beta, out, s)
-	}
-	l.load[out] = 0
-}
-
-// members returns a copy of the current set.
-func (l *loadSet) members() []int {
-	return append([]int(nil), l.set...)
+	return acc.Members()
 }

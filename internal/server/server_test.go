@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rayfade/internal/geom"
 	"rayfade/internal/netio"
 	"rayfade/internal/network"
 	"rayfade/internal/rng"
@@ -127,6 +128,62 @@ func TestLatencyEndpoint(t *testing.T) {
 		if out.Model == "rayleigh" && out.Repeats != 4 {
 			t.Fatalf("rayleigh repeats %d, want the Section-4 factor 4", out.Repeats)
 		}
+	}
+}
+
+// boundaryTopology serializes the two-link topology {(0,0)→(1,0)},
+// {(500,0)→(500.5,0)} at α 2 and the given noise (only the first link when
+// single). At noise 0.5 and β 2, link 0's own gain 1 equals β·ν exactly,
+// so its SINR alone is exactly β.
+func boundaryTopology(t *testing.T, noise float64, single bool) []byte {
+	t.Helper()
+	net := &network.Network{
+		Links: []network.Link{
+			{Sender: geom.Point{X: 0, Y: 0}, Receiver: geom.Point{X: 1, Y: 0}, Power: 1, Weight: 1},
+			{Sender: geom.Point{X: 500, Y: 0}, Receiver: geom.Point{X: 500.5, Y: 0}, Power: 1, Weight: 1},
+		},
+		Metric: geom.Euclidean{}, Alpha: 2, Noise: noise,
+	}
+	if single {
+		net.Links = net.Links[:1]
+	}
+	var buf bytes.Buffer
+	if err := netio.Save(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestLatencyAtAloneBoundary(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := map[string]any{"beta": 2, "scheduler": "repeated"}
+	resp, body := post(t, ts, "/v1/latency", reqBody(t, boundaryTopology(t, 0.5, false), req))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var out latencyResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Done || out.Slots != 2 {
+		t.Fatalf("schedule %+v, want both links served in two slots", out)
+	}
+	// A hair more noise and link 0 can no longer reach β alone: 422.
+	resp, body = post(t, ts, "/v1/latency", reqBody(t, boundaryTopology(t, 0.5000001, false), req))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("noise-dominated link: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+func TestScheduleAtAloneBoundary(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts, "/v1/schedule", reqBody(t, boundaryTopology(t, 0.5, true),
+		map[string]any{"beta": 2, "algorithm": "greedy"}))
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte(`"set":[0]`)) {
+		t.Fatalf("greedy on the lone boundary link: %s, want \"set\":[0]", body)
 	}
 }
 

@@ -56,7 +56,7 @@ func PartitionToSignal(m *network.Matrix, set []int, beta, p float64) ([][]int, 
 		if cand < 0 || cand >= m.N {
 			return nil, fmt.Errorf("sinr: link %d out of range", cand)
 		}
-		if ratio(m.Own(cand), m.Noise) < target {
+		if !Alone(m, cand, target) {
 			return nil, fmt.Errorf("sinr: link %d cannot reach %g·β even alone", cand, p)
 		}
 		placed := false

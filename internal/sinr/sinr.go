@@ -15,6 +15,7 @@ package sinr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rayfade/internal/network"
 )
@@ -185,6 +186,14 @@ func Feasible(m *network.Matrix, set []int, beta float64) bool {
 	return true
 }
 
+// Alone reports whether link i reaches SINR β transmitting by itself:
+// ratio(Own(i), ν) ≥ β, the rule SINRAt applies to a one-link list, so
+// Alone(m, i, β) is exactly Feasible(m, []int{i}, β). A link that fails it
+// can never succeed, whatever else is silent.
+func Alone(m *network.Matrix, i int, beta float64) bool {
+	return ratio(m.Own(i), m.Noise) >= beta
+}
+
 // Affectance returns a(j,i), the (uniform-threshold) affectance of link j on
 // link i at threshold β: the fraction of link i's interference tolerance
 // that j's transmission consumes, capped at 1. In gain terms,
@@ -252,10 +261,98 @@ func FeasibleByAffectance(m *network.Matrix, set []int, beta float64) bool {
 	return true
 }
 
+// Budget is a set of links kept within an affectance budget τ: every
+// member's total uncapped affectance from the other members stays at most
+// τ. At τ = 1 that is the SINR feasibility condition at β (see
+// AffectanceUncapped); the capacity greedy scans with τ < 1 to leave room
+// for mutual interference. It is the one acceptance rule behind the
+// capacity greedy, the exact optima and the local search.
+//
+// Each member's load (the affectance on it from the others) is kept
+// incrementally, so a TryAdd probe costs O(|S|). Sums run in insertion
+// order, and a Remove subtracts what the matching TryAdd added.
+type Budget struct {
+	m    *network.Matrix
+	beta float64
+	tau  float64
+	in   []bool
+	load []float64
+	set  []int
+}
+
+// NewBudget returns an empty budget over the matrix at threshold beta and
+// affectance budget tau, with room for every link.
+func NewBudget(m *network.Matrix, beta, tau float64) *Budget {
+	return &Budget{
+		m: m, beta: beta, tau: tau,
+		in:   make([]bool, m.N),
+		load: make([]float64, m.N),
+		set:  make([]int, 0, m.N),
+	}
+}
+
+// TryAdd admits link cand and reports true when cand is not a member,
+// reaches β alone, takes at most τ in total affectance from the members,
+// and adds to no member's load beyond τ. Otherwise it leaves the set as it
+// was and reports false. The probe stops at the first sum over τ. It
+// panics if cand is out of range.
+func (b *Budget) TryAdd(cand int) bool {
+	if cand < 0 || cand >= len(b.in) {
+		panic(fmt.Sprintf("sinr: link index %d out of range [0,%d)", cand, len(b.in)))
+	}
+	m, beta, tau, load := b.m, b.beta, b.tau, b.load
+	if b.in[cand] || !Alone(m, cand, beta) {
+		return false
+	}
+	inbound := 0.0
+	for _, s := range b.set {
+		inbound += AffectanceUncapped(m, beta, s, cand)
+		if inbound > tau {
+			return false
+		}
+		if load[s]+AffectanceUncapped(m, beta, cand, s) > tau {
+			return false
+		}
+	}
+	for _, s := range b.set {
+		load[s] += AffectanceUncapped(m, beta, cand, s)
+	}
+	load[cand] = inbound
+	b.in[cand] = true
+	b.set = append(b.set, cand)
+	return true
+}
+
+// Remove takes member out of the set, keeping the others in insertion
+// order, and takes its affectance off their loads. It panics if out is not
+// a member.
+func (b *Budget) Remove(out int) {
+	if out < 0 || out >= len(b.in) || !b.in[out] {
+		panic(fmt.Sprintf("sinr: removing non-member %d", out))
+	}
+	b.in[out] = false
+	// The branch-and-bound removes the newest member: pop it unsearched.
+	if last := len(b.set) - 1; b.set[last] == out {
+		b.set = b.set[:last]
+	} else {
+		k := slices.Index(b.set, out)
+		b.set = append(b.set[:k], b.set[k+1:]...)
+	}
+	m, beta, load := b.m, b.beta, b.load
+	for _, s := range b.set {
+		load[s] -= AffectanceUncapped(m, beta, out, s)
+	}
+	load[out] = 0
+}
+
+// Members returns the members in insertion order. The slice is the
+// budget's own: it changes with the next TryAdd or Remove, so a caller
+// that keeps it or mutates the set while reading it takes a copy.
+func (b *Budget) Members() []int { return b.set }
+
 // Accumulator incrementally maintains, for every receiver, the total
-// interference from the currently active senders. Greedy capacity
-// algorithms add and remove candidate senders many times; the accumulator
-// makes each probe O(n) instead of O(n²).
+// interference from the currently active senders, so PartitionToSignal's
+// repeated SINR probes cost O(n) each instead of O(n²).
 type Accumulator struct {
 	m      *network.Matrix
 	interf []float64 // interf[i] = Σ_{active j} S̄(j,i), including j == i

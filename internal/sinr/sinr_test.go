@@ -625,3 +625,85 @@ func BenchmarkAccumulatorAdd100(b *testing.B) {
 		}
 	}
 }
+
+// TestBudgetProperties drives random TryAdd/Remove sequences on paper-
+// geometry networks and checks the Budget against a plain model of the set.
+// β 3000 sits inside the spread of Own(i)/ν at ν = 4e-7, so about half the
+// links fail the alone-rule there.
+func TestBudgetProperties(t *testing.T) {
+	rejectedAlone := 0
+	for seed := uint64(1); seed <= 24; seed++ {
+		for _, noise := range []float64{4e-7, 0} {
+			cfg := network.Figure1Config()
+			cfg.N = 10 + int(seed%15)
+			cfg.Noise = noise
+			net, err := network.Random(cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := net.Gains()
+			beta := []float64{0.5, 2.5, 6, 3000}[seed%4]
+			for i := 0; i < m.N; i++ {
+				if Alone(m, i, beta) != Feasible(m, []int{i}, beta) {
+					t.Fatalf("seed %d ν %g: Alone(%d) disagrees with Feasible({%d})", seed, noise, i, i)
+				}
+			}
+			for _, tau := range []float64{0.5, 1} {
+				b := NewBudget(m, beta, tau)
+				src := rng.New(seed ^ 0x5eed)
+				var model []int // the members in insertion order
+				for step := 0; step < 300; step++ {
+					i := src.Intn(m.N)
+					member := slices.Contains(model, i)
+					switch {
+					case member && src.Float64() < 0.5:
+						b.Remove(i)
+						model = slices.DeleteFunc(model, func(j int) bool { return j == i })
+					case b.TryAdd(i):
+						if member {
+							t.Fatalf("seed %d: TryAdd admitted member %d twice", seed, i)
+						}
+						if !Alone(m, i, beta) {
+							t.Fatalf("seed %d: admitted %d, which fails alone", seed, i)
+						}
+						model = append(model, i)
+					case !Alone(m, i, beta):
+						rejectedAlone++
+					}
+					got := b.Members()
+					if !slices.Equal(got, model) {
+						t.Fatalf("seed %d step %d: members %v, want %v in insertion order", seed, step, got, model)
+					}
+					if tau == 1 && !Feasible(m, got, beta) {
+						t.Fatalf("seed %d step %d: τ = 1 members %v infeasible", seed, step, got)
+					}
+					if tau < 1 {
+						for _, i := range got {
+							sum := 0.0
+							for _, j := range got {
+								sum += AffectanceUncapped(m, beta, j, i)
+							}
+							// The budget's loads are kept incrementally, so a
+							// direct re-sum may differ from them in the last bits.
+							if sum > tau*(1+1e-12) {
+								t.Fatalf("seed %d step %d: member %d takes affectance %g > τ = %g", seed, step, i, sum, tau)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if rejectedAlone == 0 {
+		t.Fatal("no TryAdd was refused by the alone-rule: the property is untested")
+	}
+}
+
+func TestBudgetRemoveNonMemberPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Remove of a non-member did not panic")
+		}
+	}()
+	NewBudget(mat2(t), 1, 1).Remove(0)
+}
